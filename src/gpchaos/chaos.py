@@ -173,6 +173,8 @@ def parse_functional(text: str) -> Functional:
             level = float(arg)
         except ValueError:
             raise DomainError(f"bad indicator level {arg!r} in {text!r}") from None
+        if not math.isfinite(level):
+            raise DomainError(f"non-finite indicator level in {text!r}")
         return Functional(kind="ind", level=level, axis=axis)
     raise DomainError(f"unknown functional spec {text!r}")
 

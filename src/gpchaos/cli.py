@@ -43,6 +43,7 @@ from .errors import (
     EmbeddingFailure,
     NoBRepresentation,
     NoSpectralDensity,
+    NonFiniteResult,
     NotDifferentiable,
 )
 from .kernels import (
@@ -84,16 +85,33 @@ def _emit(text: str, out):
             handle.write(text)
 
 
+def _strict_json(value, **kwargs) -> str:
+    """JSON text with no NaN or Infinity tokens; a non-finite number is a
+    runtime failure, not a report."""
+    try:
+        return json.dumps(_jsonable(value), allow_nan=False, sort_keys=True, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a non-finite number ({exc})") from None
+
+
 def _json_report(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return _strict_json(payload, indent=2) + "\n"
 
 
 def _csv_with_config(body: str, config: dict) -> str:
-    header = (
-        f"# gpchaos {__version__}\n"
-        f"# config: {json.dumps(_jsonable(config), sort_keys=True)}\n"
-    )
+    header = f"# gpchaos {__version__}\n# config: {_strict_json(config)}\n"
     return header + body
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
 
 
 def _add_common(parser, formats=("json",)):
@@ -131,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40, dest="n_max", help="spectrum truncation order")
     p.add_argument(
         "--alpha",
-        type=float,
+        type=_finite_float,
         action="append",
         dest="alphas",
         help="smoothness weight for norm summaries (repeatable; default 0)",
@@ -146,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="functionals",
         help="integrated functional to estimate (repeatable); omit for level crossings",
     )
-    p.add_argument("--level", type=float, default=0.0)
+    p.add_argument("--level", type=_finite_float, default=0.0)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--grid", type=int, default=2048)
     _add_common(p)
@@ -281,10 +299,23 @@ def cmd_simulate(args) -> str:
         "format": args.format,
         "seed": args.seed,
     }
-    payload = {"schema": "simulate-report/1", "version": __version__, "config": config}
+    plan = mc.build_embedding_plan(kernel, args.grid)
+    payload = {
+        "schema": "simulate-report/1",
+        "version": __version__,
+        "config": config,
+        "diagnostics": {
+            "embedding_size": plan.embedding_size,
+            "support_size": plan.support.size,
+            "clipped": plan.clipped,
+            "min_eigenvalue": plan.min_eigenvalue,
+            "notes": plan.notes,
+        },
+    }
     if functionals is None:
         stats = mc.crossing_statistics(
-            kernel, args.level, n_paths=args.paths, grid_points=args.grid, seed=args.seed
+            kernel, args.level, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
+            plan=plan,
         )
         payload["crossings"] = {
             "level": stats.level,
@@ -296,7 +327,8 @@ def cmd_simulate(args) -> str:
         }
     else:
         outs = mc.mc_integrated_functionals(
-            functionals, kernel, n_paths=args.paths, grid_points=args.grid, seed=args.seed
+            functionals, kernel, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
+            plan=plan,
         )
         payload["moments"] = [
             {
@@ -526,7 +558,10 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         text = handler(args)
-    except (EmbeddingFailure, NoBRepresentation, NoSpectralDensity, NotDifferentiable) as exc:
+    except (
+        EmbeddingFailure, NoBRepresentation, NoSpectralDensity, NotDifferentiable,
+        NonFiniteResult,
+    ) as exc:
         print(f"gpchaos: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

@@ -19,3 +19,7 @@ class NoBRepresentation(DomainError):
 
 class EmbeddingFailure(RuntimeError):
     """Circulant embedding produced eigenvalues too negative to clip safely."""
+
+
+class NonFiniteResult(RuntimeError):
+    """A computed report value is NaN or infinite, so no strict JSON exists."""

@@ -1192,8 +1192,8 @@ _INT_PARAMS = {"m", "k"}
 def parse_kernel(text: str) -> Kernel:
     """Parse ``family:param=value,param=value`` into a kernel instance.
 
-    Raises DomainError on unknown families or parameters, malformed
-    numbers, and parameter values outside the family's domain.
+    Raises DomainError on unknown families or parameters, malformed or
+    non-finite numbers, and parameter values outside the family's domain.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError("empty kernel specification")
@@ -1227,6 +1227,8 @@ def parse_kernel(text: str) -> Kernel:
                 num = float(val)
             except ValueError:
                 raise DomainError(f"bad numeric value in {item!r}") from None
+            if not math.isfinite(num):
+                raise DomainError(f"non-finite value in {item!r}")
             if key in _INT_PARAMS:
                 if num != int(num):
                     raise DomainError(f"{key} must be an integer, got {val}")

@@ -4,8 +4,12 @@ Paths are drawn by circulant embedding in the spectral domain: the
 covariance row is periodized, its FFT gives the embedding eigenvalues, and
 multiplying each spectral amplitude by i*lambda produces the derivative
 channel, so (X, dX) carry their exact joint law on the grid (up to reported
-eigenvalue clipping).  Every path is a deterministic function of
-(seed, path_index) no matter how work is scheduled.
+eigenvalue clipping).  Normals are drawn only on the eigen-support (the
+modes whose floored eigenvalue is non-zero); the grid values are then
+synthesized either directly from a K x n Fourier basis or by a zero-filled
+inverse FFT, whichever the plan's sizes make cheaper.  Every path is a
+deterministic function of (seed, path_index) no matter how work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,8 +86,10 @@ class EmbeddingPlan:
     """Spectral data for sampling (X, dX) on a fixed grid.
 
     ``eigenvalues`` is the FFT of the periodized covariance row after
-    flooring; ``clipped`` counts negative eigenvalues that were zeroed and
-    ``min_eigenvalue`` records the worst value before clipping.
+    flooring and ``support`` the indices of its non-zero entries, the only
+    modes the sampler draws; ``clipped`` counts negative eigenvalues that
+    were zeroed and ``min_eigenvalue`` records the worst value before
+    clipping.
     """
 
     kernel: str
@@ -91,10 +98,36 @@ class EmbeddingPlan:
     embedding_size: int
     sigma: float
     eigenvalues: np.ndarray
+    support: np.ndarray
     angular_frequencies: np.ndarray
     clipped: int
     min_eigenvalue: float
     notes: tuple
+
+    @property
+    def direct_synthesis(self) -> bool:
+        """True when K x n direct synthesis is cheaper than an m-point FFT."""
+        m = self.embedding_size
+        return self.support.size * self.grid_points < m * math.log2(m)
+
+    @cached_property
+    def _direct_basis(self) -> np.ndarray:
+        """Real (2K, 2n) map from a pair's draws [re | im] to the real x and
+        dX grid values; the [im | -re] row gives the imaginary ones.
+
+        Column j of the x half is the amplitude times the inverse-DFT
+        entry exp(2 pi i k j / m) / m of each support mode k; the dX half
+        multiplies that by i*lambda_k.
+        """
+        k = self.support
+        m = self.embedding_size
+        # reduce k*j mod m in integers so the phase stays exact at large m
+        phase = np.outer(k, np.arange(self.grid_points)) % m
+        rows = np.exp((2j * math.pi / m) * phase)
+        rows *= (np.sqrt(self.eigenvalues[k] * m) / m)[:, None]
+        deriv = rows * (1j * self.angular_frequencies[k])[:, None]
+        fields = np.concatenate([rows, deriv], axis=1)
+        return np.concatenate([fields.real, -fields.imag])
 
 
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
@@ -158,6 +191,7 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
         embedding_size=m,
         sigma=sigma,
         eigenvalues=eig,
+        support=np.flatnonzero(eig),
         angular_frequencies=lam,
         clipped=clipped,
         min_eigenvalue=eig_min,
@@ -193,19 +227,44 @@ def _pair_chunk(embedding_size: int) -> int:
     return max(1, (1 << 21) // embedding_size)
 
 
-def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int):
-    """Paths [2*pair_start, 2*pair_stop): one complex field per pair, the
-    real part feeding the even path and the imaginary part the odd one."""
+def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int):
+    """Standard normals on the eigen-support, one row [re | im] of 2K per
+    path pair, each row a function of (seed, pair) alone."""
+    k = plan.support.size
+    bits = np.random.Philox(key=[seed, pair_start])
+    normals = np.random.Generator(bits)
+    # a fresh stream's state; re-keying it is cheaper than a new generator
+    fresh = bits.state
+    draws = np.empty((pair_stop - pair_start, 2 * k))
+    for row, pair in zip(draws, range(pair_start, pair_stop)):
+        fresh["state"]["key"] = np.array([seed, pair], dtype=np.uint64)
+        bits.state = fresh
+        normals.standard_normal(out=row)
+    return draws
+
+
+def _direct_paths(plan: EmbeddingPlan, draws):
+    """Paths of a pair block by K x n direct synthesis: the real part of
+    each pair's field is the even path, the imaginary part the odd one."""
+    count = draws.shape[0]
+    k = plan.support.size
+    signed = np.empty((2 * count, 2 * k))
+    signed[0::2] = draws
+    signed[1::2, :k] = draws[:, k:]
+    signed[1::2, k:] = -draws[:, :k]
+    paths = signed @ plan._direct_basis
+    n = plan.grid_points
+    return paths[:, :n], paths[:, n:]
+
+
+def _fft_paths(plan: EmbeddingPlan, draws):
+    """Paths of a pair block by a zero-filled m-point inverse FFT."""
+    count = draws.shape[0]
     m = plan.embedding_size
-    count = pair_stop - pair_start
-    amp = np.sqrt(plan.eigenvalues * m)
-    z = np.empty((count, m), dtype=complex)
-    for i, pair in enumerate(range(pair_start, pair_stop)):
-        draws = np.random.Generator(
-            np.random.Philox(key=[seed, pair])
-        ).standard_normal(2 * m)
-        z[i] = draws[:m] + 1j * draws[m:]
-    spectral = amp * z
+    k = plan.support.size
+    spectral = np.zeros((count, m), dtype=complex)
+    z = draws[:, :k] + 1j * draws[:, k:]
+    spectral[:, plan.support] = np.sqrt(plan.eigenvalues[plan.support] * m) * z
     n = plan.grid_points
     field_x = np.fft.ifft(spectral, axis=1)[:, :n]
     field_d = np.fft.ifft(1j * plan.angular_frequencies * spectral, axis=1)[:, :n]
@@ -218,29 +277,49 @@ def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int)
     return x, xdot
 
 
+def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int):
+    """Paths [2*pair_start, 2*pair_stop) as (x, xdot) blocks: one complex
+    field per pair, the real part feeding the even path and the imaginary
+    part the odd one."""
+    draws = _support_draws(plan, seed, pair_start, pair_stop)
+    synthesize = _direct_paths if plan.direct_synthesis else _fft_paths
+    return synthesize(plan, draws)
+
+
+def _blocks(plan, seed, n_paths, statistic, workers=1):
+    """Yield ``statistic(x_block, xdot_block)`` for paths 0..n_paths-1 in
+    path order, one block per chunk of path pairs.
+
+    Chunks are fixed by the plan, so blocks (and anything reduced from
+    them) are bit-identical at any worker count.  With several workers the
+    statistic runs in the worker threads, so only its results are held.
+    """
+    chunk = _pair_chunk(plan.embedding_size)
+    n_pairs = (n_paths + 1) // 2
+    starts = range(0, n_pairs, chunk)
+
+    def run(lo):
+        hi = min(lo + chunk, n_pairs)
+        x, xdot = _pair_block(plan, seed, lo, hi)
+        keep = min(2 * hi, n_paths) - 2 * lo
+        return statistic(x[:keep], xdot[:keep])
+
+    if workers == 1 or len(starts) == 1:
+        yield from map(run, starts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, starts)
+
+
 def _per_path_values(plan, seed, n_paths, statistic, workers=None) -> np.ndarray:
     """Evaluate a per-path statistic for paths 0..n_paths-1, in order.
 
     ``statistic(x_block, xdot_block)`` maps path blocks to a 1-D array.
-    Chunks are fixed by the plan, and results are reassembled by path
-    index, so the output is bit-identical at any worker count.
     """
-    chunk = _pair_chunk(plan.embedding_size)
-    n_pairs = (n_paths + 1) // 2
-    spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
-
-    def run(span):
-        lo, hi = span
-        x, xdot = _pair_block(plan, seed, lo, hi)
-        keep = min(2 * hi, n_paths) - 2 * lo
-        return np.asarray(statistic(x[:keep], xdot[:keep]), dtype=float)
-
-    workers = _worker_count(workers)
-    if workers == 1 or len(spans) == 1:
-        parts = [run(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, spans))
+    parts = [
+        np.asarray(part, dtype=float)
+        for part in _blocks(plan, seed, n_paths, statistic, _worker_count(workers))
+    ]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -249,20 +328,18 @@ def sample_paths(kernel: Kernel, grid_points: int, n_paths: int, seed: int, plan
     n_paths, seed = _check_run_args(n_paths, seed)
     if plan is None:
         plan = build_embedding_plan(kernel, grid_points)
-    chunk = _pair_chunk(plan.embedding_size)
-    n_pairs = (n_paths + 1) // 2
-    for lo in range(0, n_pairs, chunk):
-        hi = min(lo + chunk, n_pairs)
-        x, xdot = _pair_block(plan, seed, lo, hi)
-        for i in range(min(2 * hi, n_paths) - 2 * lo):
+    index = 0
+    for x, xdot in _blocks(plan, seed, n_paths, lambda x, xd: (x, xd)):
+        for row, drow in zip(x, xdot):
             yield PathSample(
                 grid_step=plan.grid_step,
                 length=plan.grid_points,
-                x=x[i].copy(),
-                xdot=xdot[i].copy(),
+                x=row.copy(),
+                xdot=drow.copy(),
                 seed=seed,
-                path_index=2 * lo + i,
+                path_index=index,
             )
+            index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,39 +356,22 @@ def count_crossings(path, level: float = 0.0) -> int:
     sampled laws; the rule only pins down determinism.
     """
     x = path.x if isinstance(path, PathSample) else np.asarray(path, dtype=float)
-    s = np.sign(x - level)
-    nonzero = np.flatnonzero(s)
-    if nonzero.size == 0:
-        return 0
-    first = nonzero[0]
-    if first > 0:
-        s[:first] = -s[first]
-    # forward-fill interior ties with the previous nonzero sign
-    idx = np.arange(s.size)
-    idx[s == 0.0] = 0
-    idx = np.maximum.accumulate(idx)
-    filled = s[idx]
-    return int(np.count_nonzero(filled[1:] != filled[:-1]))
+    return int(_crossing_counts(x[None, :], level)[0])
 
 
 def _crossing_counts(x_block, level):
+    """count_crossings for every row of a block, as floats."""
     s = np.sign(x_block - level)
-    out = np.empty(s.shape[0])
-    for i in range(s.shape[0]):
-        row = s[i]
-        nonzero = np.flatnonzero(row)
-        if nonzero.size == 0:
-            out[i] = 0.0
-            continue
-        first = nonzero[0]
-        if first > 0:
-            row[:first] = -row[first]
-        idx = np.arange(row.size)
-        idx[row == 0.0] = 0
-        idx = np.maximum.accumulate(idx)
-        filled = row[idx]
-        out[i] = np.count_nonzero(filled[1:] != filled[:-1])
-    return out
+    if not s.all():  # grid values exactly at the level: apply the tie rule
+        cols = np.arange(s.shape[1])
+        # leading ties take the opposite of the first excursion's sign (an
+        # all-tie row has first = 0 and sign 0, and stays all zero)
+        first = np.argmax(s != 0.0, axis=1)[:, None]
+        s = np.where(cols < first, -np.take_along_axis(s, first, axis=1), s)
+        # forward-fill interior ties with the previous nonzero sign
+        idx = np.maximum.accumulate(np.where(s != 0.0, cols, 0), axis=1)
+        s = np.take_along_axis(s, idx, axis=1)
+    return np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -329,20 +389,23 @@ class CrossingStats:
 
 def _moment_stats(values: np.ndarray):
     n = values.size
-    mean = math.fsum(values) / n
-    second = math.fsum(v * v for v in values) / n
+    mean = math.fsum(values.tolist()) / n
+    second = math.fsum((values * values).tolist()) / n
     if n > 1:
-        variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        deviation = values - mean
+        variance = math.fsum((deviation * deviation).tolist()) / (n - 1)
     else:
         variance = 0.0
     return mean, second, variance
 
 
 def crossing_statistics(
-    kernel: Kernel, level: float, n_paths: int, grid_points: int, seed: int, workers=None
+    kernel: Kernel, level: float, n_paths: int, grid_points: int, seed: int, workers=None,
+    plan=None,
 ) -> CrossingStats:
     n_paths, seed = _check_run_args(n_paths, seed)
-    plan = build_embedding_plan(kernel, grid_points)
+    if plan is None:
+        plan = build_embedding_plan(kernel, grid_points)
     counts = _per_path_values(
         plan, seed, n_paths, lambda x, xd: _crossing_counts(x, level), workers
     )
@@ -411,17 +474,20 @@ class MCMoments:
 
 
 def mc_integrated_functionals(
-    functionals, kernel: Kernel, n_paths: int, grid_points: int, seed: int, workers=None
+    functionals, kernel: Kernel, n_paths: int, grid_points: int, seed: int, workers=None,
+    plan=None,
 ):
     """Monte Carlo moments of int_0^1 Lambda(X_t, dX_t/sigma) dt for each
     functional, sharing one set of paths.
 
     ``std_error`` is the standard error of the second moment, the quantity
     the chaos pipeline predicts; ``mean_std_error`` goes with the mean.
+    A prebuilt ``plan`` is used as is, as in ``sample_paths``.
     """
     functionals = list(functionals)
     n_paths, seed = _check_run_args(n_paths, seed)
-    plan = build_embedding_plan(kernel, grid_points)
+    if plan is None:
+        plan = build_embedding_plan(kernel, grid_points)
 
     def statistic(x, xd):
         xn = xd / plan.sigma

@@ -132,12 +132,15 @@ def hermite(n: int, x) -> float | np.ndarray:
     if n < 0 or n != int(n):
         raise DomainError(f"hermite requires integer n >= 0, got {n!r}")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
     if int(n) == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, int(n)):
-        h, h_prev = x * h - k * h_prev, h
+        h = np.ones_like(x)
+    elif int(n) == 1:
+        h = x.copy()
+    else:
+        # start from H_2 = x^2 - 1 so H_0 is never materialized
+        h_prev, h = x, x * x - 1.0
+        for k in range(2, int(n)):
+            h, h_prev = x * h - k * h_prev, h
     return h if h.ndim else float(h)
 
 

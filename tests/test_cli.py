@@ -229,6 +229,56 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_diagnostics_block(self, capsys):
+        report = run_json(
+            capsys, "simulate", "--kernel", "sqexp", "--paths", "20", "--grid", "512",
+        )
+        plan = mc.build_embedding_plan(parse_kernel("sqexp"), 512)
+        assert report["diagnostics"] == {
+            "embedding_size": 4096,
+            "support_size": 27,
+            "clipped": plan.clipped,
+            "min_eigenvalue": plan.min_eigenvalue,
+            "notes": list(plan.notes),
+        }
+
+    def test_report_is_byte_identical_on_rerun(self, capsys):
+        argv = ("simulate", "--kernel", "sqexp", "--functional", "H:2",
+                "--paths", "40", "--grid", "128", "--seed", "3")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("conditions", "--kernel", "rq:alpha=inf"),
+            ("conditions", "--kernel", "sqexp:ell=nan"),
+            ("simulate", "--kernel", "sqexp", "--level", "nan", "--paths", "10", "--grid", "64"),
+            ("chaos", "--kernel", "sqexp", "--functional", "ind:nan"),
+            ("simulate", "--kernel", "sqexp:ell=nan", "--paths", "10", "--grid", "64"),
+            ("chaos", "--kernel", "sqexp", "--alpha", "inf"),
+        ],
+        ids=["rq-alpha-inf", "sqexp-ell-nan", "level-nan", "ind-nan", "simulate-ell-nan",
+             "alpha-inf"],
+    )
+    def test_rejected_as_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_non_finite_result_is_runtime_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(mc, "rice_crossing_mean", lambda kernel, level: math.nan)
+        code, out, err = run_cli(
+            capsys, "simulate", "--kernel", "sqexp", "--paths", "10", "--grid", "64"
+        )
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestVerifyAll:
     def test_smooth_kernel_all_pass(self, capsys):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gpchaos import montecarlo as mc
@@ -15,6 +18,7 @@ from gpchaos.kernels import SquaredExponential, parse_kernel
 SQEXP = parse_kernel("sqexp")
 MATERN52 = parse_kernel("matern52")
 MATERN12 = parse_kernel("matern12")
+RQ = parse_kernel("rq:alpha=2,ell=1")
 
 # Closed-form targets for E[(average of F(X_t) over [0,1])^2] on sqexp,
 # from 2 * point_norm * int_0^1 (1-u) rho(u)^n du evaluated exactly.
@@ -98,6 +102,11 @@ class TestEmbeddingPlan:
         with pytest.raises(NotDifferentiable):
             mc.build_embedding_plan(MATERN12, 512)
 
+    def test_support_lists_the_nonzero_eigenvalues(self):
+        plan = mc.build_embedding_plan(SQEXP, 512)
+        assert_array_equal(plan.support, np.flatnonzero(plan.eigenvalues))
+        assert plan.support.size == 27
+
     def test_bad_grid_rejected(self):
         for grid in (1, 0, -4, 2.5):
             with pytest.raises(DomainError):
@@ -178,7 +187,130 @@ class TestSamplePaths:
             list(mc.sample_paths(SQEXP, 128, 2, seed=-1))
 
 
+def _pre_support_pair_block(plan, seed, pair_start, pair_stop):
+    """The sampler before support-only draws: 2m normals and two m-point
+    inverse FFTs per path pair."""
+    m = plan.embedding_size
+    count = pair_stop - pair_start
+    amp = np.sqrt(plan.eigenvalues * m)
+    z = np.empty((count, m), dtype=complex)
+    for i, pair in enumerate(range(pair_start, pair_stop)):
+        draws = np.random.Generator(
+            np.random.Philox(key=[seed, pair])
+        ).standard_normal(2 * m)
+        z[i] = draws[:m] + 1j * draws[m:]
+    spectral = amp * z
+    n = plan.grid_points
+    field_x = np.fft.ifft(spectral, axis=1)[:, :n]
+    field_d = np.fft.ifft(1j * plan.angular_frequencies * spectral, axis=1)[:, :n]
+    x = np.empty((2 * count, n))
+    xdot = np.empty((2 * count, n))
+    x[0::2] = field_x.real
+    x[1::2] = field_x.imag
+    xdot[0::2] = field_d.real
+    xdot[1::2] = field_d.imag
+    return x, xdot
+
+
+class TestSynthesisRoutes:
+    def test_route_follows_the_cost_model(self):
+        # K n against m log2 m: rq has 1,269 of 131,072 modes at grid 512,
+        # matern52 1,139 of 32,768 at grid 2048.
+        direct = mc.build_embedding_plan(RQ, 512)
+        fft = mc.build_embedding_plan(MATERN52, 2048)
+        assert direct.direct_synthesis
+        assert not fft.direct_synthesis
+        for plan in (direct, fft):
+            k, n, m = plan.support.size, plan.grid_points, plan.embedding_size
+            assert (k * n < m * math.log2(m)) == plan.direct_synthesis
+
+    @pytest.mark.parametrize("spec,grid", [("rq:alpha=2,ell=1", 512), ("matern52", 2048)])
+    def test_routes_agree_on_the_same_draws(self, spec, grid):
+        plan = mc.build_embedding_plan(parse_kernel(spec), grid)
+        draws = mc._support_draws(plan, 7, 3, 7)
+        assert draws.shape == (4, 2 * plan.support.size)
+        direct_x, direct_xdot = mc._direct_paths(plan, draws)
+        fft_x, fft_xdot = mc._fft_paths(plan, draws)
+        assert direct_x.shape == fft_x.shape == (8, grid)
+        assert_allclose(direct_x, fft_x, rtol=0.0, atol=1e-12)
+        assert_allclose(direct_xdot, fft_xdot, rtol=0.0, atol=1e-12)
+
+    def test_draws_are_keyed_on_seed_and_pair(self):
+        plan = mc.build_embedding_plan(SQEXP, 512)
+        block = mc._support_draws(plan, 5, 2, 6)
+        for i, pair in enumerate(range(2, 6)):
+            alone = np.random.Generator(np.random.Philox(key=[5, pair])).standard_normal(54)
+            assert_array_equal(block[i], alone)
+
+    def test_full_support_reproduces_the_pre_support_sampler(self):
+        plan = mc.build_embedding_plan(parse_kernel("matern32"), 512)
+        assert plan.support.size == plan.embedding_size
+        assert not plan.direct_synthesis
+        for lo, hi in ((0, 3), (5, 6)):
+            x, xdot = mc._pair_block(plan, 13, lo, hi)
+            old_x, old_xdot = _pre_support_pair_block(plan, 13, lo, hi)
+            assert_array_equal(x, old_x)
+            assert_array_equal(xdot, old_xdot)
+
+    def test_direct_route_marginal_law(self):
+        x, xd = _stack(RQ, 256, 4000, seed=24)
+        assert mc.build_embedding_plan(RQ, 256).direct_synthesis
+        n = x.shape[0]
+        # var X = 1, var dX = -r''(0) = 1/ell^2 = 1, corr(X, dX) = 0
+        assert abs(x[:, 0].var(ddof=1) - 1.0) < 4 * math.sqrt(2.0 / n)
+        assert abs(xd[:, 0].var(ddof=1) - 1.0) < 4 * math.sqrt(2.0 / n)
+        assert abs(np.mean(x[:, 0] * xd[:, 0])) < 4 * math.sqrt(1.0 / n)
+
+    def test_direct_route_covariance_at_lag(self):
+        x, xd = _stack(RQ, 256, 4000, seed=25)
+        n = x.shape[0]
+        dt = 1.0 / 255.0
+        for lag in (16, 64, 128, 255):
+            target = RQ.r(lag * dt)
+            got = np.mean(x[:, 0] * x[:, lag])
+            se = math.sqrt((1.0 + target * target) / n)
+            assert abs(got - target) < 4.5 * se
+        # Cov(X_0, dX_tau) = r'(tau)
+        r1 = RQ.r_prime(128 * dt)
+        se = math.sqrt((1.0 + r1 * r1) / n)
+        assert abs(np.mean(x[:, 0] * xd[:, 128]) - r1) < 4.5 * se
+
+
+def _scalar_crossings(x, level):
+    """Oracle: the one-row counter before the block counter existed."""
+    s = np.sign(np.asarray(x, dtype=float) - level)
+    nonzero = np.flatnonzero(s)
+    if nonzero.size == 0:
+        return 0
+    first = nonzero[0]
+    if first > 0:
+        s[:first] = -s[first]
+    idx = np.arange(s.size)
+    idx[s == 0.0] = 0
+    idx = np.maximum.accumulate(idx)
+    filled = s[idx]
+    return int(np.count_nonzero(filled[1:] != filled[:-1]))
+
+
+# Small integer values make exact ties, leading ties and all-tie rows common.
+_TIE_BLOCKS = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]))
+)
+
+
 class TestCountCrossings:
+    @given(block=_TIE_BLOCKS, level=st.sampled_from([0.0, 1.0, -1.0, 0.5]))
+    def test_block_counter_matches_scalar_oracle(self, block, level):
+        counts = mc._crossing_counts(block, level)
+        assert counts.shape == (block.shape[0],)
+        for row, count in zip(block, counts):
+            assert count == _scalar_crossings(row, level)
+            assert mc.count_crossings(row, level) == count
+
+    def test_block_counter_on_all_tie_and_leading_tie_rows(self):
+        block = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        assert_array_equal(mc._crossing_counts(block, 0.0), [0.0, 1.0, 1.0])
+
     def test_sine_has_two_crossings_per_period(self):
         t = np.linspace(0.0, 1.0, 2048)
         assert mc.count_crossings(np.sin(2.0 * math.pi * 3.0 * t)) == 6
