@@ -10,6 +10,7 @@ measures how much smoothing the time average buys at chaos order n.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "regularization_rho",
     "regularization_exponent",
     "laplace_decay_constant",
+    "QuadLog",
     "spectrum_to_csv",
     "spectrum_to_dict",
 ]
@@ -333,22 +335,42 @@ def _axis_correlation(kernel: Kernel, func: Functional):
     return kernel.r
 
 
+_QUAD_LOG: ContextVar = ContextVar("gpchaos_quad_log", default=None)
+
+
+class QuadLog:
+    """Largest error estimate of the time-average quadratures run while the
+    log is entered, and whether each met its tolerance max(epsabs,
+    epsrel |value|).  Entering it again after it exits extends it."""
+
+    def __init__(self):
+        self.max_error, self.within_tolerance = 0.0, True
+
+    def __enter__(self):
+        self._token = _QUAD_LOG.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _QUAD_LOG.reset(self._token)
+
+
+def _time_average(f) -> float:
+    """2 int_0^1 (1-u) f(u) du; the error estimate goes to the entered QuadLog."""
+    epsabs, epsrel = 1e-12, 1e-11
+    val, err = quad(lambda u: (1.0 - u) * f(u), 0.0, 1.0, epsabs=epsabs, epsrel=epsrel,
+                    limit=200)
+    log = _QUAD_LOG.get()
+    if log is not None:
+        log.max_error = max(log.max_error, err)
+        log.within_tolerance &= err <= max(epsabs, epsrel * abs(val))
+    return 2.0 * val
+
+
 def _time_average_weight(rho, n: int) -> float:
     """2 int_0^1 (1-u) rho(u)^n du, the order-n squared-norm contraction."""
     if n == 0:
         return 1.0
-    val, _ = quad(
-        lambda u: (1.0 - u) * rho(u) ** n, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=200
-    )
-    return 2.0 * val
-
-
-def _scalar_coefficients(func: Functional, n_max: int):
-    return _exact_scalar_coefficients(func, n_max)
-
-
-def _dense_spectrum(n_max):
-    return {n: 0.0 for n in range(n_max + 1)}
+    return _time_average(lambda u: rho(u) ** n)
 
 
 def _factorial_float(n: int) -> float:
@@ -374,7 +396,7 @@ def point_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -> dic
     n_max = _check_n_max(n_max)
     if functional.kind == "H2" or functional.axis == "xdot":
         kernel.r2_zero()  # raises NotDifferentiable when there is no derivative
-    norms = _dense_spectrum(n_max)
+    norms = dict.fromkeys(range(n_max + 1), 0.0)
     if functional.kind == "H":
         if functional.m <= n_max:
             norms[functional.m] = _factorial_float(functional.m)
@@ -383,7 +405,7 @@ def point_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -> dic
         if n <= n_max:
             norms[n] = _factorial_float(functional.a) * _factorial_float(functional.b)
     else:
-        coeffs = _scalar_coefficients(functional, n_max)
+        coeffs = _exact_scalar_coefficients(functional, n_max)
         for n in range(n_max + 1):
             norms[n] = float(_factorial_float(n) * coeffs[n] ** 2)
     return norms
@@ -399,7 +421,7 @@ def integrated_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -
     requires r''''(0) (and caps the order at TENSOR_POWER_MAX).
     """
     n_max = _check_n_max(n_max)
-    norms = _dense_spectrum(n_max)
+    norms = dict.fromkeys(range(n_max + 1), 0.0)
     if functional.kind == "H2":
         n = functional.a + functional.b
         if n > TENSOR_POWER_MAX:
@@ -409,15 +431,8 @@ def integrated_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -
         kernel.r4_zero()  # joint-decay structure needs the fourth derivative
         if n <= n_max:
             c = hermite2d_coefficient_vector(functional.a, functional.b).dense()
-            val, _ = quad(
-                lambda u: (1.0 - u) * tensor_power_quadratic_form(kernel, u, c),
-                0.0,
-                1.0,
-                epsabs=1e-12,
-                epsrel=1e-11,
-                limit=200,
-            )
-            norms[n] = 2.0 * math.factorial(n) * val
+            weight = _time_average(lambda u: tensor_power_quadratic_form(kernel, u, c))
+            norms[n] = math.factorial(n) * weight
         return norms
     point = point_chaos_norms(functional, kernel, n_max)
     rho = _axis_correlation(kernel, functional)

@@ -28,6 +28,7 @@ from .asymptotics import (
     series_to_csv,
 )
 from .chaos import (
+    QuadLog,
     chaos_spectrum,
     integrated_chaos_norms,
     laplace_decay_constant,
@@ -243,7 +244,8 @@ def cmd_chaos(args) -> str:
         "format": args.format,
         "seed": args.seed,
     }
-    spectrum = chaos_spectrum(functional, kernel, n_max=args.n_max)
+    with QuadLog() as quad_errors:
+        spectrum = chaos_spectrum(functional, kernel, n_max=args.n_max)
     if args.format == "csv":
         return _csv_with_config(spectrum_to_csv(spectrum), config)
 
@@ -264,7 +266,8 @@ def cmd_chaos(args) -> str:
         lo = max(args.n_min, 1)
         hi = max(args.n_max, lo + 5)
         orders = sorted(set(int(round(v)) for v in np.geomspace(lo, hi, 12)))
-        series = regularization_exponent(kernel, "hermite1d", orders)
+        with quad_errors:
+            series = regularization_exponent(kernel, "hermite1d", orders)
         regularization["orders"] = orders
         regularization["slope"] = series.fitted_slope
         regularization["log_constant"] = series.fitted_log_constant
@@ -282,6 +285,10 @@ def cmd_chaos(args) -> str:
         "spectrum": spectrum_to_dict(spectrum),
         "sobolev": sobolev,
         "regularization": regularization,
+        "diagnostics": {
+            "max_quad_error": quad_errors.max_error,
+            "quad_within_tolerance": quad_errors.within_tolerance,
+        },
     }
     return _json_report(payload)
 

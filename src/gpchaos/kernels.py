@@ -122,6 +122,16 @@ class Kernel:
 
     family = "base"
 
+    @property
+    def length_scale(self):
+        """Scale of the covariance's decay, for grids and windows."""
+        return self.ell
+
+    @property
+    def fd_scale(self):
+        """Scale of the finite-difference step ladder at the origin."""
+        return self.length_scale
+
     def r(self, t):
         ta = np.asarray(t, dtype=float)
         s = np.abs(np.atleast_1d(ta))
@@ -207,14 +217,6 @@ class SquaredExponential(Kernel):
     def __post_init__(self):
         if self.ell <= 0:
             raise DomainError("sqexp: ell must be positive")
-
-    @property
-    def length_scale(self):
-        return self.ell
-
-    @property
-    def fd_scale(self):
-        return self.ell
 
     def _r_abs(self, s):
         return np.exp(-((s / self.ell) ** 2))
@@ -327,14 +329,6 @@ class Matern(Kernel):
             raise DomainError("matern: nu and ell must be positive")
 
     @property
-    def length_scale(self):
-        return self.ell
-
-    @property
-    def fd_scale(self):
-        return self.ell
-
-    @property
     def _gam(self):
         return math.sqrt(2.0 * self.nu) / self.ell
 
@@ -429,17 +423,10 @@ class MaternHalfInteger(Kernel):
     def nu(self):
         return self.m + 0.5
 
-    @property
-    def length_scale(self):
-        return self.ell
-
-    @property
-    def fd_scale(self):
-        return self.ell
-
-    @property
-    def _gam(self):
-        return math.sqrt(2.0 * self.nu) / self.ell
+    # the spectral side depends on (nu, ell) alone
+    _gam = Matern._gam
+    spectral_density = Matern.spectral_density
+    b_representation = Matern.b_representation
 
     @functools.cached_property
     def _p_coeffs(self):
@@ -513,17 +500,6 @@ class MaternHalfInteger(Kernel):
     def _odd_taylor_power(self):
         return 2.0 * self.nu
 
-    def spectral_density(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        gam, mu = self._gam, self.nu + 0.5
-        d = math.exp(gamma_ln(mu) - 0.5 * math.log(math.pi)
-                     - gamma_ln(self.nu) - math.log(gam))
-        out = d * (1.0 + lam**2 / gam**2) ** (-mu)
-        return _ret(out, lam)
-
-    def b_representation(self):
-        return _matern_b_closed(self.nu, self.ell)
-
 
 # --------------------------------------------------------------------------
 # gamma-exponential
@@ -542,14 +518,6 @@ class GammaExponential(Kernel):
             raise DomainError("gammaexp: gamma must lie in (0, 2]")
         if self.ell <= 0:
             raise DomainError("gammaexp: ell must be positive")
-
-    @property
-    def length_scale(self):
-        return self.ell
-
-    @property
-    def fd_scale(self):
-        return self.ell
 
     def _r_abs(self, s):
         return np.exp(-((s / self.ell) ** self.gamma))
@@ -655,14 +623,6 @@ class RationalQuadratic(Kernel):
         if self.alpha <= 0 or self.ell <= 0:
             raise DomainError("rq: alpha and ell must be positive")
 
-    @property
-    def length_scale(self):
-        return self.ell
-
-    @property
-    def fd_scale(self):
-        return self.ell
-
     def _u(self, s):
         return 1.0 + s**2 / (2.0 * self.alpha * self.ell**2)
 
@@ -745,12 +705,6 @@ def wendland_poly(k: int):
     return c
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
 @dataclass(frozen=True)
 class Wendland(Kernel):
     """Compactly supported polynomial kernel on [-1, 1].
@@ -769,13 +723,8 @@ class Wendland(Kernel):
             raise DomainError("wendland: k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))
 
-    @property
-    def length_scale(self):
-        return 1.0
-
-    @property
-    def fd_scale(self):
-        return 0.15
+    length_scale = 1.0
+    fd_scale = 0.15
 
     @functools.cached_property
     def _coeffs(self):
@@ -822,20 +771,54 @@ class Wendland(Kernel):
     def _odd_taylor_power(self):
         return 2.0 * self.k + 1.0
 
+    @functools.cached_property
+    def _spectral_tables(self):
+        """Seam lam0, closed-form coefficients and small-lambda rule of F'.
+
+        Integrating pi F(lam) = int_0^1 p(t) cos(lam t) dt by parts until p
+        = r|[0,1] is exhausted gives cos(lam) C(1/lam) + sin(lam) S(1/lam) -
+        D(1/lam); C and S hold the boundary derivatives p^(j)(1), D the
+        p^(j)(0).  Every coefficient below order 2k+2 is exactly zero, so
+        the sum keeps its relative accuracy as lam grows.  Its rounding is a
+        few eps sum_i |c_i| lam^-i: lam0 is the least integer where that sum
+        is at most int_0^1 p, the rounding scale of a quadrature rule.  Below
+        lam0 a Gauss-Legendre rule exact to degree deg p + 3 lam0 + 63 (past
+        which cos(lam t) has a Taylor remainder below eps) takes over.  The
+        coefficients are scaled by lam0^-i for evaluation at lam0/lam <= 1,
+        so no power overflows at any k.
+        """
+        c = self._coeffs
+        deg = len(c) - 1
+        at_one = [sum(math.perm(i, j) * a for i, a in enumerate(c)) for j in range(deg + 1)]
+        tab = [[Fraction(0)] * (deg + 2) for _ in range(3)]  # C, S, D
+        for i in range(1, deg + 2):
+            sign = (-1) ** (i // 2)
+            if i % 2:
+                tab[1][i] = sign * at_one[i - 1]
+            else:
+                tab[0][i] = -sign * at_one[i - 1]
+                tab[2][i] = -sign * math.factorial(i - 1) * c[i - 1]
+        size = [sum(abs(row[i]) for row in tab) for i in range(deg + 2)]
+        mass = sum(a / (j + 1) for j, a in enumerate(c))
+        seam = 1
+        while sum(w / Fraction(seam) ** i for i, w in enumerate(size)) > mass:
+            seam += 1
+        scaled = np.array([[float(a / seam**i) for i, a in enumerate(row)] for row in tab])
+        nodes, weights = np.polynomial.legendre.leggauss((deg + 3 * seam) // 2 + 32)
+        nodes = 0.5 * (nodes + 1.0)
+        p_vals = [float(sum(a * Fraction(t) ** j for j, a in enumerate(c))) for t in nodes]
+        return seam, scaled.T, nodes, 0.5 * weights * np.array(p_vals)
+
     def spectral_density(self, lam):
         lam = np.asarray(lam, dtype=float)
+        seam, scaled, nodes, weighted = self._spectral_tables
         flat = np.abs(np.atleast_1d(lam)).ravel()
-        mx = flat.max() if flat.size else 1.0
-        n_gl = 128
-        while n_gl < min(4096, 10.0 * mx / math.pi):
-            n_gl *= 2
-        nodes, weights = _leggauss(n_gl)
-        rv = self._masked_eval(nodes, self._float_coeffs[0]) * weights
         out = np.empty(flat.shape)
-        step = max(1, (1 << 22) // n_gl)
-        for i in range(0, flat.size, step):
-            block = flat[i:i + step]
-            out[i:i + step] = np.cos(np.outer(block, nodes)) @ rv
+        low = flat < seam
+        out[low] = np.cos(np.outer(flat[low], nodes)) @ weighted
+        high = flat[~low]
+        cos_part, sin_part, edge = npoly.polyval(seam / high, scaled)
+        out[~low] = np.cos(high) * cos_part + np.sin(high) * sin_part - edge
         out = (out / math.pi).reshape(np.atleast_1d(lam).shape)
         return _ret(out[0] if lam.ndim == 0 else out, lam)
 
@@ -861,10 +844,6 @@ class Cosine(Kernel):
     def __post_init__(self):
         if self.ell <= 0:
             raise DomainError("cosine: ell must be positive")
-
-    @property
-    def length_scale(self):
-        return self.ell
 
     @property
     def fd_scale(self):
@@ -963,7 +942,15 @@ class _GridRep:
     notes: tuple
 
 
-def _grid_payload(x, b_vals, bp_vals, dx, tail, trunc, notes):
+def _grid_payload(lam, f_vals, dx, trunc, notes):
+    """Grid b and b' by FFT inversion of sqrt(2 pi F') sampled at the
+    frequencies ``lam`` of an n-point grid of step dx, with splines on the
+    half line."""
+    g = np.sqrt(2.0 * math.pi * f_vals)
+    half = lam.size // 2
+    b_vals = np.fft.ifft(g).real[:half + 1] / dx
+    bp_vals = np.fft.ifft(1j * lam * g).real[:half + 1] / dx
+    x = np.arange(half + 1) * dx
     spl_b = CubicSpline(x, b_vals)
     spl_bp = CubicSpline(x, bp_vals)
     x_max = x[-1]
@@ -982,8 +969,8 @@ def _grid_payload(x, b_vals, bp_vals, dx, tail, trunc, notes):
                        np.sign(axx) * spl_bp(np.minimum(ax, x_max)), 0.0)
         return _ret(out[0] if xx.ndim == 0 else out, xx)
 
-    return _GridRep(b, b_prime, tail, trunc,
-                    (x, b_vals, bp_vals, dx), notes)
+    return _GridRep(b, b_prime, ("numeric", x_max), trunc,
+                    (x, b_vals, bp_vals, dx), tuple(notes))
 
 
 def _grid_b_from_spectral(density, scale, decay_scale, n=1 << 16):
@@ -1011,13 +998,7 @@ def _grid_b_from_spectral(density, scale, decay_scale, n=1 << 16):
         clipped = -f_vals[neg].sum() * (2.0 * math.pi / (n * dx))
         notes.append(f"clipped negative spectral noise, mass {clipped:.2e}")
         f_vals = np.clip(f_vals, 0.0, None)
-    g = np.sqrt(2.0 * math.pi * f_vals)
-    b_all = np.fft.ifft(g).real / dx
-    bp_all = np.fft.ifft(1j * lam * g).real / dx
-    half = n // 2
-    x = np.arange(half + 1) * dx
-    return _grid_payload(x, b_all[:half + 1].copy(), bp_all[:half + 1].copy(),
-                         dx, ("numeric", x[-1]), trunc, tuple(notes))
+    return _grid_payload(lam, f_vals, dx, trunc, notes)
 
 
 def _grid_b_from_covariance(kernel, n=1 << 20):
@@ -1039,13 +1020,7 @@ def _grid_b_from_covariance(kernel, n=1 << 20):
     tail_amp = math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max
     notes.append(f"square-root spectral tail beyond {lam_max:.3g} "
                  f"contributes at most ~{tail_amp:.2e} near the origin")
-    g = np.sqrt(2.0 * math.pi * f_vals)
-    b_all = np.fft.ifft(g).real / dt
-    bp_all = np.fft.ifft(1j * lam * g).real / dt
-    half = n // 2
-    x = np.arange(half + 1) * dt
-    return _grid_payload(x, b_all[:half + 1].copy(), bp_all[:half + 1].copy(),
-                         dt, ("numeric", x[-1]), tail_amp, tuple(notes))
+    return _grid_payload(lam, f_vals, dt, tail_amp, notes)
 
 
 # --------------------------------------------------------------------------

@@ -111,12 +111,13 @@ class EmbeddingPlan:
         return self.support.size * self.grid_points < m * math.log2(m)
 
     @cached_property
-    def _direct_basis(self) -> np.ndarray:
-        """Real (2K, 2n) map from a pair's draws [re | im] to the real x and
-        dX grid values; the [im | -re] row gives the imaginary ones.
+    def _direct_basis(self) -> tuple:
+        """Real (2K, n) maps, one contiguous array each, from a pair's draws
+        [re | im] to the real x and to the real dX grid values; the
+        [im | -re] row gives the imaginary ones.
 
-        Column j of the x half is the amplitude times the inverse-DFT
-        entry exp(2 pi i k j / m) / m of each support mode k; the dX half
+        Column j of the x map is the amplitude times the inverse-DFT entry
+        exp(2 pi i k j / m) / m of each support mode k; the dX map
         multiplies that by i*lambda_k.
         """
         k = self.support
@@ -126,8 +127,7 @@ class EmbeddingPlan:
         rows = np.exp((2j * math.pi / m) * phase)
         rows *= (np.sqrt(self.eigenvalues[k] * m) / m)[:, None]
         deriv = rows * (1j * self.angular_frequencies[k])[:, None]
-        fields = np.concatenate([rows, deriv], axis=1)
-        return np.concatenate([fields.real, -fields.imag])
+        return tuple(np.concatenate([f.real, -f.imag]) for f in (rows, deriv))
 
 
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
@@ -243,7 +243,7 @@ def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: i
     return draws
 
 
-def _direct_paths(plan: EmbeddingPlan, draws):
+def _direct_paths(plan: EmbeddingPlan, draws, values_only=False):
     """Paths of a pair block by K x n direct synthesis: the real part of
     each pair's field is the even path, the imaginary part the odd one."""
     count = draws.shape[0]
@@ -252,12 +252,11 @@ def _direct_paths(plan: EmbeddingPlan, draws):
     signed[0::2] = draws
     signed[1::2, :k] = draws[:, k:]
     signed[1::2, k:] = -draws[:, :k]
-    paths = signed @ plan._direct_basis
-    n = plan.grid_points
-    return paths[:, :n], paths[:, n:]
+    x_basis, xdot_basis = plan._direct_basis
+    return signed @ x_basis, None if values_only else signed @ xdot_basis
 
 
-def _fft_paths(plan: EmbeddingPlan, draws):
+def _fft_paths(plan: EmbeddingPlan, draws, values_only=False):
     """Paths of a pair block by a zero-filled m-point inverse FFT."""
     count = draws.shape[0]
     m = plan.embedding_size
@@ -266,33 +265,33 @@ def _fft_paths(plan: EmbeddingPlan, draws):
     z = draws[:, :k] + 1j * draws[:, k:]
     spectral[:, plan.support] = np.sqrt(plan.eigenvalues[plan.support] * m) * z
     n = plan.grid_points
-    field_x = np.fft.ifft(spectral, axis=1)[:, :n]
-    field_d = np.fft.ifft(1j * plan.angular_frequencies * spectral, axis=1)[:, :n]
-    x = np.empty((2 * count, n))
-    xdot = np.empty((2 * count, n))
-    x[0::2] = field_x.real
-    x[1::2] = field_x.imag
-    xdot[0::2] = field_d.real
-    xdot[1::2] = field_d.imag
-    return x, xdot
+
+    def paths(spectrum):  # rows 2i and 2i+1: real and imaginary part of pair i
+        field = np.fft.ifft(spectrum, axis=1)[:, :n]
+        return np.stack([field.real, field.imag], axis=1).reshape(2 * count, n)
+
+    x = paths(spectral)
+    return x, None if values_only else paths(1j * plan.angular_frequencies * spectral)
 
 
-def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int):
+def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
+                values_only=False):
     """Paths [2*pair_start, 2*pair_stop) as (x, xdot) blocks: one complex
     field per pair, the real part feeding the even path and the imaginary
-    part the odd one."""
+    part the odd one.  ``values_only`` leaves xdot None."""
     draws = _support_draws(plan, seed, pair_start, pair_stop)
     synthesize = _direct_paths if plan.direct_synthesis else _fft_paths
-    return synthesize(plan, draws)
+    return synthesize(plan, draws, values_only)
 
 
-def _blocks(plan, seed, n_paths, statistic, workers=1):
+def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
     """Yield ``statistic(x_block, xdot_block)`` for paths 0..n_paths-1 in
     path order, one block per chunk of path pairs.
 
     Chunks are fixed by the plan, so blocks (and anything reduced from
     them) are bit-identical at any worker count.  With several workers the
     statistic runs in the worker threads, so only its results are held.
+    With ``values_only`` dX is never synthesized and xdot_block is None.
     """
     chunk = _pair_chunk(plan.embedding_size)
     n_pairs = (n_paths + 1) // 2
@@ -300,9 +299,9 @@ def _blocks(plan, seed, n_paths, statistic, workers=1):
 
     def run(lo):
         hi = min(lo + chunk, n_pairs)
-        x, xdot = _pair_block(plan, seed, lo, hi)
+        x, xdot = _pair_block(plan, seed, lo, hi, values_only)
         keep = min(2 * hi, n_paths) - 2 * lo
-        return statistic(x[:keep], xdot[:keep])
+        return statistic(x[:keep], None if xdot is None else xdot[:keep])
 
     if workers == 1 or len(starts) == 1:
         yield from map(run, starts)
@@ -311,15 +310,13 @@ def _blocks(plan, seed, n_paths, statistic, workers=1):
             yield from pool.map(run, starts)
 
 
-def _per_path_values(plan, seed, n_paths, statistic, workers=None) -> np.ndarray:
+def _per_path_values(plan, seed, n_paths, statistic, workers=None, values_only=False):
     """Evaluate a per-path statistic for paths 0..n_paths-1, in order.
 
     ``statistic(x_block, xdot_block)`` maps path blocks to a 1-D array.
     """
-    parts = [
-        np.asarray(part, dtype=float)
-        for part in _blocks(plan, seed, n_paths, statistic, _worker_count(workers))
-    ]
+    blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only)
+    parts = [np.asarray(part, dtype=float) for part in blocks]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -407,7 +404,8 @@ def crossing_statistics(
     if plan is None:
         plan = build_embedding_plan(kernel, grid_points)
     counts = _per_path_values(
-        plan, seed, n_paths, lambda x, xd: _crossing_counts(x, level), workers
+        plan, seed, n_paths, lambda x, xd: _crossing_counts(x, level), workers,
+        values_only=True,
     )
     mean, second, variance = _moment_stats(counts)
     return CrossingStats(
@@ -489,8 +487,10 @@ def mc_integrated_functionals(
     if plan is None:
         plan = build_embedding_plan(kernel, grid_points)
 
+    values_only = all(f.kind != "H2" and f.axis != "xdot" for f in functionals)
+
     def statistic(x, xd):
-        xn = xd / plan.sigma
+        xn = None if values_only else xd / plan.sigma
         rows = [
             np.trapezoid(_evaluate_functional(f, x, xn), dx=plan.grid_step, axis=1)
             for f in functionals
@@ -503,6 +503,7 @@ def mc_integrated_functionals(
         n_paths,
         lambda x, xd: statistic(x, xd).reshape(len(functionals), -1).T.ravel(),
         workers,
+        values_only,
     )
     per_func = stacked.reshape(-1, len(functionals)).T
     out = []

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from gpchaos.chaos import (
     ChaosCoefficientVector,
     Functional,
+    QuadLog,
     chaos_spectrum,
     hermite2d_coefficient_vector,
     hermite_coeffs_1d,
@@ -333,6 +334,28 @@ class TestIntegratedNorms:
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
             integrated_chaos_norms(parse_functional("H:1"), SQEXP, -2)
+
+
+class TestQuadLog:
+    def test_collects_estimates_only_while_entered(self):
+        kernel = parse_kernel("sqexp")
+        with QuadLog() as log:
+            integrated_chaos_norms(parse_functional("H:3"), kernel, 3)
+        first = log.max_error
+        assert 0.0 < first <= 1e-11 and log.within_tolerance
+        integrated_chaos_norms(parse_functional("H:20"), kernel, 20)
+        assert log.max_error == first
+        with log:
+            integrated_chaos_norms(parse_functional("H2:1,1"), kernel, 2)
+        assert log.max_error >= first and log.within_tolerance
+
+    def test_flags_an_estimate_above_tolerance(self):
+        # a thousand sharp periodic peaks on [0, 1] exhaust quad's 200
+        # subintervals
+        with QuadLog() as log, pytest.warns(IntegrationWarning):
+            regularization_rho(parse_kernel("periodic:T=0.001,ell=0.05"), "hermite1d", 3)
+        assert not log.within_tolerance
+        assert log.max_error > 1e-11
 
 
 class TestChaosSpectrum:

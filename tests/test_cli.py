@@ -175,6 +175,21 @@ class TestChaosCommand:
         )
         assert code == 2
 
+    def test_quadrature_diagnostics_block(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:1,1", "--n-max", "4"
+        )
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        diagnostics = report["diagnostics"]
+        assert set(diagnostics) == {"max_quad_error", "quad_within_tolerance"}
+        assert 0.0 < diagnostics["max_quad_error"] <= 1e-11
+        assert diagnostics["quad_within_tolerance"] is True
+
 
 class TestSimulateCommand:
     def test_crossing_report(self, capsys):

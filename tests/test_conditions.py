@@ -12,6 +12,7 @@ Norm values for the squared exponential are closed-form Gaussian moments.
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -25,7 +26,7 @@ from gpchaos.conditions import (
     report_to_json,
 )
 from gpchaos.errors import DomainError, NotDifferentiable
-from gpchaos.kernels import parse_kernel
+from gpchaos.kernels import b_representation, parse_kernel
 
 VERDICTS = [
     # spec string, a1, a2
@@ -41,6 +42,17 @@ VERDICTS = [
     ("gammaexp:gamma=1.5", False, False),
     ("gammaexp:gamma=1", False, False),
 ]
+
+# A1 norms of wendland:k=4 at version 0.2.0, when its b came from a
+# Gauss-Legendre spectral density with about 1e-11 of clipped noise.
+WENDLAND4_A1_0_2_0 = {
+    "b_in_L1": 0.72715384,
+    "b_in_L2": 0.99999999999,
+    "b_in_Linf": 1.9498754,
+    "bprime_in_L1": 3.9666588,
+    "bprime_in_L2": 4.7207747,
+    "bprime_in_Linf": 7.5879101,
+}
 
 
 class TestVerdictTable:
@@ -119,6 +131,18 @@ class TestA1:
         assert a1.holds
         assert_allclose(a1.b_in_L2.value, 1.0, rtol=1e-6)
         assert any(n.startswith("tail model") for n in a1.notes)
+
+    def test_wendland_b_from_closed_form_density(self):
+        kernel = parse_kernel("wendland:k=4")
+        rep = b_representation(kernel)
+        x, b_vals, _, _ = rep.grid
+        assert abs(2.0 * np.trapezoid(b_vals**2, x) - 1.0) <= 1e-12
+        assert not any("clipped negative spectral noise" in n for n in rep.notes)
+        a1 = check_a1(kernel)
+        for name, value in WENDLAND4_A1_0_2_0.items():
+            assert_allclose(getattr(a1, name).value, value, rtol=1e-4, err_msg=name)
+        assert a1.holds
+        assert check_a2(kernel).holds
 
 
 class TestA2:

@@ -338,6 +338,74 @@ class TestSpectralDensity:
             spectral_density(RationalQuadratic(0.3, 1.0), 1.0)
 
 
+def _gauss_legendre_density(kernel, lam):
+    """Wendland's F' as computed up to 0.2.0: a Gauss-Legendre cosine sum
+    on float coefficients, 128 nodes doubled up to 4096 as the largest
+    |lam| grows."""
+    flat = np.abs(np.atleast_1d(np.asarray(lam, dtype=float))).ravel()
+    n_gl = 128
+    while n_gl < min(4096, 10.0 * flat.max() / math.pi):
+        n_gl *= 2
+    nodes, weights = np.polynomial.legendre.leggauss(n_gl)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    coeffs = np.array([float(c) for c in kernel._coeffs])
+    rv = np.polynomial.polynomial.polyval(nodes, coeffs) * weights
+    return np.cos(np.outer(flat, nodes)) @ rv / math.pi
+
+
+def _exact_cosine_integral(coeffs, lam: int) -> Fraction:
+    """int_0^1 p(t) cos(lam t) dt for an integer lam, by summing the Taylor
+    series sum_m (-1)^m lam^2m / (2m)! int_0^1 p(t) t^2m dt exactly.
+
+    p >= 0 on [0, 1], so the moments decrease; once 2m > lam the terms
+    alternate with decreasing size and the first omitted one bounds the
+    error, here below 1e-80.
+    """
+    total, scale, m = Fraction(0), Fraction(1), 0
+    while True:
+        term = scale * sum(c / (j + 2 * m + 1) for j, c in enumerate(coeffs))
+        if 2 * m > lam and term < Fraction(1, 10**80):
+            return total
+        total += -term if m % 2 else term
+        m += 1
+        scale *= Fraction(lam * lam, (2 * m - 1) * (2 * m))
+
+
+class TestWendlandSpectralDensity:
+    """The closed-form density against the Gauss-Legendre sum it replaced
+    and against an exact series."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_gauss_legendre_sum(self, k):
+        kernel = Wendland(k)
+        seam = kernel._spectral_tables[0]
+        lam = np.concatenate([
+            np.linspace(0.0, 60.0, 2401),
+            [np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)],
+        ])
+        assert 0.0 < seam < 60.0
+        got = spectral_density(kernel, lam)
+        # the old sum's float coefficients leave up to 9e-14 of rounding noise (k = 6)
+        assert_allclose(got, _gauss_legendre_density(kernel, lam), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_exact_series_at_large_lambda(self, k):
+        kernel = Wendland(k)
+        for lam in (20, 100, 1000):
+            exact = float(_exact_cosine_integral(kernel._coeffs, lam)) / math.pi
+            assert exact > 0.0
+            assert_allclose(spectral_density(kernel, float(lam)), exact, rtol=1e-10)
+
+    def test_scalar_and_shaped_input(self):
+        kernel = Wendland(2)
+        assert isinstance(spectral_density(kernel, 3.0), float)
+        lam = np.array([[0.0, -5.0], [7.5, 200.0]])
+        out = spectral_density(kernel, lam)
+        assert out.shape == (2, 2)
+        assert_allclose(out.ravel(), [spectral_density(kernel, v) for v in (0.0, 5.0, 7.5, 200.0)],
+                        rtol=1e-14)
+
+
 class TestWendlandPolynomials:
     def test_repeated_integral_moment_identity(self):
         # n-fold application of psi -> int_t^1 s psi(s) ds to (1-t)^{k+1},

@@ -235,6 +235,26 @@ class TestSynthesisRoutes:
         assert_allclose(direct_x, fft_x, rtol=0.0, atol=1e-12)
         assert_allclose(direct_xdot, fft_xdot, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048)])
+    def test_value_only_blocks_are_the_x_half(self, spec, grid):
+        plan = mc.build_embedding_plan(parse_kernel(spec), grid)
+        assert plan.direct_synthesis == (spec == "sqexp")
+        chunk = mc._pair_chunk(plan.embedding_size)
+        for lo, hi in ((0, chunk), (3, 5)):
+            x, xdot = mc._pair_block(plan, 11, lo, hi)
+            x_only, none = mc._pair_block(plan, 11, lo, hi, values_only=True)
+            assert none is None and xdot.shape == x.shape
+            assert_array_equal(x_only, x)
+
+    def test_value_only_functionals_match_the_full_synthesis(self):
+        # H:2 alone runs value-only; next to H:1@xdot it needs dX
+        h2 = parse_functional("H:2")
+        alone = mc.mc_integrated_functionals([h2], SQEXP, 30, 512, seed=4)[0]
+        full = mc.mc_integrated_functionals(
+            [h2, parse_functional("H:1@xdot")], SQEXP, 30, 512, seed=4
+        )[0]
+        assert alone == full
+
     def test_draws_are_keyed_on_seed_and_pair(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
         block = mc._support_draws(plan, 5, 2, 6)
