@@ -14,20 +14,17 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
 from .asymptotics import DecaySeries, fit_decay_exponent
 from .covstruct import TENSOR_POWER_MAX, tensor_power_quadratic_form
-from .errors import DomainError
+from .errors import DomainError, QuadratureFailure
 from .kernels import Kernel
-from .specfun import hermite, hermite_sequence
+from .specfun import hermite
 
 __all__ = [
     "Functional",
     "parse_functional",
-    "HermiteCoefficients",
-    "hermite_coeffs_1d",
     "ChaosCoefficientVector",
     "hermite2d_coefficient_vector",
     "point_chaos_norms",
@@ -48,9 +45,6 @@ _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 _SCALAR_KINDS = ("sign", "abs", "ind")
 _AXES = ("x", "xdot")
-
-# Node-doubling tolerance for the quadrature route of hermite_coeffs_1d.
-GH_DOUBLING_TOL = 1e-9
 
 # Relative mass allowed in the top quarter of a spectrum before the
 # Sobolev partial sums are declared unsettled at the truncation order.
@@ -185,34 +179,6 @@ def parse_functional(text: str) -> Functional:
 # one-dimensional Hermite coefficients
 
 
-class HermiteCoefficients(list):
-    """Coefficients a_0..a_nmax of f in the probabilists' Hermite basis.
-
-    Behaves as a plain list of floats; ``converged`` records whether the
-    quadrature route stabilized under node doubling (exact routes always
-    set it to True).
-    """
-
-    def __init__(self, values, converged=True):
-        super().__init__(float(v) for v in values)
-        self.converged = bool(converged)
-
-
-def _gh_coefficients(f, n_max, nodes):
-    x, w = hermegauss(nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    try:
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != x.shape:
-            raise ValueError
-    except Exception:
-        fx = np.array([float(f(t)) for t in x])
-    basis = hermite_sequence(n_max, x)
-    return np.array(
-        [float(np.dot(w * fx, basis[n])) / math.factorial(n) for n in range(n_max + 1)]
-    )
-
-
 def _exact_scalar_coefficients(func: Functional, n_max: int):
     """Closed-form Hermite coefficients of sign, abs, and indicators.
 
@@ -237,33 +203,6 @@ def _exact_scalar_coefficients(func: Functional, n_max: int):
     else:  # pragma: no cover - guarded by caller
         raise DomainError(f"no exact expansion for kind {func.kind!r}")
     return out
-
-
-def hermite_coeffs_1d(f, n_max: int) -> HermiteCoefficients:
-    """Expand f(xi), xi standard Gaussian, as sum a_n H_n(xi).
-
-    ``f`` is either a scalar ``Functional`` (sign / abs / ind, integrated
-    piecewise-exactly) or a plain callable (Gauss-Hermite quadrature with
-    at least 4*n_max nodes; the node count is then doubled and
-    ``converged`` is False when any coefficient moves by more than
-    ``GH_DOUBLING_TOL``).
-    """
-    if int(n_max) != n_max or n_max < 0:
-        raise DomainError(f"n_max={n_max} must be a nonnegative integer")
-    n_max = int(n_max)
-    if isinstance(f, Functional):
-        if f.kind not in _SCALAR_KINDS:
-            raise DomainError(
-                f"{f.spec_string()!r} is a Hermite functional; its expansion is a single term"
-            )
-        return HermiteCoefficients(_exact_scalar_coefficients(f, n_max), converged=True)
-    if not callable(f):
-        raise DomainError(f"expected a scalar Functional or a callable, got {type(f).__name__}")
-    nodes = max(4 * n_max, 8)
-    coarse = _gh_coefficients(f, n_max, nodes)
-    fine = _gh_coefficients(f, n_max, 2 * nodes)
-    converged = bool(np.max(np.abs(fine - coarse)) <= GH_DOUBLING_TOL)
-    return HermiteCoefficients(fine, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +294,12 @@ class QuadLog:
 
 
 def _time_average(f) -> float:
-    """2 int_0^1 (1-u) f(u) du; the error estimate goes to the entered QuadLog."""
+    """2 int_0^1 (1-u) f(u) du; the error estimate goes to the entered QuadLog.
+
+    ``f`` is the lag covariance of a stationary functional, so the average is
+    the variance of its unit-time integral: a value below zero (or NaN) can
+    only be quadrature failure, and raises QuadratureFailure.
+    """
     epsabs, epsrel = 1e-12, 1e-11
     val, err = quad(lambda u: (1.0 - u) * f(u), 0.0, 1.0, epsabs=epsabs, epsrel=epsrel,
                     limit=200)
@@ -363,6 +307,11 @@ def _time_average(f) -> float:
     if log is not None:
         log.max_error = max(log.max_error, err)
         log.within_tolerance &= err <= max(epsabs, epsrel * abs(val))
+    if not val >= 0.0:
+        raise QuadratureFailure(
+            f"time average came out {2.0 * val:.6g}, but it is a variance "
+            f"(quadrature error estimate {2.0 * err:.2g})"
+        )
     return 2.0 * val
 
 

@@ -16,21 +16,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, covstruct
+from . import __version__
 from . import montecarlo as mc
-from .asymptotics import (
-    fit_decay_exponent,
-    gauss_theorem_value,
-    hyp2f1_terminating,
-    iter_integral_closed_form,
-    iter_integral_quadrature,
-    iter_integral_series,
-    series_to_csv,
-)
+from .asymptotics import fit_decay_exponent, iter_integral_series, series_to_csv
 from .chaos import (
     QuadLog,
     chaos_spectrum,
-    integrated_chaos_norms,
     laplace_decay_constant,
     parse_functional,
     regularization_exponent,
@@ -39,28 +30,9 @@ from .chaos import (
     spectrum_to_dict,
 )
 from .conditions import condition_report, report_to_dict
-from .errors import (
-    DomainError,
-    EmbeddingFailure,
-    NoBRepresentation,
-    NoSpectralDensity,
-    NonFiniteResult,
-    NotDifferentiable,
-)
-from .kernels import (
-    fd_derivatives_at_zero,
-    parse_kernel,
-    r_derivatives_at_zero,
-    reconstruct_r,
-)
-
-_RUNTIME_ERRORS = (
-    DomainError,
-    EmbeddingFailure,
-    NoBRepresentation,
-    NoSpectralDensity,
-    NotDifferentiable,
-)
+from .errors import DomainError, NonFiniteResult
+from .kernels import parse_kernel
+from .verify import _RUNTIME_ERRORS, battery
 
 
 def _jsonable(value):
@@ -350,178 +322,6 @@ def cmd_simulate(args) -> str:
     return _json_report(payload)
 
 
-# ---------------------------------------------------------------------------
-# verify-all battery
-
-
-def _check(name, fn):
-    """Run one battery item; map gate errors to a skip, never to a crash."""
-    try:
-        passed, detail = fn()
-    except _RUNTIME_ERRORS as exc:
-        return {"name": name, "status": "skip", "detail": {"reason": str(exc)}}
-    return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
-
-
-def _verify_checks(kernel, paths, grid, seed):
-    checks = []
-
-    def gauss_identity():
-        worst = 0.0
-        for n in range(51):
-            closed = gauss_theorem_value(n)
-            direct = hyp2f1_terminating(-0.5, -n - 1.0, 0.5, 1.0)
-            worst = max(worst, abs(direct - closed) / abs(closed))
-        return worst <= 1e-11, {"max_rel_error": worst, "tolerance": 1e-11}
-
-    checks.append(_check("gauss-hypergeometric-identity", gauss_identity))
-
-    def closed_form():
-        worst = max(
-            abs(iter_integral_closed_form(n) - iter_integral_quadrature(1.0, 1.0, n))
-            for n in range(31)
-        )
-        anchor0 = abs(iter_integral_closed_form(0) - 0.5)
-        anchor1 = abs(iter_integral_closed_form(1) - 5.0 / 12.0)
-        orders = sorted(set(int(round(v)) for v in np.geomspace(50, 400, 25)))
-        series = fit_decay_exponent([(n, iter_integral_closed_form(n)) for n in orders])
-        ok = (
-            worst <= 1e-10
-            and anchor0 <= 1e-12
-            and anchor1 <= 1e-12
-            and abs(series.fitted_slope + 0.5) <= 0.05
-        )
-        return ok, {
-            "max_abs_error": worst,
-            "anchor_errors": [anchor0, anchor1],
-            "slope": series.fitted_slope,
-        }
-
-    checks.append(_check("iterated-integral-closed-form", closed_form))
-
-    def verdicts():
-        report = report_to_dict(condition_report(kernel))
-        return True, {
-            "a1_holds": report["a1"]["holds"],
-            "a2_holds": report["a2"]["holds"],
-            "geman_holds": report["geman"]["holds"],
-        }
-
-    checks.append(_check("condition-verdicts", verdicts))
-
-    def derivative_fd():
-        analytic = r_derivatives_at_zero(kernel)
-        if not analytic.r2_available:
-            raise NotDifferentiable(
-                f"{kernel.spec_string()} has no second derivative at zero"
-            )
-        fd = fd_derivatives_at_zero(kernel)
-        rel2 = abs(fd["r2"] - analytic.r2) / abs(analytic.r2)
-        detail = {"r2_rel_error": rel2}
-        ok = rel2 <= 1e-6
-        if analytic.r4_available and "r4" in fd:
-            rel4 = abs(fd["r4"] - analytic.r4) / abs(analytic.r4)
-            detail["r4_rel_error"] = rel4
-            ok = ok and rel4 <= 1e-6
-        return ok, detail
-
-    checks.append(_check("derivative-finite-difference", derivative_fd))
-
-    def b_reconstruction():
-        t = np.linspace(0.0, 3.0, 13)
-        worst = float(np.abs(reconstruct_r(kernel, t) - kernel.r(t)).max())
-        return worst <= 1e-5, {"max_abs_error": worst, "window": [0.0, 3.0]}
-
-    checks.append(_check("b-reconstruction", b_reconstruction))
-
-    def hs_bound():
-        derivs = covstruct.hs_expansion_derivatives(kernel)
-        fit = covstruct.quadratic_bound_fit(kernel)
-        ok = abs(derivs["first"]) <= 1e-8 and derivs["second"] < 0.0 and fit.c_hat > 0.0 and fit.holds
-        return ok, {
-            "first_derivative": derivs["first"],
-            "second_derivative": derivs["second"],
-            "c_hat": fit.c_hat,
-            "window": fit.window,
-        }
-
-    checks.append(_check("hs-quadratic-bound", hs_bound))
-
-    def chaos_mc():
-        functionals = [parse_functional("H:1"), parse_functional("H:2")]
-        outs = mc.mc_integrated_functionals(
-            functionals, kernel, n_paths=paths, grid_points=grid, seed=seed
-        )
-        detail = {}
-        ok = True
-        for functional, out in zip(functionals, outs):
-            target = integrated_chaos_norms(functional, kernel, n_max=functional.degree)[
-                functional.degree
-            ]
-            z = (out.second_moment - target) / out.std_error
-            detail[functional.spec_string()] = {"target": target, "z": z}
-            ok = ok and abs(z) <= 3.0
-        return ok, detail
-
-    checks.append(_check("chaos-vs-monte-carlo", chaos_mc))
-
-    def crossings():
-        stats = mc.crossing_statistics(kernel, 0.0, n_paths=paths, grid_points=grid, seed=seed)
-        rice = mc.rice_crossing_mean(kernel, 0.0)
-        z = (stats.mean - rice) / stats.std_error
-        return abs(z) <= 3.0, {"mean": stats.mean, "rice": rice, "z": z}
-
-    checks.append(_check("level-crossings", crossings))
-
-    def ms_derivative():
-        analytic = mc.ms_derivative_residual(kernel, 0.01)
-        leading = r_derivatives_at_zero(kernel).r4 / 4.0 * 0.01**2
-        rel = abs(analytic / leading - 1.0)
-        chk = mc.ms_derivative_check(
-            kernel, 0.05, n_paths=min(paths, 6000), grid_points=grid, seed=seed
-        )
-        z = (chk.mc_estimate - chk.analytic) / chk.std_error
-        return rel <= 0.05 and abs(z) <= 3.0, {
-            "leading_order_rel_error": rel,
-            "mc_z": z,
-            "h": chk.h,
-        }
-
-    checks.append(_check("mean-square-derivative", ms_derivative))
-
-    def regularization():
-        constant = laplace_decay_constant(kernel)
-        orders = sorted(set(int(round(v)) for v in np.geomspace(20, 200, 25)))
-        series = regularization_exponent(kernel, "hermite1d", orders)
-        # The freely fitted intercept absorbs any slope error over a finite
-        # window, so judge the constant with the slope pinned at -1/2.
-        pinned = math.exp(
-            math.fsum(math.log(v) + 0.5 * math.log(n) for n, v in series.entries)
-            / len(series.entries)
-        )
-        gap = abs(pinned / constant - 1.0)
-        ok = abs(series.fitted_slope + 0.5) <= 0.05 and gap <= 0.10
-        return ok, {
-            "slope": series.fitted_slope,
-            "constant_rel_gap": gap,
-            "laplace_constant": constant,
-        }
-
-    checks.append(_check("regularization-slope", regularization))
-
-    def determinism():
-        one = mc.crossing_statistics(
-            kernel, 0.0, n_paths=500, grid_points=256, seed=seed, workers=1
-        )
-        two = mc.crossing_statistics(
-            kernel, 0.0, n_paths=500, grid_points=256, seed=seed, workers=2
-        )
-        return one == two, {"mean": one.mean, "second_moment": one.second_moment}
-
-    checks.append(_check("determinism-replay", determinism))
-    return checks
-
-
 def cmd_verify_all(args) -> str:
     kernel = parse_kernel(args.kernel)
     config = {
@@ -532,7 +332,7 @@ def cmd_verify_all(args) -> str:
         "format": args.format,
         "seed": args.seed,
     }
-    checks = _verify_checks(kernel, args.paths, args.grid, args.seed)
+    checks = battery(kernel, args.paths, args.grid, args.seed)
     statuses = [c["status"] for c in checks]
     payload = {
         "schema": "verify-all/1",
@@ -565,16 +365,11 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         text = handler(args)
-    except (
-        EmbeddingFailure, NoBRepresentation, NoSpectralDensity, NotDifferentiable,
-        NonFiniteResult,
-    ) as exc:
+    except (*_RUNTIME_ERRORS, NonFiniteResult) as exc:
+        # a bare DomainError is a bad value inside a well-formed flag, a
+        # usage problem; its subclasses and the rest are runtime failures
         print(f"gpchaos: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        # bad values inside well-formed flags: a usage problem, not a crash
-        print(f"gpchaos: {exc}", file=sys.stderr)
-        return 2
+        return 2 if type(exc) is DomainError else 3
     _emit(text, args.out)
     return 0
 

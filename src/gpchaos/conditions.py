@@ -16,7 +16,6 @@ Three verdicts per kernel:
 ``condition_report`` bundles the three into one serializable document.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "check_geman",
     "condition_report",
     "report_to_dict",
-    "report_to_json",
 ]
 
 GEMAN_CAUCHY_TOL = 1e-6
@@ -125,7 +123,7 @@ def _closed_integral(f, scale):
 def _closed_sup(f, scale):
     xs = np.linspace(0.0, 8.0 * scale, 4097)
     xs[0] = 1e-9 * scale  # odd derivatives jump at 0; probe the limit
-    return float(np.max(np.abs([f(x) for x in xs])))
+    return float(np.abs(f(xs)).max())
 
 
 def _norm_checks(fun, vals_grid, x_grid, sing, scale, errs):
@@ -320,6 +318,3 @@ def report_to_dict(report: ConditionReport) -> dict:
     }
     return doc
 
-
-def report_to_json(report: ConditionReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)

@@ -33,7 +33,6 @@ __all__ = [
     "a_matrix",
     "hs_expansion_derivatives",
     "hs_sum_norm",
-    "normalized_hs_norm",
     "operator_norm",
     "quadratic_bound_fit",
     "tensor_power_quadratic_form",
@@ -78,11 +77,6 @@ def hs_sum_norm(a) -> float:
     """sqrt of the sum of squared entries (Hilbert-Schmidt norm)."""
     a11, a12, a21, a22 = _entries(a)
     return math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
-
-
-def normalized_hs_norm(a) -> float:
-    """HS norm scaled so the identity has norm 1."""
-    return hs_sum_norm(a) / math.sqrt(2.0)
 
 
 def _op_norm_closed(a11, a12, a21, a22):

@@ -23,3 +23,7 @@ class EmbeddingFailure(RuntimeError):
 
 class NonFiniteResult(RuntimeError):
     """A computed report value is NaN or infinite, so no strict JSON exists."""
+
+
+class QuadratureFailure(RuntimeError):
+    """An adaptive quadrature returned a value its integrand rules out."""

@@ -51,14 +51,11 @@ __all__ = [
     "RationalQuadratic",
     "SquaredExponential",
     "Wendland",
-    "b_kernel",
     "b_representation",
     "fd_derivatives_at_zero",
     "parse_kernel",
     "r_derivatives_at_zero",
-    "r_eval",
     "reconstruct_r",
-    "spectral_density",
     "wendland_poly",
     "wendland_repeated_integral_at_zero",
 ]
@@ -109,7 +106,24 @@ class BKernel:
 
 
 def _ret(out, t):
-    return out if np.ndim(t) else float(out)
+    """``out`` for an array argument ``t``; its one value as a float for a
+    scalar ``t``."""
+    return out if np.ndim(t) else float(np.ravel(out)[0])
+
+
+def _even(hook, t, odd=False):
+    """``hook(|t|)`` shaped like ``t``; times the sign of ``t`` when ``odd``."""
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    out = hook(np.abs(ta))
+    return _ret(np.sign(ta) * out if odd else out, t)
+
+
+def _positive(z, at_zero, fn):
+    """``fn(z)`` where ``z > 0``, and ``at_zero`` where ``z == 0``."""
+    out = np.full(z.shape, at_zero, dtype=float)
+    pos = z > 0
+    out[pos] = fn(z[pos])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -133,22 +147,13 @@ class Kernel:
         return self.length_scale
 
     def r(self, t):
-        ta = np.asarray(t, dtype=float)
-        s = np.abs(np.atleast_1d(ta))
-        out = self._r_abs(s)
-        return _ret(out[0] if ta.ndim == 0 else out, t)
+        return _even(self._r_abs, t)
 
     def r_prime(self, t):
-        ta = np.asarray(t, dtype=float)
-        s = np.abs(np.atleast_1d(ta))
-        out = np.sign(np.atleast_1d(ta)) * self._r1_abs(s)
-        return _ret(out[0] if ta.ndim == 0 else out, t)
+        return _even(self._r1_abs, t, odd=True)
 
     def r_second(self, t):
-        ta = np.asarray(t, dtype=float)
-        s = np.abs(np.atleast_1d(ta))
-        out = self._r2_abs(s)
-        return _ret(out[0] if ta.ndim == 0 else out, t)
+        return _even(self._r2_abs, t)
 
     # hooks ---------------------------------------------------------------
     def _r_abs(self, s):  # pragma: no cover - abstract
@@ -277,23 +282,11 @@ def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
     b0 = pref * 2.0 ** (q - 1.0) * math.exp(gamma_ln(q)) if q > 0 else np.inf
 
     def b(x):
-        x = np.asarray(x, dtype=float)
-        z = gam * np.abs(np.atleast_1d(x))
-        pos = z > 0
-        out = np.full(z.shape, b0)
-        zp = z[pos]
-        out[pos] = pref * zp**q * kv(q, zp)
-        return _ret(out[0] if np.ndim(x) == 0 else out, x)
+        return _even(lambda s: _positive(gam * s, b0, lambda z: pref * z**q * kv(q, z)), x)
 
     def b_prime(x):
-        x = np.asarray(x, dtype=float)
-        xa = np.atleast_1d(x)
-        z = gam * np.abs(xa)
-        pos = z > 0
-        out = np.zeros(z.shape)
-        zp = z[pos]
-        out[pos] = -pref * gam * np.sign(xa[pos]) * zp**q * kv(q - 1.0, zp)
-        return _ret(out[0] if np.ndim(x) == 0 else out, x)
+        return _even(lambda s: _positive(
+            gam * s, 0.0, lambda z: -pref * gam * z**q * kv(q - 1.0, z)), x, odd=True)
 
     if q == 0:
         b_sing, bp_sing = "log", -1.0
@@ -337,31 +330,20 @@ class Matern(Kernel):
         return 2.0 ** (1.0 - self.nu) / math.exp(gamma_ln(self.nu))
 
     def _r_abs(self, s):
-        z = self._gam * s
-        out = np.ones_like(z)
-        pos = z > 0
-        zp = z[pos]
-        out[pos] = self._c * zp**self.nu * kv(self.nu, zp)
-        return out
+        nu, c = self.nu, self._c
+        return _positive(self._gam * s, 1.0, lambda z: c * z**nu * kv(nu, z))
 
     def _r1_abs(self, s):
-        z = self._gam * s
-        out = np.zeros_like(z)
-        pos = z > 0
-        zp = z[pos]
-        out[pos] = -self._c * self._gam * zp**self.nu * kv(self.nu - 1.0, zp)
-        return out
+        nu, c, gam = self.nu, self._c, self._gam
+        return _positive(gam * s, 0.0, lambda z: -c * gam * z**nu * kv(nu - 1.0, z))
 
     def _r2_abs(self, s):
-        z = self._gam * s
+        nu, c, gam = self.nu, self._c, self._gam
         d = self.derivatives_at_zero()
-        out = np.full(z.shape, d.r2 if d.r2_available else np.nan)
-        pos = z > 0
-        zp = z[pos]
-        out[pos] = -self._c * self._gam**2 * (
-            zp ** (self.nu - 1.0) * kv(self.nu - 1.0, zp)
-            - zp**self.nu * kv(self.nu - 2.0, zp))
-        return out
+        return _positive(
+            gam * s, d.r2 if d.r2_available else np.nan,
+            lambda z: -c * gam**2 * (z ** (nu - 1.0) * kv(nu - 1.0, z) - z**nu * kv(nu - 2.0, z)),
+        )
 
     def derivatives_at_zero(self):
         nu, ell = self.nu, self.ell
@@ -524,23 +506,21 @@ class GammaExponential(Kernel):
 
     def _r1_abs(self, s):
         g = self.gamma
-        out = np.zeros_like(s)
-        pos = s > 0
-        sp = s[pos]
-        u = (sp / self.ell) ** g
-        out[pos] = -(g / sp) * u * np.exp(-u)
-        return out
+
+        def at(sp):
+            u = (sp / self.ell) ** g
+            return -(g / sp) * u * np.exp(-u)
+
+        return _positive(s, 0.0, at)
 
     def _r2_abs(self, s):
         g = self.gamma
-        out = np.full(s.shape,
-                      -2.0 / self.ell**2 if g == 2.0 else np.nan)
-        pos = s > 0
-        sp = s[pos]
-        u = (sp / self.ell) ** g
-        out[pos] = ((g * u / sp) ** 2 - g * (g - 1.0) * u / sp**2) \
-            * np.exp(-u)
-        return out
+
+        def at(sp):
+            u = (sp / self.ell) ** g
+            return ((g * u / sp) ** 2 - g * (g - 1.0) * u / sp**2) * np.exp(-u)
+
+        return _positive(s, -2.0 / self.ell**2 if g == 2.0 else np.nan, at)
 
     def derivatives_at_zero(self):
         if self.gamma == 2.0:
@@ -564,17 +544,14 @@ class GammaExponential(Kernel):
             lam = np.asarray(lam, dtype=float)
             out = (self.ell / math.pi) / (1.0 + (self.ell * lam) ** 2)
             return _ret(out, lam)
-        lam = np.asarray(lam, dtype=float)
-        flat = np.atleast_1d(lam).ravel()
-        vals = np.empty(flat.shape)
-        for i, l in enumerate(np.abs(flat)):
+
+        def transform(l):
             if l == 0:
-                vals[i] = quad(self._r_scalar, 0.0, np.inf)[0] / math.pi
-            else:
-                vals[i] = quad(self._r_scalar, 0.0, np.inf, weight="cos",
-                               wvar=l)[0] / math.pi
-        out = vals.reshape(np.atleast_1d(lam).shape)
-        return _ret(out[0] if lam.ndim == 0 else out, lam)
+                return quad(self._r_scalar, 0.0, np.inf)[0]
+            return quad(self._r_scalar, 0.0, np.inf, weight="cos", wvar=l)[0]
+
+        return _even(lambda s: np.reshape([transform(l) for l in s.ravel()], s.shape) / math.pi,
+                     lam)
 
     def _r_scalar(self, t):
         return math.exp(-((t / self.ell) ** self.gamma))
@@ -648,16 +625,11 @@ class RationalQuadratic(Kernel):
         if self.alpha <= 0.5:
             raise NoSpectralDensity(
                 "rq: covariance is not integrable for alpha <= 1/2")
-        lam = np.asarray(lam, dtype=float)
         a = self.ell * math.sqrt(2.0 * self.alpha)
         p = self.alpha - 0.5
         c = a / (math.sqrt(math.pi) * math.exp(gamma_ln(self.alpha)))
-        z = a * np.abs(np.atleast_1d(lam))
-        out = np.full(z.shape, c * math.exp(gamma_ln(p)) / 2.0)
-        pos = z > 0
-        zp = z[pos]
-        out[pos] = c * (zp / 2.0) ** p * kv(p, zp)
-        return _ret(out[0] if lam.ndim == 0 else out, lam)
+        return _even(lambda s: _positive(
+            a * s, c * math.exp(gamma_ln(p)) / 2.0, lambda z: c * (z / 2.0) ** p * kv(p, z)), lam)
 
     def b_representation(self):
         if self.alpha <= 0.5:
@@ -810,17 +782,18 @@ class Wendland(Kernel):
         return seam, scaled.T, nodes, 0.5 * weights * np.array(p_vals)
 
     def spectral_density(self, lam):
-        lam = np.asarray(lam, dtype=float)
+        return _even(self._spectral_abs, lam)
+
+    def _spectral_abs(self, s):
         seam, scaled, nodes, weighted = self._spectral_tables
-        flat = np.abs(np.atleast_1d(lam)).ravel()
+        flat = s.ravel()
         out = np.empty(flat.shape)
         low = flat < seam
         out[low] = np.cos(np.outer(flat[low], nodes)) @ weighted
         high = flat[~low]
         cos_part, sin_part, edge = npoly.polyval(seam / high, scaled)
         out[~low] = np.cos(high) * cos_part + np.sin(high) * sin_part - edge
-        out = (out / math.pi).reshape(np.atleast_1d(lam).shape)
-        return _ret(out[0] if lam.ndim == 0 else out, lam)
+        return (out / math.pi).reshape(s.shape)
 
     def b_representation(self):
         rep = _grid_b_from_spectral(self.spectral_density, scale=0.5,
@@ -955,19 +928,14 @@ def _grid_payload(lam, f_vals, dx, trunc, notes):
     spl_bp = CubicSpline(x, bp_vals)
     x_max = x[-1]
 
+    def windowed(spline):
+        return lambda ax: np.where(ax <= x_max, spline(np.minimum(ax, x_max)), 0.0)
+
     def b(xx):
-        xx = np.asarray(xx, dtype=float)
-        ax = np.abs(np.atleast_1d(xx))
-        out = np.where(ax <= x_max, spl_b(np.minimum(ax, x_max)), 0.0)
-        return _ret(out[0] if xx.ndim == 0 else out, xx)
+        return _even(windowed(spl_b), xx)
 
     def b_prime(xx):
-        xx = np.asarray(xx, dtype=float)
-        axx = np.atleast_1d(xx)
-        ax = np.abs(axx)
-        out = np.where(ax <= x_max,
-                       np.sign(axx) * spl_bp(np.minimum(ax, x_max)), 0.0)
-        return _ret(out[0] if xx.ndim == 0 else out, xx)
+        return _even(windowed(spl_bp), xx, odd=True)
 
     return _GridRep(b, b_prime, ("numeric", x_max), trunc,
                     (x, b_vals, bp_vals, dx), tuple(notes))
@@ -1027,27 +995,14 @@ def _grid_b_from_covariance(kernel, n=1 << 20):
 # module-level operations
 
 
-def r_eval(kernel: Kernel, t):
-    """Covariance value r(t); evenness enforced by evaluating at |t|."""
-    return kernel.r(t)
-
-
 def r_derivatives_at_zero(kernel: Kernel) -> DerivativesAtZero:
     return kernel.derivatives_at_zero()
-
-
-def spectral_density(kernel: Kernel, lam):
-    return kernel.spectral_density(lam)
 
 
 @functools.lru_cache(maxsize=32)
 def b_representation(kernel: Kernel) -> BKernel:
     """Cached moving-average kernel; grid builds are expensive."""
     return kernel.b_representation()
-
-
-def b_kernel(kernel: Kernel, x):
-    return b_representation(kernel).b(x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -1088,7 +1043,7 @@ def reconstruct_r(kernel: Kernel, t):
             pts = [p for p in (-ti, 0.0) if lo < p < hi]
             out[i] = quad(lambda s: rep.b(ti + s) * rep.b(s), lo, hi,
                           points=pts, limit=400)[0]
-    return _ret(out[0] if np.ndim(t) == 0 else out, t)
+    return _ret(out, t)
 
 
 def _error_exponents(p_odd, order, count=4):

@@ -36,10 +36,8 @@ __all__ = [
     "count_crossings",
     "CrossingStats",
     "crossing_statistics",
-    "crossing_refinement",
     "rice_crossing_mean",
     "MCMoments",
-    "mc_integrated_functional",
     "mc_integrated_functionals",
     "ms_derivative_residual",
     "MSDerivativeCheck",
@@ -421,19 +419,6 @@ def crossing_statistics(
     )
 
 
-def crossing_refinement(
-    kernel: Kernel, level: float, n_paths: int, grids, seed: int, workers=None
-):
-    """Crossing statistics across a grid-refinement sequence.
-
-    Discrete counting can only miss crossings of a continuous path, so the
-    reported means should be nondecreasing as the grid doubles.
-    """
-    return tuple(
-        crossing_statistics(kernel, level, n_paths, g, seed, workers) for g in grids
-    )
-
-
 def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
     """Expected level crossings on [0,1] of a unit-variance stationary
     Gaussian path: (1/pi) sqrt(-r''(0)) exp(-level^2/2)."""
@@ -525,15 +510,6 @@ def mc_integrated_functionals(
             )
         )
     return out
-
-
-def mc_integrated_functional(
-    functional: Functional, kernel: Kernel, n_paths: int, grid_points: int, seed: int,
-    workers=None,
-) -> MCMoments:
-    return mc_integrated_functionals(
-        [functional], kernel, n_paths, grid_points, seed, workers
-    )[0]
 
 
 # ---------------------------------------------------------------------------

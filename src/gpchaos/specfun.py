@@ -9,7 +9,6 @@ summation order can survive at the accuracy needed here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +18,6 @@ from .errors import DomainError
 
 __all__ = [
     "gamma_ln",
-    "beta",
-    "pochhammer",
-    "bessel_k",
-    "bessel_k_half_integer",
     "hyp2f1_terminating",
     "hermite",
     "hermite_sequence",
@@ -34,69 +29,6 @@ def gamma_ln(x: float) -> float:
     if not x > 0:
         raise DomainError(f"gamma_ln requires x > 0, got {x!r}")
     return float(_sp.gammaln(x))
-
-
-def beta(a: float, b: float) -> float:
-    """Euler beta function ``B(a, b)`` for positive arguments."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta requires positive arguments, got ({a!r}, {b!r})")
-    return math.exp(gamma_ln(a) + gamma_ln(b) - gamma_ln(a + b))
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial ``(a)_k = a (a+1) ... (a+k-1)``; ``(a)_0 = 1``."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"pochhammer requires integer k >= 0, got {k!r}")
-    out = 1.0
-    for i in range(int(k)):
-        out *= a + i
-    return out
-
-
-def _half_integer_order(nu: float, tol: float = 1e-12) -> int | None:
-    """Return m when ``nu`` is within ``tol`` of ``m + 1/2``, else None."""
-    m = round(nu - 0.5)
-    if m >= 0 and abs(nu - (m + 0.5)) <= tol:
-        return int(m)
-    return None
-
-
-def bessel_k_half_integer(m: int, x) -> float | np.ndarray:
-    """Modified Bessel function ``K_{m+1/2}(x)`` by its finite closed form.
-
-    ``K_{m+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{k=0}^{m} (m+k)!/(k!(m-k)!) (2x)^{-k}``
-    """
-    if m < 0 or m != int(m):
-        raise DomainError(f"half-integer order needs integer m >= 0, got {m!r}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_k requires x > 0")
-    m = int(m)
-    acc = np.zeros_like(x)
-    for k in range(m, -1, -1):
-        coef = math.factorial(m + k) / (math.factorial(k) * math.factorial(m - k))
-        acc = acc / (2.0 * x) + coef  # Horner in 1/(2x), highest k first
-    out = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-    return out if out.ndim else float(out)
-
-
-def bessel_k(nu: float, x) -> float | np.ndarray:
-    """Modified Bessel function of the second kind ``K_nu(x)``, ``x > 0``.
-
-    Half-integer orders take the exact finite-sum route; other orders are
-    delegated to scipy's generic evaluator.  Both routes are cross-checked in
-    the test suite rather than trusted blindly.
-    """
-    if nu < 0:
-        raise DomainError(f"bessel_k requires nu >= 0, got {nu!r}")
-    m = _half_integer_order(nu)
-    if m is not None:
-        return bessel_k_half_integer(m, x)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_k requires x > 0")
-    out = _sp.kv(nu, x)
-    return out if out.ndim else float(out)
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:

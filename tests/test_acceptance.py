@@ -12,31 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from gpchaos import covstruct
+from gpchaos import covstruct, verify
 from gpchaos import montecarlo as mc
-from gpchaos.asymptotics import (
-    fit_decay_exponent,
-    gauss_theorem_value,
-    hyp2f1_terminating,
-    iter_integral_closed_form,
-    iter_integral_quadrature,
-)
 from gpchaos.chaos import (
     chaos_spectrum,
-    integrated_chaos_norms,
-    laplace_decay_constant,
     parse_functional,
     regularization_exponent,
-    regularization_rho,
     sobolev_norm,
 )
 from gpchaos.conditions import condition_report
-from gpchaos.kernels import (
-    fd_derivatives_at_zero,
-    parse_kernel,
-    r_derivatives_at_zero,
-    reconstruct_r,
-)
+from gpchaos.kernels import parse_kernel, r_derivatives_at_zero
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -47,29 +32,16 @@ def _verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_hypergeometric_identity():
-    worst = 0.0
-    for n in range(51):
-        closed = gauss_theorem_value(n)
-        direct = hyp2f1_terminating(-0.5, -n - 1.0, 0.5, 1.0)
-        worst = max(worst, abs(direct - closed) / abs(closed))
+    ok, detail = verify.gauss_identity()
     _verdict(1, "terminating 2F1 equals the Gauss-sum value, n <= 50",
-             worst <= 1e-11, f"max rel err {worst:.2e}")
+             ok, f"max rel err {detail['max_rel_error']:.2e}")
 
 
 def test_criterion_02_closed_form_and_decay_slope():
-    worst = max(
-        abs(iter_integral_closed_form(n) - iter_integral_quadrature(1.0, 1.0, n))
-        for n in range(31)
-    )
-    anchors = max(
-        abs(iter_integral_closed_form(0) - 0.5),
-        abs(iter_integral_closed_form(1) - 5.0 / 12.0),
-    )
-    orders = sorted(set(int(round(v)) for v in np.geomspace(50, 400, 25)))
-    series = fit_decay_exponent([(n, iter_integral_closed_form(n)) for n in orders])
-    ok = worst <= 1e-10 and anchors <= 1e-12 and abs(series.fitted_slope + 0.5) <= 0.05
+    ok, detail = verify.closed_form()
     _verdict(2, "closed form vs quadrature, anchors, n^(-1/2) slope", ok,
-             f"max abs err {worst:.1e}, anchors {anchors:.1e}, slope {series.fitted_slope:.4f}")
+             f"max abs err {detail['max_abs_error']:.1e}, "
+             f"anchors {max(detail['anchor_errors']):.1e}, slope {detail['slope']:.4f}")
 
 
 def test_criterion_03_condition_verdict_table():
@@ -112,72 +84,54 @@ def test_criterion_04_derivative_oracle_concordance():
         "sqexp", "matern32", "matern52", "matern:nu=2.5,ell=1",
         "rq:alpha=2,ell=1", "wendland:k=4", "cosine", "periodic:T=2,ell=0.8",
     )
-    worst = 0.0
-    checked = 0
+    ok, errors = True, []
     for spec in catalog:
-        kernel = parse_kernel(spec)
-        analytic = r_derivatives_at_zero(kernel)
-        fd = fd_derivatives_at_zero(kernel)
-        worst = max(worst, abs(fd["r2"] - analytic.r2) / abs(analytic.r2))
-        checked += 1
-        if analytic.r4_available and "r4" in fd:
-            worst = max(worst, abs(fd["r4"] - analytic.r4) / abs(analytic.r4))
-            checked += 1
+        passed, detail = verify.derivative_fd(parse_kernel(spec))
+        ok = ok and passed
+        errors.extend(detail.values())
     matern_notes = r_derivatives_at_zero(parse_kernel("matern:nu=2.5,ell=1")).notes
     rq_notes = r_derivatives_at_zero(parse_kernel("rq:alpha=2,ell=1")).notes
     flagged = any("inconsistent" in n for n in matern_notes) and any(
         "inconsistent" in n for n in rq_notes
     )
-    ok = worst <= 1e-6 and flagged
+    ok = ok and flagged
     _verdict(4, "analytic derivatives match Richardson differences; "
                 "print discrepancies flagged", ok,
-             f"{checked} values, max rel err {worst:.1e}")
+             f"{len(errors)} values, max rel err {max(errors):.1e}")
 
 
 def test_criterion_05_b_reconstruction():
     specs = ("sqexp", "matern32", "matern52", "matern:nu=2.5,ell=1", "rq:alpha=2,ell=1")
-    t = np.linspace(0.0, 3.0, 31)
-    worst = 0.0
+    ok, worst = True, 0.0
     for spec in specs:
-        kernel = parse_kernel(spec)
-        worst = max(worst, float(np.abs(reconstruct_r(kernel, t) - kernel.r(t)).max()))
+        passed, detail = verify.b_reconstruction(parse_kernel(spec), points=31)
+        ok = ok and passed
+        worst = max(worst, detail["max_abs_error"])
     _verdict(5, "moving-average kernel reconstructs r on [0, 3]",
-             worst <= 1e-5, f"5 kernels, max abs err {worst:.1e}")
+             ok, f"5 kernels, max abs err {worst:.1e}")
 
 
 def test_criterion_06_chaos_vs_monte_carlo():
     specs = ["H:1", "H:2", "H:3", "H:4", "H2:1,1"]
-    functionals = [parse_functional(s) for s in specs]
-    worst = 0.0
+    ok, worst = True, 0.0
     for kspec in ("sqexp", "matern52"):
-        kernel = parse_kernel(kspec)
-        outs = mc.mc_integrated_functionals(
-            functionals, kernel, n_paths=100000, grid_points=2048, seed=0
+        passed, detail = verify.chaos_vs_monte_carlo(
+            parse_kernel(kspec), specs, paths=100000, grid=2048, seed=0
         )
-        for functional, out in zip(functionals, outs):
-            target = integrated_chaos_norms(functional, kernel, n_max=functional.degree)[
-                functional.degree
-            ]
-            z = abs(out.second_moment - target) / out.std_error
-            worst = max(worst, z)
+        ok = ok and passed
+        worst = max([worst] + [abs(d["z"]) for d in detail.values()])
     _verdict(6, "integrated chaos norms within 3 SE of Monte Carlo",
-             worst <= 3.0, f"10 checks, worst |z| {worst:.2f}")
+             ok, f"10 checks, worst |z| {worst:.2f}")
 
 
 def test_criterion_07_regularization_rate():
     ok = True
     details = []
-    orders = sorted(set(int(round(v)) for v in np.geomspace(20, 200, 25)))
     for spec in ("sqexp", "matern:nu=2.5,ell=1"):
-        kernel = parse_kernel(spec)
-        series = regularization_exponent(kernel, "hermite1d", orders)
-        pinned = math.exp(
-            math.fsum(math.log(v) + 0.5 * math.log(n) for n, v in series.entries)
-            / len(series.entries)
-        )
-        gap = abs(pinned / laplace_decay_constant(kernel) - 1.0)
-        ok = ok and abs(series.fitted_slope + 0.5) <= 0.05 and gap <= 0.10
-        details.append(f"{spec}: slope {series.fitted_slope:.3f}, C gap {gap:.1%}")
+        passed, detail = verify.regularization_slope(parse_kernel(spec))
+        ok = ok and passed
+        details.append(f"{spec}: slope {detail['slope']:.3f}, "
+                       f"C gap {detail['constant_rel_gap']:.1%}")
 
     two_d = regularization_exponent(parse_kernel("sqexp"), "hermite2d", range(2, 13))
     ok = ok and two_d.fitted_slope <= -0.4
@@ -210,12 +164,7 @@ def test_criterion_08_hs_expansion_bound():
     )
     ok = True
     for spec in a2_catalog:
-        kernel = parse_kernel(spec)
-        derivs = covstruct.hs_expansion_derivatives(kernel)
-        fit = covstruct.quadratic_bound_fit(kernel)
-        ok = ok and abs(derivs["first"]) <= 1e-8
-        ok = ok and derivs["second"] < 0.0
-        ok = ok and fit.c_hat > 0.0 and fit.holds
+        ok = ok and verify.hs_bound(parse_kernel(spec))[0]
 
     # Kronecker multiplicativity of the contraction norms, n <= 6,
     # checked on materialized powers against the 2x2 closed forms
@@ -250,14 +199,13 @@ def test_criterion_09_crossings():
 
 
 def test_criterion_10_mean_square_derivative():
-    kernel = parse_kernel("sqexp")
-    h = 0.01
-    rel = abs(mc.ms_derivative_residual(kernel, h) / (3.0 * h * h) - 1.0)
-    chk = mc.ms_derivative_check(kernel, 0.05, n_paths=20000, grid_points=512, seed=0)
-    z = abs(chk.mc_estimate - chk.analytic) / chk.std_error
-    ok = rel <= 0.05 and z <= 3.0
+    # for sqexp r(0) = 12, so the leading term r(0) h^2 / 4 is 3h^2
+    ok, detail = verify.mean_square_derivative(
+        parse_kernel("sqexp"), paths=20000, grid=512, seed=0
+    )
     _verdict(10, "difference-quotient residual is 3h^2 and matches MC", ok,
-             f"rel err {rel:.1e} at h=0.01, |z| {z:.2f} at h=0.05")
+             f"rel err {detail['leading_order_rel_error']:.1e} at h=0.01, "
+             f"|z| {abs(detail['mc_z']):.2f} at h=0.05")
 
 
 def test_criterion_11_determinism(tmp_path, cli_env):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
@@ -12,9 +14,9 @@ from gpchaos.chaos import (
     ChaosCoefficientVector,
     Functional,
     QuadLog,
+    _exact_scalar_coefficients,
     chaos_spectrum,
     hermite2d_coefficient_vector,
-    hermite_coeffs_1d,
     integrated_chaos_norms,
     laplace_decay_constant,
     parse_functional,
@@ -25,7 +27,7 @@ from gpchaos.chaos import (
     spectrum_to_csv,
     spectrum_to_dict,
 )
-from gpchaos.errors import DomainError, NotDifferentiable
+from gpchaos.errors import DomainError, NotDifferentiable, QuadratureFailure
 from gpchaos.kernels import parse_kernel
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -93,8 +95,7 @@ class TestParseFunctional:
 
 class TestHermiteCoeffs1D:
     def test_sign_exact(self):
-        coeffs = hermite_coeffs_1d(parse_functional("sign"), 7)
-        assert coeffs.converged
+        coeffs = _exact_scalar_coefficients(parse_functional("sign"), 7)
         assert coeffs[0] == 0.0
         assert coeffs[2] == 0.0 and coeffs[4] == 0.0 and coeffs[6] == 0.0
         assert_allclose(coeffs[1], 2.0 * PHI0, rtol=1e-15)
@@ -103,21 +104,20 @@ class TestHermiteCoeffs1D:
         assert_allclose(coeffs[5], 6.0 * PHI0 / 120.0, rtol=1e-15)
 
     def test_indicator_at_zero_halves_sign(self):
-        sgn = hermite_coeffs_1d(parse_functional("sign"), 9)
-        ind = hermite_coeffs_1d(parse_functional("ind:0"), 9)
+        sgn = _exact_scalar_coefficients(parse_functional("sign"), 9)
+        ind = _exact_scalar_coefficients(parse_functional("ind:0"), 9)
         assert ind[0] == 0.5
         assert_allclose(ind[1:], np.asarray(sgn[1:]) / 2.0, rtol=1e-15)
 
     def test_indicator_level_one(self):
-        coeffs = hermite_coeffs_1d(parse_functional("ind:1"), 3)
+        coeffs = _exact_scalar_coefficients(parse_functional("ind:1"), 3)
         pdf1 = PHI0 * math.exp(-0.5)
         assert_allclose(coeffs[0], 0.5 * math.erfc(1.0 / math.sqrt(2.0)), rtol=1e-14)
         assert_allclose(coeffs[1], pdf1, rtol=1e-14)
         assert_allclose(coeffs[2], pdf1 / 2.0, rtol=1e-14)  # H_1(1) = 1
-        assert coeffs.converged
 
     def test_abs_exact(self):
-        coeffs = hermite_coeffs_1d(parse_functional("abs"), 6)
+        coeffs = _exact_scalar_coefficients(parse_functional("abs"), 6)
         assert_allclose(coeffs[0], math.sqrt(2.0 / math.pi), atol=1e-10)
         assert coeffs[1] == 0.0 and coeffs[3] == 0.0 and coeffs[5] == 0.0
         assert_allclose(coeffs[2], math.sqrt(2.0 / math.pi) / 2.0, rtol=1e-15)
@@ -126,41 +126,12 @@ class TestHermiteCoeffs1D:
 
     @pytest.mark.parametrize("spec,l2", [("sign", 1.0), ("abs", 1.0), ("ind:0", 0.5)])
     def test_partial_parseval(self, spec, l2):
-        coeffs = hermite_coeffs_1d(parse_functional(spec), 20)
+        coeffs = _exact_scalar_coefficients(parse_functional(spec), 20)
         partial = math.fsum(
             math.factorial(n) * coeffs[n] ** 2 for n in range(len(coeffs))
         )
         assert partial <= l2 + 1e-12
         assert partial >= l2 - 0.2
-
-    def test_smooth_callable(self):
-        coeffs = hermite_coeffs_1d(lambda x: x**3 - 3.0 * x, 8)
-        assert coeffs.converged
-        assert_allclose(coeffs[3], 1.0, rtol=1e-12)
-        others = [coeffs[n] for n in range(9) if n != 3]
-        assert np.max(np.abs(others)) < 1e-12
-
-    def test_scalar_only_callable_matches_vector_callable(self):
-        f_scalar = lambda t: math.exp(math.sin(float(t)))
-        f_vector = lambda x: np.exp(np.sin(x))
-        a = hermite_coeffs_1d(f_scalar, 10)
-        b = hermite_coeffs_1d(f_vector, 10)
-        assert_allclose(a, b, rtol=1e-13)
-        assert a.converged and b.converged
-
-    def test_kinked_callable_flags_non_convergence(self):
-        coeffs = hermite_coeffs_1d(abs, 10)
-        assert not coeffs.converged
-        # the quadrature is still in the right neighbourhood
-        assert_allclose(coeffs[0], math.sqrt(2.0 / math.pi), atol=5e-3)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            hermite_coeffs_1d(parse_functional("sign"), -1)
-        with pytest.raises(DomainError):
-            hermite_coeffs_1d(parse_functional("H:3"), 5)
-        with pytest.raises(DomainError):
-            hermite_coeffs_1d(42, 5)
 
 
 class TestCoefficientVector:
@@ -551,3 +522,32 @@ class TestRegularization:
     def test_derivative_gate_propagates(self):
         with pytest.raises(NotDifferentiable):
             regularization_rho(MATERN32, "hermite2d", 2)
+
+    # a kernel spec from a family, a length scale down to 1e-3 and a shape
+    # parameter in [0, 1) that each family maps into its own domain
+    _SPECS = {
+        "sqexp": lambda ell, shape: f"sqexp:ell={ell!r}",
+        "matern": lambda ell, shape: f"matern:nu={1.0 + 1e-3 + 4.0 * shape!r},ell={ell!r}",
+        "rq": lambda ell, shape: f"rq:alpha={0.1 + 5.0 * shape!r},ell={ell!r}",
+        "periodic": lambda ell, shape: f"periodic:T={0.01 + 4.0 * shape!r},ell={ell!r}",
+        "cosine": lambda ell, shape: f"cosine:ell={ell!r}",
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_SPECS)),
+        ell=st.floats(1e-3, 10.0),
+        shape=st.floats(0.0, 1.0, exclude_max=True),
+        n=st.integers(1, 12),
+    )
+    @example(family="cosine", ell=1e-3, shape=0.0, n=3)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_rho_is_a_variance_or_a_quadrature_failure(self, family, ell, shape, n):
+        # rho_n = 2 int_0^1 (1-u) r(u)^n du is the variance of a time
+        # average, so a negative value can only be a quadrature failure
+        kernel = parse_kernel(self._SPECS[family](ell, shape))
+        try:
+            rho = regularization_rho(kernel, "hermite1d", n)
+        except QuadratureFailure:
+            return
+        assert rho >= 0.0

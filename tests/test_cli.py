@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from gpchaos import __version__
 from gpchaos import montecarlo as mc
@@ -175,6 +176,18 @@ class TestChaosCommand:
         )
         assert code == 2
 
+    def test_failed_quadrature_is_a_runtime_error(self, capsys):
+        # the order-3 time average of a fast cosine comes out negative
+        with pytest.warns(IntegrationWarning):
+            code, out, err = run_cli(
+                capsys, "chaos", "--kernel", "cosine:ell=0.001", "--functional", "H:3",
+                "--n-max", "6",
+            )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gpchaos: ") and "variance" in err
+        assert "Traceback" not in err
+
     def test_quadrature_diagnostics_block(self, capsys):
         code, out, err = run_cli(
             capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:1,1", "--n-max", "4"
@@ -304,9 +317,12 @@ class TestVerifyAll:
         assert report["all_pass"] is True
         assert report["failed"] == 0
         assert report["skipped"] == 0
-        names = [c["name"] for c in report["checks"]]
-        assert "chaos-vs-monte-carlo" in names
-        assert "determinism-replay" in names
+        assert [c["name"] for c in report["checks"]] == [
+            "gauss-hypergeometric-identity", "iterated-integral-closed-form",
+            "condition-verdicts", "derivative-finite-difference", "b-reconstruction",
+            "hs-quadratic-bound", "chaos-vs-monte-carlo", "level-crossings",
+            "mean-square-derivative", "regularization-slope", "determinism-replay",
+        ]
 
     def test_rough_kernel_skips_gated_checks(self, capsys):
         report = run_json(

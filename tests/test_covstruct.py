@@ -17,7 +17,6 @@ from gpchaos.covstruct import (
     a_matrix,
     hs_expansion_derivatives,
     hs_sum_norm,
-    normalized_hs_norm,
     operator_norm,
     quadratic_bound_fit,
     tensor_power_quadratic_form,
@@ -80,7 +79,7 @@ class TestNorms:
         assert_allclose(hs_sum_norm(a_matrix(k, 0.0)), math.sqrt(2.0),
                         rtol=1e-14)
         assert hs_sum_norm(np.zeros((2, 2))) == 0.0
-        assert_allclose(normalized_hs_norm(a_matrix(k, 0.0)), 1.0,
+        assert_allclose(hs_sum_norm(a_matrix(k, 0.0)) / math.sqrt(2.0), 1.0,
                         rtol=1e-14)
 
     def test_hs_sqexp_half_lag(self):
@@ -203,7 +202,7 @@ class TestQuadraticBound:
         # and the bound itself holds on a dense sample of the window
         k = parse_kernel(spec)
         t = np.linspace(0.0, fit.window, 97)[1:]
-        nhs = np.array([normalized_hs_norm(a_matrix(k, ti)) for ti in t])
+        nhs = np.array([hs_sum_norm(a_matrix(k, ti)) for ti in t]) / math.sqrt(2.0)
         assert np.all(nhs <= 1.0 - fit.c_hat * t**2 + 1e-12)
 
     def test_sqexp_limit_coefficient(self):

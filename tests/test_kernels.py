@@ -34,14 +34,11 @@ from gpchaos.kernels import (
     RationalQuadratic,
     SquaredExponential,
     Wendland,
-    b_kernel,
     b_representation,
     fd_derivatives_at_zero,
     parse_kernel,
     r_derivatives_at_zero,
-    r_eval,
     reconstruct_r,
-    spectral_density,
     wendland_poly,
     wendland_repeated_integral_at_zero,
 )
@@ -140,7 +137,7 @@ class TestCovarianceValues:
         assert isinstance(k.r_prime(0.3), float)
         out = k.r(np.zeros((2, 3)))
         assert out.shape == (2, 3)
-        assert isinstance(r_eval(k, 1.0), float)
+        assert isinstance(k.r(1.0), float)
 
     def test_r_prime_matches_difference_quotient(self):
         for k in (SquaredExponential(1.0), RationalQuadratic(2.0, 1.0),
@@ -280,31 +277,31 @@ class TestSpectralDensity:
     def test_exponential_lorentzian(self):
         # nu = 1/2: F'(lam) = (ell/pi) / (1 + ell^2 lam^2)
         k = MaternHalfInteger(0, 1.0)
-        assert_allclose(spectral_density(k, 0.0), 1.0 / math.pi, rtol=1e-14)
+        assert_allclose(k.spectral_density(0.0), 1.0 / math.pi, rtol=1e-14)
         k2 = MaternHalfInteger(0, 2.0)
         lam = np.array([0.0, 0.5, 2.0])
-        assert_allclose(spectral_density(k2, lam),
+        assert_allclose(k2.spectral_density(lam),
                         (2.0 / math.pi) / (1.0 + 4.0 * lam**2), rtol=1e-13)
 
     def test_sqexp_gaussian(self):
         k = SquaredExponential(2.0)
-        assert_allclose(spectral_density(k, 0.0), 1.0 / math.sqrt(math.pi),
+        assert_allclose(k.spectral_density(0.0), 1.0 / math.sqrt(math.pi),
                         rtol=1e-14)
-        assert_allclose(spectral_density(k, 1.0),
+        assert_allclose(k.spectral_density(1.0),
                         math.exp(-1.0) / math.sqrt(math.pi), rtol=1e-14)
 
     def test_rq_anchor_at_zero(self):
         # alpha = 2, ell = 1: closed value 1/2 at the origin
-        assert_allclose(spectral_density(RationalQuadratic(2.0, 1.0), 0.0),
+        assert_allclose(RationalQuadratic(2.0, 1.0).spectral_density(0.0),
                         0.5, rtol=1e-12)
 
     def test_gammaexp_origin_gamma_integral(self):
         # F'(0) = (1/pi) int_0^inf exp(-t^gamma) dt = Gamma(1 + 1/gamma)/pi
         k = GammaExponential(1.5, 1.0)
-        assert_allclose(spectral_density(k, 0.0),
+        assert_allclose(k.spectral_density(0.0),
                         math.gamma(1.0 + 1.0 / 1.5) / math.pi, rtol=1e-9)
         k1 = GammaExponential(1.0, 1.3)
-        assert_allclose(spectral_density(k1, 0.0), 1.3 / math.pi, rtol=1e-14)
+        assert_allclose(k1.spectral_density(0.0), 1.3 / math.pi, rtol=1e-14)
 
     @pytest.mark.parametrize("k", [
         MaternHalfInteger(0, 1.0),
@@ -313,29 +310,29 @@ class TestSpectralDensity:
         RationalQuadratic(2.0, 1.0),
     ], ids=lambda k: k.spec_string())
     def test_total_mass_is_one(self, k):
-        total = 2.0 * quad(lambda l: spectral_density(k, l),
+        total = 2.0 * quad(lambda l: k.spectral_density(l),
                            0.0, np.inf, limit=400)[0]
         assert_allclose(total, 1.0, rtol=1e-7)
 
     def test_wendland_mass_and_positivity(self):
         k = Wendland(4)
         lam = np.linspace(0.0, 120.0, 48001)
-        vals = spectral_density(k, lam)
+        vals = k.spectral_density(lam)
         # tiny negative oscillation noise is tolerated, nothing structural
         assert vals.min() > -1e-12
         assert_allclose(2.0 * np.trapezoid(vals, lam), 1.0, atol=1e-8)
 
     def test_atomic_measures_rejected(self):
         with pytest.raises(NoSpectralDensity):
-            spectral_density(Cosine(1.0), 0.0)
+            Cosine(1.0).spectral_density(0.0)
         with pytest.raises(NoSpectralDensity):
-            spectral_density(Periodic(2.0, 0.8), 0.0)
+            Periodic(2.0, 0.8).spectral_density(0.0)
 
     def test_rq_heavy_tail_rejected(self):
         with pytest.raises(NoSpectralDensity):
-            spectral_density(RationalQuadratic(0.5, 1.0), 0.0)
+            RationalQuadratic(0.5, 1.0).spectral_density(0.0)
         with pytest.raises(NoSpectralDensity):
-            spectral_density(RationalQuadratic(0.3, 1.0), 1.0)
+            RationalQuadratic(0.3, 1.0).spectral_density(1.0)
 
 
 def _gauss_legendre_density(kernel, lam):
@@ -384,7 +381,7 @@ class TestWendlandSpectralDensity:
             [np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)],
         ])
         assert 0.0 < seam < 60.0
-        got = spectral_density(kernel, lam)
+        got = kernel.spectral_density(lam)
         # the old sum's float coefficients leave up to 9e-14 of rounding noise (k = 6)
         assert_allclose(got, _gauss_legendre_density(kernel, lam), rtol=0.0, atol=1e-13)
 
@@ -394,15 +391,15 @@ class TestWendlandSpectralDensity:
         for lam in (20, 100, 1000):
             exact = float(_exact_cosine_integral(kernel._coeffs, lam)) / math.pi
             assert exact > 0.0
-            assert_allclose(spectral_density(kernel, float(lam)), exact, rtol=1e-10)
+            assert_allclose(kernel.spectral_density(float(lam)), exact, rtol=1e-10)
 
     def test_scalar_and_shaped_input(self):
         kernel = Wendland(2)
-        assert isinstance(spectral_density(kernel, 3.0), float)
+        assert isinstance(kernel.spectral_density(3.0), float)
         lam = np.array([[0.0, -5.0], [7.5, 200.0]])
-        out = spectral_density(kernel, lam)
+        out = kernel.spectral_density(lam)
         assert out.shape == (2, 2)
-        assert_allclose(out.ravel(), [spectral_density(kernel, v) for v in (0.0, 5.0, 7.5, 200.0)],
+        assert_allclose(out.ravel(), [kernel.spectral_density(v) for v in (0.0, 5.0, 7.5, 200.0)],
                         rtol=1e-14)
 
 
@@ -542,7 +539,7 @@ class TestBRepresentation:
 
     def test_b_kernel_helper(self):
         amp = math.sqrt(2.0 / math.sqrt(math.pi))
-        assert_allclose(b_kernel(SquaredExponential(1.0), 0.0), amp,
+        assert_allclose(b_representation(SquaredExponential(1.0)).b(0.0), amp,
                         rtol=1e-14)
 
 

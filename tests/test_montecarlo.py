@@ -411,7 +411,10 @@ class TestCrossingStatistics:
         assert abs(high.mean - rice_high) < 4 * high.std_error
 
     def test_refinement_grid_sequence(self):
-        ladder = mc.crossing_refinement(SQEXP, 0.0, n_paths=3000, grids=(128, 256, 512), seed=45)
+        ladder = [
+            mc.crossing_statistics(SQEXP, 0.0, n_paths=3000, grid_points=g, seed=45)
+            for g in (128, 256, 512)
+        ]
         assert [s.grid_points for s in ladder] == [128, 256, 512]
         rice = mc.rice_crossing_mean(SQEXP, 0.0)
         for stats in ladder:
@@ -427,9 +430,9 @@ class TestCrossingStatistics:
 
 class TestIntegratedFunctionals:
     def test_constant_functional_is_exact(self):
-        out = mc.mc_integrated_functional(
-            parse_functional("H:0"), SQEXP, n_paths=50, grid_points=128, seed=51
-        )
+        out = mc.mc_integrated_functionals(
+            [parse_functional("H:0")], SQEXP, n_paths=50, grid_points=128, seed=51
+        )[0]
         assert_allclose(out.mean, 1.0, rtol=1e-13)
         assert_allclose(out.second_moment, 1.0, rtol=1e-13)
         assert out.std_error < 1e-12
@@ -444,22 +447,22 @@ class TestIntegratedFunctionals:
             assert abs(out.second_moment - target) < 4 * out.std_error
 
     def test_centered_functionals_have_zero_mean(self):
-        out = mc.mc_integrated_functional(
-            parse_functional("H:1"), SQEXP, n_paths=8000, grid_points=256, seed=53
-        )
+        out = mc.mc_integrated_functionals(
+            [parse_functional("H:1")], SQEXP, n_paths=8000, grid_points=256, seed=53
+        )[0]
         assert abs(out.mean) < 4 * out.mean_std_error
 
     def test_derivative_axis(self):
-        out = mc.mc_integrated_functional(
-            parse_functional("H:1@xdot"), SQEXP, n_paths=20000, grid_points=512, seed=54
-        )
+        out = mc.mc_integrated_functionals(
+            [parse_functional("H:1@xdot")], SQEXP, n_paths=20000, grid_points=512, seed=54
+        )[0]
         target = 1.0 - math.exp(-1.0)
         assert abs(out.second_moment - target) < 4 * out.std_error
 
     def test_sign_functional_brackets_chaos_sum(self):
-        out = mc.mc_integrated_functional(
-            parse_functional("sign"), SQEXP, n_paths=20000, grid_points=512, seed=55
-        )
+        out = mc.mc_integrated_functionals(
+            [parse_functional("sign")], SQEXP, n_paths=20000, grid_points=512, seed=55
+        )[0]
         spectrum = chaos_spectrum(parse_functional("sign"), SQEXP, n_max=40)
         partial = math.fsum(spectrum.integrated_norms.values())
         # Time averaging only shrinks per-order mass, so the dropped tail of
@@ -474,9 +477,9 @@ class TestIntegratedFunctionals:
             functionals, SQEXP, n_paths=400, grid_points=128, seed=56
         )
         for functional, out in zip(functionals, outs):
-            alone = mc.mc_integrated_functional(
-                functional, SQEXP, n_paths=400, grid_points=128, seed=56
-            )
+            alone = mc.mc_integrated_functionals(
+                [functional], SQEXP, n_paths=400, grid_points=128, seed=56
+            )[0]
             assert alone == out
 
     def test_worker_count_is_invisible(self):
@@ -490,9 +493,9 @@ class TestIntegratedFunctionals:
         assert one == three
 
     def test_report_fields(self):
-        out = mc.mc_integrated_functional(
-            parse_functional("abs"), MATERN52, n_paths=100, grid_points=128, seed=58
-        )
+        out = mc.mc_integrated_functionals(
+            [parse_functional("abs")], MATERN52, n_paths=100, grid_points=128, seed=58
+        )[0]
         assert out.functional == "abs"
         assert out.kernel == MATERN52.spec_string()
         assert out.n_paths == 100

@@ -1,9 +1,8 @@
 """Tests for the special-function layer.
 
 Expected values come from independent oracles: exact rational identities
-(gamma recursion, beta integers), hand-checkable short hypergeometric sums,
-quadrature of the beta integral, and the standard small/large-argument laws
-of the modified Bessel function.
+(gamma recursion, integer factorials), hand-checkable short hypergeometric
+sums, and Gauss-Hermite orthogonality of the Hermite polynomials.
 """
 
 import math
@@ -12,19 +11,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
-from scipy.special import kv
 
 from gpchaos.errors import DomainError
 from gpchaos.specfun import (
-    bessel_k,
-    bessel_k_half_integer,
-    beta,
     gamma_ln,
     hermite,
     hermite_sequence,
     hyp2f1_terminating,
-    pochhammer,
 )
 
 
@@ -52,75 +45,6 @@ class TestGammaLn:
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(DomainError):
             gamma_ln(bad)
-
-
-class TestBeta:
-    def test_exact_rational(self):
-        # B(4,6) = 3!*5!/9! = 1/504
-        assert_allclose(beta(4, 6), 1.0 / 504.0, rtol=1e-13)
-
-    def test_quadrature_oracle(self):
-        # B(6,6) against direct quadrature of t^5 (1-t)^5.
-        val, err = quad(lambda t: t**5 * (1 - t) ** 5, 0.0, 1.0)
-        assert err < 1e-12
-        assert_allclose(beta(6, 6), val, rtol=1e-10)
-        assert_allclose(beta(6, 6), 1.0 / 2772.0, rtol=1e-13)
-
-    def test_symmetry(self):
-        assert_allclose(beta(2.5, 7.0), beta(7.0, 2.5), rtol=1e-14)
-
-
-class TestPochhammer:
-    def test_rising_product(self):
-        # (3)_4 = 3*4*5*6
-        assert pochhammer(3.0, 4) == 360.0
-
-    def test_empty_product(self):
-        assert pochhammer(2.7, 0) == 1.0
-
-    def test_negative_integer_terminates(self):
-        # (-3)_4 contains the factor 0
-        assert pochhammer(-3.0, 4) == 0.0
-
-
-class TestBesselK:
-    def test_k_half_closed_form(self):
-        # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-        x = 1.0
-        assert_allclose(bessel_k_half_integer(0, x),
-                        math.sqrt(math.pi / 2.0) * math.exp(-1.0),
-                        rtol=1e-14)
-
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-    def test_half_integer_matches_generic(self, m):
-        # Closed-form finite sum vs the generic routine across 4 decades.
-        x = np.geomspace(0.1, 20.0, 60)
-        assert_allclose(bessel_k_half_integer(m, x), kv(m + 0.5, x),
-                        rtol=1e-9)
-
-    def test_small_argument_law(self):
-        # x^nu K_nu(x) -> 2^{nu-1} Gamma(nu) as x -> 0
-        nu = 1.5
-        x = 1e-4
-        lim = 2.0 ** (nu - 1.0) * math.exp(gamma_ln(nu))
-        assert_allclose(x**nu * bessel_k(nu, x), lim, rtol=1e-3)
-
-    def test_large_argument_law(self):
-        # K_nu(x) ~ sqrt(pi/(2x)) e^{-x} (1 + (4 nu^2 - 1)/(8x) + O(x^-2))
-        nu, x = 1.0, 10.0
-        lead = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-        corrected = lead * (1.0 + (4 * nu**2 - 1.0) / (8 * x))
-        assert_allclose(bessel_k(nu, x), corrected, rtol=5e-3)
-
-    def test_generic_route_used_off_half_integers(self):
-        x = np.array([0.5, 1.0, 3.0])
-        assert_allclose(bessel_k(1.7, x), kv(1.7, x), rtol=1e-14)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            bessel_k(1.0, -1.0)
-        with pytest.raises(DomainError):
-            bessel_k(-0.3, 1.0)
 
 
 class TestTerminatingHypergeometric:
