@@ -4,20 +4,23 @@ A functional Lambda of the pair (X_t, dX_t/sigma) decomposes over the
 Hermite basis; this module computes the squared chaos norms of Lambda at a
 fixed time (the *point* spectrum) and of its unit-time average
 int_0^1 Lambda dt (the *integrated* spectrum).  The ratio rho_n of the two
-measures how much smoothing the time average buys at chaos order n.
+measures how much smoothing the time average buys at chaos order n.  The
+order-n weight under the time average is a closed form in the lag
+correlations at every order: rho(u)^n for one coordinate, a Jacobi
+recurrence in the entries of A(u) for products across both.
 """
 
 from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import DecaySeries, fit_decay_exponent
-from .covstruct import TENSOR_POWER_MAX, tensor_power_quadratic_form
+from .covstruct import tensor_power_quadratic_form
 from .errors import DomainError, QuadratureFailure
 from .kernels import Kernel
 from .specfun import hermite
@@ -25,8 +28,6 @@ from .specfun import hermite
 __all__ = [
     "Functional",
     "parse_functional",
-    "ChaosCoefficientVector",
-    "hermite2d_coefficient_vector",
     "point_chaos_norms",
     "integrated_chaos_norms",
     "ChaosSpectrum",
@@ -92,10 +93,6 @@ class Functional:
         for label, value in (("m", self.m), ("a", self.a), ("b", self.b)):
             if int(value) != value or value < 0:
                 raise DomainError(f"Hermite order {label}={value} must be a nonnegative integer")
-
-    @property
-    def is_two_dimensional(self) -> bool:
-        return self.kind == "H2"
 
     @property
     def degree(self):
@@ -206,59 +203,6 @@ def _exact_scalar_coefficients(func: Functional, n_max: int):
 
 
 # ---------------------------------------------------------------------------
-# chaos coefficient vectors
-
-
-@dataclass(frozen=True)
-class ChaosCoefficientVector:
-    """Symmetric order-n chaos coefficients over the index set {x, xdot}^n.
-
-    Coefficients are constant on weight classes: ``classes`` maps the
-    number of x-slots in an index to the common coefficient value.  The
-    dense vector enumerates indices as n-bit integers, bit 0 for an x-slot
-    and bit 1 for an xdot-slot, matching the axis order of the tensor-power
-    quadratic form.
-    """
-
-    n: int
-    classes: tuple = field(default_factory=tuple)  # ((x_slots, weight), ...)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(2 ** self.n)
-        lookup = dict(self.classes)
-        for idx in range(2 ** self.n):
-            x_slots = self.n - bin(idx).count("1")
-            w = lookup.get(x_slots)
-            if w is not None:
-                out[idx] = w
-        return out
-
-    def norm_sq(self) -> float:
-        return math.fsum(
-            math.comb(self.n, x_slots) * w * w for x_slots, w in self.classes
-        )
-
-    def point_norm_sq(self) -> float:
-        """Squared chaos norm n! * ||c||^2 of the order-n component."""
-        return math.factorial(self.n) * self.norm_sq()
-
-
-def hermite2d_coefficient_vector(a: int, b: int) -> ChaosCoefficientVector:
-    """Chaos coefficients of H_a(X) H_b(dX/sigma).
-
-    The product sits entirely in chaos order n = a + b; symmetrization
-    puts weight a! b! / n! on every index with exactly ``a`` x-slots, and
-    n! ||c||^2 recovers the point norm a! b!.
-    """
-    if int(a) != a or a < 0 or int(b) != b or b < 0:
-        raise DomainError(f"Hermite orders ({a}, {b}) must be nonnegative integers")
-    a, b = int(a), int(b)
-    n = a + b
-    weight = math.factorial(a) * math.factorial(b) / math.factorial(n)
-    return ChaosCoefficientVector(n=n, classes=((a, weight),))
-
-
-# ---------------------------------------------------------------------------
 # spectra
 
 
@@ -279,8 +223,9 @@ _QUAD_LOG: ContextVar = ContextVar("gpchaos_quad_log", default=None)
 
 class QuadLog:
     """Largest error estimate of the time-average quadratures run while the
-    log is entered, and whether each met its tolerance max(epsabs,
-    epsrel |value|).  Entering it again after it exits extends it."""
+    log is entered, and whether each ended without a quad warning and met
+    its tolerance max(epsabs, epsrel |value|).  Entering it again after it
+    exits extends it."""
 
     def __init__(self):
         self.max_error, self.within_tolerance = 0.0, True
@@ -298,19 +243,21 @@ def _time_average(f) -> float:
 
     ``f`` is the lag covariance of a stationary functional, so the average is
     the variance of its unit-time integral: a value below zero (or NaN) can
-    only be quadrature failure, and raises QuadratureFailure.
+    only be quadrature failure, and raises QuadratureFailure.  quad's
+    warning, if any, is kept off stderr and goes into the log and the error.
     """
     epsabs, epsrel = 1e-12, 1e-11
-    val, err = quad(lambda u: (1.0 - u) * f(u), 0.0, 1.0, epsabs=epsabs, epsrel=epsrel,
-                    limit=200)
+    val, err, _, *warning = quad(lambda u: (1.0 - u) * f(u), 0.0, 1.0, epsabs=epsabs,
+                                 epsrel=epsrel, limit=200, full_output=1)
     log = _QUAD_LOG.get()
     if log is not None:
         log.max_error = max(log.max_error, err)
-        log.within_tolerance &= err <= max(epsabs, epsrel * abs(val))
+        log.within_tolerance &= not warning and err <= max(epsabs, epsrel * abs(val))
     if not val >= 0.0:
+        reason = "; quad: " + " ".join(warning[0].split()) if warning else ""
         raise QuadratureFailure(
             f"time average came out {2.0 * val:.6g}, but it is a variance "
-            f"(quadrature error estimate {2.0 * err:.2g})"
+            f"(quadrature error estimate {2.0 * err:.2g}{reason})"
         )
     return 2.0 * val
 
@@ -322,11 +269,13 @@ def _time_average_weight(rho, n: int) -> float:
     return _time_average(lambda u: rho(u) ** n)
 
 
-def _factorial_float(n: int) -> float:
+def _factorial_float(*orders: int) -> float:
+    """The product of n! over ``orders`` as a float."""
     try:
-        return float(math.factorial(n))
+        return float(math.prod(math.factorial(n) for n in orders))
     except OverflowError:
-        raise DomainError(f"{n}! does not fit in double precision") from None
+        product = " * ".join(f"{n}!" for n in orders)
+        raise DomainError(f"{product} does not fit in double precision") from None
 
 
 def _check_n_max(n_max):
@@ -352,7 +301,7 @@ def point_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -> dic
     elif functional.kind == "H2":
         n = functional.a + functional.b
         if n <= n_max:
-            norms[n] = _factorial_float(functional.a) * _factorial_float(functional.b)
+            norms[n] = _factorial_float(functional.a, functional.b)
     else:
         coeffs = _exact_scalar_coefficients(functional, n_max)
         for n in range(n_max + 1):
@@ -365,23 +314,20 @@ def integrated_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -
 
     One-dimensional functionals contract each order by
     2 int_0^1 (1-u) rho(u)^n du where rho is the correlation of the
-    coordinate being read; two-dimensional ones replace rho^n by the
-    tensor-power quadratic form of the joint correlation matrix, which
-    requires r''''(0) (and caps the order at TENSOR_POWER_MAX).
+    coordinate being read.  H_a(X) H_b(dX/sigma) sits in the single order
+    n = a + b: its point norm a! b! is contracted by the time average of
+    the normalized tensor-power weight N(u) of the joint correlation matrix
+    (``covstruct.tensor_power_quadratic_form``, a closed-form recurrence
+    that holds at any order), which requires r''''(0).
     """
     n_max = _check_n_max(n_max)
     norms = dict.fromkeys(range(n_max + 1), 0.0)
     if functional.kind == "H2":
-        n = functional.a + functional.b
-        if n > TENSOR_POWER_MAX:
-            raise DomainError(
-                f"two-dimensional order {n} exceeds the tensor-power cap {TENSOR_POWER_MAX}"
-            )
         kernel.r4_zero()  # joint-decay structure needs the fourth derivative
-        if n <= n_max:
-            c = hermite2d_coefficient_vector(functional.a, functional.b).dense()
-            weight = _time_average(lambda u: tensor_power_quadratic_form(kernel, u, c))
-            norms[n] = math.factorial(n) * weight
+        a, b = functional.a, functional.b
+        if a + b <= n_max:
+            weight = _time_average(lambda u: tensor_power_quadratic_form(kernel, u, a, b))
+            norms[a + b] = _factorial_float(a, b) * weight
         return norms
     point = point_chaos_norms(functional, kernel, n_max)
     rho = _axis_correlation(kernel, functional)
@@ -394,9 +340,9 @@ def integrated_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -
 def _functional_l2_norm_sq(functional: Functional) -> float:
     """E[Lambda^2] under the stationary law, summing the full spectrum."""
     if functional.kind == "H":
-        return float(math.factorial(functional.m))
+        return _factorial_float(functional.m)
     if functional.kind == "H2":
-        return float(math.factorial(functional.a) * math.factorial(functional.b))
+        return _factorial_float(functional.a, functional.b)
     if functional.kind == "sign":
         return 1.0
     if functional.kind == "abs":
@@ -480,12 +426,6 @@ def sobolev_norm(norms: dict, alpha: float) -> SobolevNorm:
 _LADDER_FAMILIES = ("hermite1d", "hermite2d")
 
 
-def _ladder_functional(family: str, n: int) -> Functional:
-    if family == "hermite1d":
-        return Functional(kind="H", m=n)
-    return Functional(kind="H2", a=(n + 1) // 2, b=n // 2)
-
-
 def regularization_rho(kernel: Kernel, family: str, n: int) -> float:
     """Integrated-to-point norm ratio rho_n for one ladder member.
 
@@ -498,14 +438,13 @@ def regularization_rho(kernel: Kernel, family: str, n: int) -> float:
     if int(n) != n or n < 0:
         raise DomainError(f"chaos order n={n} must be a nonnegative integer")
     n = int(n)
+    # the point norm cancels, so work with the contraction weight directly;
+    # this keeps orders beyond 170 inside float range
     if family == "hermite1d":
-        # the point norm m! cancels, so work with the contraction weight
-        # directly; this keeps orders beyond 170 inside float range
         return _time_average_weight(kernel.r, n)
-    func = _ladder_functional(family, n)
-    point = point_chaos_norms(func, kernel, n)[n]
-    integrated = integrated_chaos_norms(func, kernel, n)[n]
-    return integrated / point
+    kernel.r4_zero()  # joint-decay structure needs the fourth derivative
+    a, b = (n + 1) // 2, n // 2
+    return _time_average(lambda u: tensor_power_quadratic_form(kernel, u, a, b))
 
 
 def regularization_exponent(kernel: Kernel, family: str, orders) -> DecaySeries:

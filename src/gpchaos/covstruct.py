@@ -38,8 +38,6 @@ __all__ = [
     "tensor_power_quadratic_form",
 ]
 
-TENSOR_POWER_MAX = 12
-
 
 @dataclass(frozen=True)
 class AMatrix:
@@ -135,26 +133,35 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
 # tensor powers
 
 
-def tensor_power_quadratic_form(kernel: Kernel, t: float, c) -> float:
-    """<c, A(t)^{tensor n} c> for c indexed by {1,2}^n, len(c) = 2^n.
+def tensor_power_quadratic_form(kernel: Kernel, t: float, a: int, b: int) -> float:
+    """N(t) = <c, A(t)^{tensor n} c> / <c, c>, n = a + b, for c the
+    symmetrized chaos coefficients of H_a(X) H_b(Xdot / sigma).
 
-    The 2^n x 2^n matrix is never formed; A is contracted into c one slot
-    at a time (n 2^n-sized products).  n is capped at 12.
+    With A = [[p, q], [r, s]] (conjugated by the coordinate swap when
+    a > b, so that a <= b), beta = b - a, D = ps - qr and E = ps + qr,
+    N = s^beta Q_a where Q_k = D^k P_k^{(0, beta)}(E / D) is a Jacobi
+    polynomial in homogeneous form (Szego, Orthogonal Polynomials, ch. 4).
+    Q_k follows the Jacobi three-term recurrence multiplied through by
+    D^k, so nothing is divided by D and no factorial appears.  N(0) = 1.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    n = int(round(math.log2(c.size))) if c.size > 1 else 0
-    if c.size < 1 or 2**n != c.size:
+    if int(a) != a or a < 0 or int(b) != b or b < 0:
         raise DomainError(
-            f"coefficient vector length {c.size} is not a power of two")
-    if n > TENSOR_POWER_MAX:
-        raise DomainError(
-            f"tensor power {n} exceeds the enumeration bound "
-            f"{TENSOR_POWER_MAX}")
-    A = a_matrix(kernel, t).as_array()
-    v = c.reshape((2,) * n)
-    for axis in range(n):
-        v = np.moveaxis(np.tensordot(A, v, axes=(1, axis)), 0, axis)
-    return float(np.dot(c, v.ravel()))
+            f"Hermite orders ({a}, {b}) must be nonnegative integers")
+    a, b = int(a), int(b)
+    m = a_matrix(kernel, t)
+    p, q, r, s = m.a11, m.a12, m.a21, m.a22
+    if a > b:
+        a, b, p, q, r, s = b, a, s, r, q, p
+    beta = b - a
+    d, e = p * s - q * r, p * s + q * r
+    prev, cur = 1.0, (d + 0.5 * (beta + 2) * (e - d) if a else 1.0)
+    for k in range(2, a + 1):
+        c = 2 * k + beta
+        prev, cur = cur, (
+            (c - 1) * (c * (c - 2) * e - beta * beta * d) * cur
+            - 2 * (k - 1) * (k + beta - 1) * c * d * d * prev
+        ) / (2 * k * (k + beta) * (c - 2))
+    return float(s**beta * cur)
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "r_derivatives_at_zero",
     "reconstruct_r",
     "wendland_poly",
-    "wendland_repeated_integral_at_zero",
 ]
 
 
@@ -659,14 +658,6 @@ def _wendland_step(coeffs):
     out = [-c for c in anti]
     out[0] += const
     return out
-
-
-def wendland_repeated_integral_at_zero(n: int, k: int) -> Fraction:
-    """Exact value at 0 of the n-fold repeated integral of (1-t)^{k+1}."""
-    c = _wendland_phi(k + 1)
-    for _ in range(n):
-        c = _wendland_step(c)
-    return c[0]
 
 
 def wendland_poly(k: int):

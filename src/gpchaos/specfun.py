@@ -20,7 +20,6 @@ __all__ = [
     "gamma_ln",
     "hyp2f1_terminating",
     "hermite",
-    "hermite_sequence",
 ]
 
 
@@ -74,17 +73,3 @@ def hermite(n: int, x) -> float | np.ndarray:
         for k in range(2, int(n)):
             h, h_prev = x * h - k * h_prev, h
     return h if h.ndim else float(h)
-
-
-def hermite_sequence(n_max: int, x: np.ndarray) -> np.ndarray:
-    """All of ``H_0(x) .. H_{n_max}(x)`` stacked along a new leading axis."""
-    if n_max < 0:
-        raise DomainError(f"hermite_sequence requires n_max >= 0, got {n_max!r}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for k in range(1, n_max):
-        out[k + 1] = x * out[k] - k * out[k - 1]
-    return out

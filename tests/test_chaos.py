@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
 from gpchaos.chaos import (
-    ChaosCoefficientVector,
     Functional,
     QuadLog,
     _exact_scalar_coefficients,
     chaos_spectrum,
-    hermite2d_coefficient_vector,
     integrated_chaos_norms,
     laplace_decay_constant,
     parse_functional,
@@ -69,7 +68,7 @@ class TestParseFunctional:
         func = parse_functional("H2:3,2")
         assert (func.a, func.b) == (3, 2)
         assert func.degree == 5
-        assert func.is_two_dimensional
+        assert func.kind == "H2"
         assert parse_functional("H:4").degree == 4
         assert parse_functional("sign").degree is None
 
@@ -132,44 +131,6 @@ class TestHermiteCoeffs1D:
         )
         assert partial <= l2 + 1e-12
         assert partial >= l2 - 0.2
-
-
-class TestCoefficientVector:
-    def test_norm_identity_up_to_order_ten(self):
-        for a in range(11):
-            for b in range(11 - a):
-                vec = hermite2d_coefficient_vector(a, b)
-                expected = math.factorial(a) * math.factorial(b)
-                assert_allclose(vec.point_norm_sq(), expected, rtol=1e-12)
-
-    def test_dense_layout_order_two(self):
-        vec = hermite2d_coefficient_vector(1, 1)
-        # bit 0 = x-slot, bit 1 = xdot-slot: indices 01 and 10 carry 1/2
-        assert_allclose(vec.dense(), [0.0, 0.5, 0.5, 0.0], rtol=0, atol=0)
-        assert_allclose(vec.norm_sq(), 0.5, rtol=0)
-        assert_allclose(vec.point_norm_sq(), 1.0, rtol=0)
-
-    def test_dense_pure_orders(self):
-        all_x = hermite2d_coefficient_vector(3, 0).dense()
-        assert all_x[0] == 1.0 and np.count_nonzero(all_x) == 1
-        all_xdot = hermite2d_coefficient_vector(0, 3).dense()
-        assert all_xdot[-1] == 1.0 and np.count_nonzero(all_xdot) == 1
-
-    def test_dense_count_matches_binomial(self):
-        vec = hermite2d_coefficient_vector(2, 3)
-        dense = vec.dense()
-        assert np.count_nonzero(dense) == math.comb(5, 2)
-        assert_allclose(
-            dense[dense != 0.0],
-            math.factorial(2) * math.factorial(3) / math.factorial(5),
-            rtol=1e-15,
-        )
-
-    def test_rejects_negative_orders(self):
-        with pytest.raises(DomainError):
-            hermite2d_coefficient_vector(-1, 2)
-        with pytest.raises(DomainError):
-            hermite2d_coefficient_vector(1, -2)
 
 
 class TestPointNorms:
@@ -298,9 +259,10 @@ class TestIntegratedNorms:
         norms = integrated_chaos_norms(parse_functional("sign@xdot"), MATERN32, 5)
         assert 0.0 < norms[1] < point_chaos_norms(parse_functional("sign"), MATERN32, 5)[1]
 
-    def test_two_dimensional_order_cap(self):
-        with pytest.raises(DomainError):
-            integrated_chaos_norms(parse_functional("H2:7,6"), SQEXP, 13)
+    def test_two_dimensional_orders_past_twelve(self):
+        norms = integrated_chaos_norms(parse_functional("H2:7,6"), SQEXP, 13)
+        assert 0.0 < norms[13] <= math.factorial(7) * math.factorial(6)
+        assert all(norms[n] == 0.0 for n in range(13))
 
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
@@ -323,7 +285,9 @@ class TestQuadLog:
     def test_flags_an_estimate_above_tolerance(self):
         # a thousand sharp periodic peaks on [0, 1] exhaust quad's 200
         # subintervals
-        with QuadLog() as log, pytest.warns(IntegrationWarning):
+        # quad's warning goes to the log, not to the warnings machinery
+        with QuadLog() as log, warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
             regularization_rho(parse_kernel("periodic:T=0.001,ell=0.05"), "hermite1d", 3)
         assert not log.within_tolerance
         assert log.max_error > 1e-11
@@ -541,7 +505,6 @@ class TestRegularization:
         n=st.integers(1, 12),
     )
     @example(family="cosine", ell=1e-3, shape=0.0, n=3)
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_rho_is_a_variance_or_a_quadrature_failure(self, family, ell, shape, n):
         # rho_n = 2 int_0^1 (1-u) r(u)^n du is the variance of a time
         # average, so a negative value can only be a quadrature failure
@@ -551,3 +514,36 @@ class TestRegularization:
         except QuadratureFailure:
             return
         assert rho >= 0.0
+
+    # kernels with |r| <= 1 and r >= 0: sqexp, Matern and rational quadratic
+    _POSITIVE = {
+        "sqexp": lambda ell, nu: f"sqexp:ell={ell!r}",
+        "matern": lambda ell, nu: f"matern:nu={nu!r},ell={ell!r}",
+        "rq": lambda ell, nu: f"rq:alpha={nu - 1.0!r},ell={ell!r}",
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_POSITIVE)),
+        ell=st.floats(0.05, 10.0),
+        nu=st.floats(1.0, 6.0, exclude_min=True),
+        n=st.integers(0, 60),
+    )
+    def test_one_dimensional_rho_contracts_and_decreases(self, family, ell, nu, n):
+        kernel = parse_kernel(self._POSITIVE[family](ell, nu))
+        rho = regularization_rho(kernel, "hermite1d", n)
+        assert rho <= 1.0 + 1e-12
+        assert regularization_rho(kernel, "hermite1d", n + 1) <= rho + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_POSITIVE)),
+        ell=st.floats(0.05, 10.0),
+        nu=st.floats(2.0, 6.0, exclude_min=True),
+        n=st.integers(0, 40),
+    )
+    def test_two_dimensional_rho_contracts(self, family, ell, nu, n):
+        # |N(u)| <= op(A(u))^n <= 1 at every lag; Matern needs nu > 2 for
+        # the fourth derivative
+        kernel = parse_kernel(self._POSITIVE[family](ell, nu))
+        assert regularization_rho(kernel, "hermite2d", n) <= 1.0 + 1e-12

@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from gpchaos import __version__
 from gpchaos import montecarlo as mc
@@ -176,17 +175,42 @@ class TestChaosCommand:
         )
         assert code == 2
 
-    def test_failed_quadrature_is_a_runtime_error(self, capsys):
-        # the order-3 time average of a fast cosine comes out negative
-        with pytest.warns(IntegrationWarning):
-            code, out, err = run_cli(
-                capsys, "chaos", "--kernel", "cosine:ell=0.001", "--functional", "H:3",
-                "--n-max", "6",
-            )
-        assert code == 3
-        assert out == ""
+    def test_failed_quadrature_is_a_runtime_error(self, tmp_path, cli_env):
+        # the order-3 time average of a fast cosine comes out negative; a
+        # child process, because pytest intercepts warnings in-process
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpchaos", "chaos", "--kernel", "cosine:ell=0.001",
+             "--functional", "H:3", "--n-max", "6"],
+            env=cli_env(), capture_output=True, text=True, cwd=str(tmp_path),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        err = proc.stderr
+        assert len(err.splitlines()) == 1, err
         assert err.startswith("gpchaos: ") and "variance" in err
-        assert "Traceback" not in err
+        assert "quad: " in err  # quad's own diagnosis rides along
+
+    def test_two_dimensional_order_thirteen(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:7,6", "--n-max", "13"
+        )
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        norm = report["spectrum"]["integrated_norms"][13]
+        assert 0.0 < norm <= math.factorial(7) * math.factorial(6)
+
+    def test_two_dimensional_point_norm_overflow_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:100,100",
+            "--n-max", "200",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "gpchaos: 100! * 100! does not fit in double precision\n"
 
     def test_quadrature_diagnostics_block(self, capsys):
         code, out, err = run_cli(

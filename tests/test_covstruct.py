@@ -1,13 +1,15 @@
 """Tests for the cross-correlation matrix layer.
 
 Entry values are pinned by hand differentiation of exp(-t^2); norms by
-exact 2x2 identities and numpy's SVD as an independent oracle; tensor-power
-results by explicitly materialized Kronecker products for n <= 6.  The
+exact 2x2 identities and numpy's SVD as an independent oracle; the
+tensor-power weight by explicitly materialized Kronecker products for
+n <= 8 and by an exact rational sum for n <= 60.  The
 expansion of the squared HS sum at 0 is checked against the closed
 coefficient (r''''(0) - r''(0)^2)/r''(0), which the stencil doubles.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +31,39 @@ A2_KERNELS = ["sqexp:ell=1", "matern52", "matern:nu=2.5", "rq:alpha=2",
 
 
 def kron_power(A, n):
-    out = A.copy()
-    for _ in range(n - 1):
+    out = np.ones((1, 1))
+    for _ in range(n):
         out = np.kron(A, out)
     return out
+
+
+def symmetrized_coefficients(a, b):
+    """Chaos coefficients of H_a(X) H_b(Xdot / sigma) over {x, xdot}^n,
+    one binary digit per slot (1 = xdot): a! b! / n! on every index with
+    exactly b xdot-slots."""
+    n = a + b
+    xdot_slots = np.array([bin(i).count("1") for i in range(2**n)])
+    weight = math.factorial(a) * math.factorial(b) / math.factorial(n)
+    return np.where(xdot_slots == b, weight, 0.0)
+
+
+def exact_weight(p, q, r, s, a, b):
+    """N = sum_m n!/(m! (a-m)!^2 (b-a+m)!) p^m (qr)^(a-m) s^(b-a+m) / C(n, a)
+    in exact rational arithmetic on the float entries, and the bound
+    2 n eps sum_m |term_m| / C(n, a) on the rounding error of any
+    evaluation that takes 2n floating-point steps."""
+    p, q, r, s = (Fraction(float(v)) for v in (p, q, r, s))
+    n = a + b
+    terms = [
+        Fraction(math.factorial(n),
+                 math.factorial(m) * math.factorial(a - m) ** 2
+                 * math.factorial(b - a + m))
+        * p**m * (q * r) ** (a - m) * s ** (b - a + m)
+        for m in range(max(0, a - b), a + 1)
+    ]
+    scale = math.comb(n, a)
+    bound = 2 * n * np.finfo(float).eps * float(sum(map(abs, terms)) / scale)
+    return float(sum(terms) / scale), bound
 
 
 class TestAMatrix:
@@ -140,56 +171,81 @@ class TestTensorPower:
     def test_single_factor_selections(self):
         k = parse_kernel("sqexp:ell=1")
         a = a_matrix(k, 0.7)
-        assert_allclose(tensor_power_quadratic_form(k, 0.7, [1.0, 0.0]),
-                        a.a11, rtol=1e-14)
-        assert_allclose(tensor_power_quadratic_form(k, 0.7, [0.0, 1.0]),
-                        a.a22, rtol=1e-14)
-        # cross terms cancel by antisymmetry: full-ones c gives the trace
-        assert_allclose(tensor_power_quadratic_form(k, 0.7, [1.0, 1.0]),
-                        a.a11 + a.a22, rtol=1e-13)
+        assert_allclose(tensor_power_quadratic_form(k, 0.7, 1, 0), a.a11,
+                        rtol=1e-14)
+        assert_allclose(tensor_power_quadratic_form(k, 0.7, 0, 1), a.a22,
+                        rtol=1e-14)
+        # H_1(X) H_1(Xdot/sigma): c = (0, 1/2, 1/2, 0) picks the two
+        # off-diagonal products of A (x) A
+        assert_allclose(tensor_power_quadratic_form(k, 0.7, 1, 1),
+                        a.a11 * a.a22 + a.a12 * a.a21, rtol=1e-13)
 
     def test_two_factor_corner(self):
         k = parse_kernel("matern52")
         a = a_matrix(k, 0.4)
-        c = np.zeros(4)
-        c[0] = 1.0
-        assert_allclose(tensor_power_quadratic_form(k, 0.4, c), a.a11**2,
+        assert_allclose(tensor_power_quadratic_form(k, 0.4, 2, 0), a.a11**2,
+                        rtol=1e-14)
+        assert_allclose(tensor_power_quadratic_form(k, 0.4, 0, 2), a.a22**2,
                         rtol=1e-14)
 
     def test_identity_returns_norm_squared(self):
+        # N is normalized by <c, c>, so A(0) = I gives exactly 1
         k = parse_kernel("rq:alpha=2")
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal(2**5)
-        assert_allclose(tensor_power_quadratic_form(k, 0.0, c),
-                        float(np.dot(c, c)), rtol=1e-13)
+        for n in range(31):
+            for a in range(n + 1):
+                assert tensor_power_quadratic_form(k, 0.0, a, n - a) == 1.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_materialized_kronecker(self, n):
-        k = parse_kernel("sqexp:ell=1")
-        A = a_matrix(k, 0.37).as_array()
-        rng = np.random.default_rng(n)
-        c = rng.standard_normal(2**n)
-        direct = float(c @ kron_power(A, n) @ c)
-        assert_allclose(tensor_power_quadratic_form(k, 0.37, c), direct,
-                        rtol=1e-12, atol=1e-14)
+        for spec in ("sqexp:ell=1", "wendland:k=4"):
+            k = parse_kernel(spec)
+            K = kron_power(a_matrix(k, 0.37).as_array(), n)
+            for a in range(n + 1):
+                c = symmetrized_coefficients(a, n - a)
+                assert_allclose(np.dot(c, c),
+                                math.factorial(a) * math.factorial(n - a)
+                                / math.factorial(n), rtol=1e-14)
+                direct = float(c @ K @ c) / float(c @ c)
+                assert_allclose(tensor_power_quadratic_form(k, 0.37, a, n - a),
+                                direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", A2_KERNELS)
+    def test_matches_exact_rational_sum(self, spec):
+        k = parse_kernel(spec)
+        for t in (0.05, 0.3, 0.7, 1.5):
+            m = a_matrix(k, t)
+            for n in (1, 2, 5, 12, 31, 60):
+                for a in range(0, n + 1, 1 if n <= 12 else 7):
+                    exact, tol = exact_weight(m.a11, m.a12, m.a21, m.a22,
+                                              a, n - a)
+                    got = tensor_power_quadratic_form(k, t, a, n - a)
+                    assert abs(got - exact) <= tol, (t, a, n - a)
+
+    def test_swap_exchanges_the_coordinates(self):
+        # N_{a,b}(A) = N_{b,a}(P A P) with P the coordinate swap; the
+        # oracle is evaluated on the swapped side
+        k = parse_kernel("matern52")
+        for t in (0.2, 0.9):
+            m = a_matrix(k, t)
+            for a, b in ((3, 0), (5, 2), (9, 8), (40, 1)):
+                got = tensor_power_quadratic_form(k, t, a, b)
+                swapped, tol = exact_weight(m.a22, m.a21, m.a12, m.a11, b, a)
+                assert abs(got - swapped) <= tol, (t, a, b)
 
     def test_bounded_by_operator_norm_power(self):
         k = parse_kernel("matern52")
-        rng = np.random.default_rng(11)
         for t in (0.1, 0.4, 1.0):
             op = operator_norm(a_matrix(k, t))
-            for n in (2, 5, 8):
-                c = rng.standard_normal(2**n)
-                c[rng.random(2**n) < 0.8] = 0.0  # sparse coefficients
-                qf = tensor_power_quadratic_form(k, t, c)
-                assert abs(qf) <= op**n * float(np.dot(c, c)) * (1 + 1e-12)
+            for n in (2, 5, 8, 40):
+                for a in range(n + 1):
+                    qf = tensor_power_quadratic_form(k, t, a, n - a)
+                    assert abs(qf) <= op**n * (1 + 1e-12)
 
-    def test_rejects_bad_lengths(self):
+    def test_rejects_bad_orders(self):
         k = parse_kernel("sqexp:ell=1")
-        with pytest.raises(DomainError):
-            tensor_power_quadratic_form(k, 0.1, [1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            tensor_power_quadratic_form(k, 0.1, np.ones(2**13))
+        for a, b in ((-1, 2), (1, -2), (1.5, 0)):
+            with pytest.raises(DomainError):
+                tensor_power_quadratic_form(k, 0.1, a, b)
 
 
 class TestQuadraticBound:

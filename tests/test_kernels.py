@@ -34,13 +34,14 @@ from gpchaos.kernels import (
     RationalQuadratic,
     SquaredExponential,
     Wendland,
+    _wendland_phi,
+    _wendland_step,
     b_representation,
     fd_derivatives_at_zero,
     parse_kernel,
     r_derivatives_at_zero,
     reconstruct_r,
     wendland_poly,
-    wendland_repeated_integral_at_zero,
 )
 
 # Shared catalog for invariant sweeps; chosen to hit every family and both
@@ -403,31 +404,35 @@ class TestWendlandSpectralDensity:
                         rtol=1e-14)
 
 
+def wendland_moment(n, k):
+    """B(2n, k+2) / (2^{n-1} (n-1)!) as an exact rational."""
+    return Fraction(
+        math.factorial(2 * n - 1) * math.factorial(k + 1),
+        math.factorial(2 * n + k + 1)
+    ) / (2 ** (n - 1) * math.factorial(n - 1))
+
+
 class TestWendlandPolynomials:
     def test_repeated_integral_moment_identity(self):
         # n-fold application of psi -> int_t^1 s psi(s) ds to (1-t)^{k+1},
         # evaluated at 0, equals B(2n, k+2) / (2^{n-1} (n-1)!).  Both sides
         # are exact rationals.
-        for n in range(1, 6):
-            for k in range(0, 9):
-                lhs = wendland_repeated_integral_at_zero(n, k)
-                rhs = Fraction(
-                    math.factorial(2 * n - 1) * math.factorial(k + 1),
-                    math.factorial(2 * n + k + 1)
-                ) / (2 ** (n - 1) * math.factorial(n - 1))
-                assert lhs == rhs, (n, k)
+        for k in range(0, 9):
+            c = _wendland_phi(k + 1)
+            for n in range(1, 6):
+                c = _wendland_step(c)
+                assert c[0] == wendland_moment(n, k), (n, k)
 
     def test_double_integral_numeric_spot_check(self):
         # (n, k) = (2, 3) by nested quadrature of the defining operator
         val, _ = dblquad(lambda s, u: u * s * (1.0 - s) ** 4,
                          0.0, 1.0, lambda u: u, 1.0)
-        assert_allclose(float(wendland_repeated_integral_at_zero(2, 3)),
-                        val, rtol=1e-10)
+        c = _wendland_step(_wendland_step(_wendland_phi(4)))
+        assert_allclose(float(c[0]), val, rtol=1e-10)
 
     def test_poly_value_at_zero_consistency(self):
         for k in (1, 2, 3, 4):
-            assert wendland_poly(k)[0] == \
-                wendland_repeated_integral_at_zero(k, k)
+            assert wendland_poly(k)[0] == wendland_moment(k, k)
 
     def test_poly_vanishes_at_one(self):
         for k in (1, 2, 3, 4):

@@ -51,3 +51,19 @@ def test_tracer_wraps_every_timed_call_and_restores_it(spans):
 def test_sampler_probe_calls_exist():
     for name in ("sample_paths", "count_crossings", "build_embedding_plan"):
         assert callable(getattr(mc, name)), name
+
+
+def test_traced_h2_report_records_the_tensor_form(spans, capsys):
+    # covstruct.tensor_form_us is computed from these spans, so a chaos
+    # report that stops calling the public form breaks the traced run
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["chaos", "--kernel", "sqexp", "--functional", "H2:1,1", "--n-max", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    names = {span[3] for span in tracer.spans}
+    assert {"covstruct.tensor_power_quadratic_form", "chaos.integrated_chaos_norms"} <= names
+    metrics = spans.span_metrics(tracer.spans)
+    assert metrics["covstruct.tensor_form_us"] > 0.0

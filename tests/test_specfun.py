@@ -16,7 +16,6 @@ from gpchaos.errors import DomainError
 from gpchaos.specfun import (
     gamma_ln,
     hermite,
-    hermite_sequence,
     hyp2f1_terminating,
 )
 
@@ -109,17 +108,10 @@ class TestHermite:
         # E[H_m(xi) H_n(xi)] = n! delta_{mn} under the standard normal.
         nodes, weights = hermegauss(60)
         weights = weights / math.sqrt(2.0 * math.pi)
-        H = hermite_sequence(8, nodes)
+        H = np.stack([hermite(n, nodes) for n in range(9)])
         gram = (H * weights) @ H.T
         expected = np.diag([math.factorial(n) for n in range(9)])
         assert_allclose(gram, expected, atol=1e-8)
-
-    def test_sequence_matches_single(self):
-        x = np.linspace(-2.0, 2.0, 9)
-        H = hermite_sequence(6, x)
-        assert H.shape == (7, x.size)
-        for n in range(7):
-            assert_allclose(H[n], hermite(n, x), rtol=1e-13)
 
     def test_three_term_recurrence(self):
         # H_{n+1}(x) = x H_n(x) - n H_{n-1}(x)
