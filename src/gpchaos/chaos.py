@@ -408,15 +408,19 @@ def sobolev_norm(norms: dict, alpha: float) -> SobolevNorm:
     orders = sorted(int(n) for n in norms)
     if orders[0] < 0:
         raise DomainError(f"chaos orders must be nonnegative, got {orders[0]}")
-    increments = [(1.0 + n) ** alpha * float(norms[n]) for n in orders]
-    if min(increments) < 0.0:
+    values = [float(norms[n]) for n in orders]
+    if min(values) < 0.0:
         raise DomainError("squared norms must be nonnegative")
+    # scale by 2^(-2k), exactly, so that huge norms leave room for the
+    # weights and the sum; k = 0 unless the largest norm is above 2^512
+    k = max(0, math.frexp(max(values))[1] - 512) // 2
+    increments = [(1.0 + n) ** alpha * math.ldexp(v, -2 * k) for n, v in zip(orders, values)]
     total = math.fsum(increments)
     n_top = orders[-1]
     window_start = n_top - max(2, n_top // 4)
     tail = math.fsum(inc for n, inc in zip(orders, increments) if n > window_start)
     converged = tail <= SOBOLEV_CAUCHY_TOL * max(total, 1.0)
-    return SobolevNorm(math.sqrt(total), converged=converged)
+    return SobolevNorm(math.ldexp(math.sqrt(total), k), converged=converged)
 
 
 # ---------------------------------------------------------------------------

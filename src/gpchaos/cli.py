@@ -286,6 +286,8 @@ def cmd_simulate(args) -> str:
         "diagnostics": {
             "embedding_size": plan.embedding_size,
             "support_size": plan.support.size,
+            "synthesis": "direct" if plan.direct_synthesis else "band",
+            "band_length": None if plan.direct_synthesis else plan.band_length,
             "clipped": plan.clipped,
             "min_eigenvalue": plan.min_eigenvalue,
             "notes": plan.notes,

@@ -6,10 +6,10 @@ multiplying each spectral amplitude by i*lambda produces the derivative
 channel, so (X, dX) carry their exact joint law on the grid (up to reported
 eigenvalue clipping).  Normals are drawn only on the eigen-support (the
 modes whose floored eigenvalue is non-zero); the grid values are then
-synthesized either directly from a K x n Fourier basis or by a zero-filled
-inverse FFT, whichever the plan's sizes make cheaper.  Every path is a
-deterministic function of (seed, path_index) no matter how work is
-scheduled.
+synthesized either directly from a K x n Fourier basis or by a chirp-z
+transform of the band of signed frequencies that holds the support,
+whichever the plan's sizes make cheaper.  Every path is a deterministic
+function of (seed, path_index) no matter how work is scheduled.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .chaos import Functional
 from .errors import DomainError, EmbeddingFailure
 from .kernels import Kernel
-from .specfun import hermite
 
 __all__ = [
     "EmbeddingPlan",
@@ -56,6 +56,16 @@ EIGENVALUE_FLOOR = 1e-12
 
 # Doublings of the embedding size allowed while chasing covariance tails.
 GROWTH_CAP = 6
+
+# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L: a
+# pair's K x n basis product costs about as much as band synthesis at 30
+# times L log2 L, the break-even of a timing sweep over 40 plans.
+SYNTHESIS_COST_RATIO = 30.0
+
+# Largest K n of a direct route: its two (2K, n) maps hold 32 K n bytes, so
+# this caps the basis at 64 MiB (a full-support rq:alpha=0.5 plan at grid
+# 256 would otherwise pick a 512 MiB basis).
+DIRECT_BASIS_LIMIT = 1 << 21
 
 _BINARY_MAGIC = b"GPRG"
 _BINARY_VERSION = 1
@@ -102,11 +112,28 @@ class EmbeddingPlan:
     min_eigenvalue: float
     notes: tuple
 
+    @cached_property
+    def _signed_support(self) -> np.ndarray:
+        """The support's signed frequencies, in [-m/2, m/2)."""
+        m = self.embedding_size
+        return (self.support + m // 2) % m - m // 2
+
+    @property
+    def band_length(self) -> int:
+        """L, the FFT length of band synthesis: enough for a linear
+        convolution of the support's band with n grid values, never above m."""
+        band = int(self._signed_support.max() - self._signed_support.min()) + 1
+        return min(self.embedding_size, scipy.fft.next_fast_len(self.grid_points + band - 1))
+
     @property
     def direct_synthesis(self) -> bool:
-        """True when K x n direct synthesis is cheaper than an m-point FFT."""
-        m = self.embedding_size
-        return self.support.size * self.grid_points < m * math.log2(m)
+        """True when K x n direct synthesis is cheaper than band synthesis,
+        whose FFTs of length L cost about SYNTHESIS_COST_RATIO * L log2 L,
+        and its basis fits DIRECT_BASIS_LIMIT."""
+        work = self.support.size * self.grid_points
+        length = self.band_length
+        return (work <= DIRECT_BASIS_LIMIT
+                and work < SYNTHESIS_COST_RATIO * length * math.log2(length))
 
     @cached_property
     def _direct_basis(self) -> tuple:
@@ -126,6 +153,35 @@ class EmbeddingPlan:
         rows *= (np.sqrt(self.eigenvalues[k] * m) / m)[:, None]
         deriv = rows * (1j * self.angular_frequencies[k])[:, None]
         return tuple(np.concatenate([f.real, -f.imag]) for f in (rows, deriv))
+
+    @cached_property
+    def _band_chirps(self) -> tuple:
+        """Chirp-z (Bluestein) data for band synthesis, with w = exp(2 pi i / m).
+
+        Grid value j of a band spectrum c_b at signed frequency k0 + b is
+        w^(j^2/2 + k0 j) / m * sum_b [c_b w^(b^2/2)] w^(-(j-b)^2/2), a
+        convolution done with length-L FFTs.  Returns the band position of
+        each support mode, the x and dX amplitudes times w^(b^2/2), the FFT
+        of the kernel w^(-d^2/2) and the output chirp with its 1/m.  As m is
+        even the kernel has period m, so L = m aliases nothing.
+        """
+        m = self.embedding_size
+        n = self.grid_points
+        k0 = int(self._signed_support.min())
+        length = self.band_length
+
+        def chirp(q):  # w^(q/2), with q reduced mod 2m in integers
+            return np.exp((1j * math.pi / m) * (q % (2 * m)))
+
+        k = self.support
+        position = self._signed_support - k0
+        amp = np.sqrt(self.eigenvalues[k] * m) * chirp(position * position)
+        lag = np.arange(length)
+        lag = np.where(lag < n, lag, lag - length)  # d and d - L share a slot
+        kernel = scipy.fft.fft(chirp(-lag * lag))
+        j = np.arange(n)
+        post = chirp(j * j + 2 * k0 * j) / m
+        return position, amp, amp * (1j * self.angular_frequencies[k]), kernel, post
 
 
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
@@ -254,22 +310,24 @@ def _direct_paths(plan: EmbeddingPlan, draws, values_only=False):
     return signed @ x_basis, None if values_only else signed @ xdot_basis
 
 
-def _fft_paths(plan: EmbeddingPlan, draws, values_only=False):
-    """Paths of a pair block by a zero-filled m-point inverse FFT."""
+def _band_paths(plan: EmbeddingPlan, draws, values_only=False):
+    """Paths of a pair block by chirp-z synthesis of the support band."""
     count = draws.shape[0]
-    m = plan.embedding_size
     k = plan.support.size
-    spectral = np.zeros((count, m), dtype=complex)
+    position, x_amp, xdot_amp, kernel, post = plan._band_chirps
     z = draws[:, :k] + 1j * draws[:, k:]
-    spectral[:, plan.support] = np.sqrt(plan.eigenvalues[plan.support] * m) * z
     n = plan.grid_points
 
-    def paths(spectrum):  # rows 2i and 2i+1: real and imaginary part of pair i
-        field = np.fft.ifft(spectrum, axis=1)[:, :n]
+    def paths(amp):  # rows 2i and 2i+1: real and imaginary part of pair i
+        buffer = np.zeros((count, kernel.size), dtype=complex)
+        for row, spectral in zip(buffer, amp * z):  # a 2-D scatter is far slower
+            row[position] = spectral
+        spectrum = scipy.fft.fft(buffer, axis=1, overwrite_x=True)
+        spectrum *= kernel
+        field = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)[:, :n] * post
         return np.stack([field.real, field.imag], axis=1).reshape(2 * count, n)
 
-    x = paths(spectral)
-    return x, None if values_only else paths(1j * plan.angular_frequencies * spectral)
+    return paths(x_amp), None if values_only else paths(xdot_amp)
 
 
 def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
@@ -278,7 +336,7 @@ def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
     field per pair, the real part feeding the even path and the imaginary
     part the odd one.  ``values_only`` leaves xdot None."""
     draws = _support_draws(plan, seed, pair_start, pair_stop)
-    synthesize = _direct_paths if plan.direct_synthesis else _fft_paths
+    synthesize = _direct_paths if plan.direct_synthesis else _band_paths
     return synthesize(plan, draws, values_only)
 
 
@@ -430,12 +488,20 @@ def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
 # integrated functionals
 
 
-def _evaluate_functional(func: Functional, x, xdot_normalized):
-    if func.kind == "H2":
-        return hermite(func.a, x) * hermite(func.b, xdot_normalized)
-    v = xdot_normalized if func.axis == "xdot" else x
-    if func.kind == "H":
-        return hermite(func.m, v)
+def _hermite_rungs(v, orders) -> dict:
+    """{k: H_k(v)} for each k in ``orders``, from one run of the recurrence
+    H_{k+1} = v H_k - k H_{k-1} that holds two rungs beside the ones kept."""
+    rungs = {0: np.ones_like(v)} if 0 in orders else {}
+    h_prev, h = 1.0, v
+    for k in range(1, max(orders, default=0) + 1):
+        if k > 1:
+            h, h_prev = v * h - (k - 1) * h_prev, h
+        if k in orders:
+            rungs[k] = h
+    return rungs
+
+
+def _scalar_functional(func: Functional, v):
     if func.kind == "sign":
         return np.sign(v)
     if func.kind == "abs":
@@ -473,23 +539,32 @@ def mc_integrated_functionals(
         plan = build_embedding_plan(kernel, grid_points)
 
     values_only = all(f.kind != "H2" and f.axis != "xdot" for f in functionals)
+    orders = {"x": set(), "xdot": set()}
+    for f in functionals:
+        if f.kind == "H2":
+            orders["x"].add(f.a)
+            orders["xdot"].add(f.b)
+        elif f.kind == "H":
+            orders[f.axis].add(f.m)
+    # trapezoid weights on [0, 1]: the integral of a row is one product
+    weights = np.full(plan.grid_points, plan.grid_step)
+    weights[[0, -1]] = 0.5 * plan.grid_step
 
     def statistic(x, xd):
-        xn = None if values_only else xd / plan.sigma
-        rows = [
-            np.trapezoid(_evaluate_functional(f, x, xn), dx=plan.grid_step, axis=1)
-            for f in functionals
-        ]
-        return np.concatenate(rows)  # len(functionals) blocks per chunk
+        channels = {"x": x} if values_only else {"x": x, "xdot": xd / plan.sigma}
+        rungs = {axis: _hermite_rungs(v, orders[axis]) for axis, v in channels.items()}
+        columns = []
+        for f in functionals:
+            if f.kind == "H2":
+                values = rungs["x"][f.a] * rungs["xdot"][f.b]
+            elif f.kind == "H":
+                values = rungs[f.axis][f.m]
+            else:
+                values = _scalar_functional(f, channels[f.axis])
+            columns.append(values @ weights)
+        return np.column_stack(columns).ravel()  # path-major, one entry per functional
 
-    stacked = _per_path_values(
-        plan,
-        seed,
-        n_paths,
-        lambda x, xd: statistic(x, xd).reshape(len(functionals), -1).T.ravel(),
-        workers,
-        values_only,
-    )
+    stacked = _per_path_values(plan, seed, n_paths, statistic, workers, values_only)
     per_func = stacked.reshape(-1, len(functionals)).T
     out = []
     for f, values in zip(functionals, per_func):

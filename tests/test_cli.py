@@ -203,6 +203,23 @@ class TestChaosCommand:
         norm = report["spectrum"]["integrated_norms"][13]
         assert 0.0 < norm <= math.factorial(7) * math.factorial(6)
 
+    @pytest.mark.parametrize("functional,degree", [("H:170", 170), ("H2:170,1", 171)])
+    def test_sobolev_norm_past_the_double_range(self, capsys, functional, degree):
+        # one point norm of 170! at order `degree` with weight 1 + degree:
+        # the weighted sum overflows a double, its square root does not
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", functional,
+            "--n-max", str(degree), "--alpha", "1",
+        )
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        exact = math.isqrt((1 + degree) * math.factorial(170))
+        assert report["sobolev"]["1"]["point"] == pytest.approx(exact, rel=1e-12)
+
     def test_two_dimensional_point_norm_overflow_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:100,100",
@@ -289,10 +306,19 @@ class TestSimulateCommand:
         assert report["diagnostics"] == {
             "embedding_size": 4096,
             "support_size": 27,
+            "synthesis": "direct",
+            "band_length": None,
             "clipped": plan.clipped,
             "min_eigenvalue": plan.min_eigenvalue,
             "notes": list(plan.notes),
         }
+        band = run_json(
+            capsys, "simulate", "--kernel", "matern52", "--paths", "2", "--grid", "2048",
+        )["diagnostics"]
+        assert band["embedding_size"] == 32768
+        assert band["support_size"] == 1139
+        assert band["synthesis"] == "band"
+        assert band["band_length"] == 3200
 
     def test_report_is_byte_identical_on_rerun(self, capsys):
         argv = ("simulate", "--kernel", "sqexp", "--functional", "H:2",

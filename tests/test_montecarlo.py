@@ -2,13 +2,15 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.fft import next_fast_len
 
 from gpchaos import montecarlo as mc
 from gpchaos.chaos import chaos_spectrum, integrated_chaos_norms, parse_functional
@@ -191,15 +193,19 @@ def _pre_support_pair_block(plan, seed, pair_start, pair_stop):
     """The sampler before support-only draws: 2m normals and two m-point
     inverse FFTs per path pair."""
     m = plan.embedding_size
-    count = pair_stop - pair_start
-    amp = np.sqrt(plan.eigenvalues * m)
-    z = np.empty((count, m), dtype=complex)
+    z = np.empty((pair_stop - pair_start, m), dtype=complex)
     for i, pair in enumerate(range(pair_start, pair_stop)):
         draws = np.random.Generator(
             np.random.Philox(key=[seed, pair])
         ).standard_normal(2 * m)
         z[i] = draws[:m] + 1j * draws[m:]
-    spectral = amp * z
+    return _m_point_paths(plan, z)
+
+
+def _m_point_paths(plan, z):
+    """Paths of complex normals z on all m modes by two m-point inverse FFTs."""
+    count, m = z.shape
+    spectral = np.sqrt(plan.eigenvalues * m) * z
     n = plan.grid_points
     field_x = np.fft.ifft(spectral, axis=1)[:, :n]
     field_d = np.fft.ifft(1j * plan.angular_frequencies * spectral, axis=1)[:, :n]
@@ -212,28 +218,86 @@ def _pre_support_pair_block(plan, seed, pair_start, pair_stop):
     return x, xdot
 
 
+def _support_oracle(plan, draws):
+    """The m-point oracle on a block of support draws."""
+    k = plan.support.size
+    z = np.zeros((draws.shape[0], plan.embedding_size), dtype=complex)
+    z[:, plan.support] = draws[:, :k] + 1j * draws[:, k:]
+    return _m_point_paths(plan, z)
+
+
+# Plans of the benchmark and the acceptance criteria, and matern32, whose
+# full support makes the band the whole embedding (L = m).
+_ROUTE_PLANS = [
+    ("rq:alpha=2,ell=1", 512),
+    ("matern52", 2048),
+    ("sqexp", 512),
+    ("sqexp", 256),
+    ("sqexp", 2048),
+    ("matern32", 512),
+]
+
+
 class TestSynthesisRoutes:
     def test_route_follows_the_cost_model(self):
-        # K n against m log2 m: rq has 1,269 of 131,072 modes at grid 512,
-        # matern52 1,139 of 32,768 at grid 2048.
-        direct = mc.build_embedding_plan(RQ, 512)
-        fft = mc.build_embedding_plan(MATERN52, 2048)
-        assert direct.direct_synthesis
-        assert not fft.direct_synthesis
-        for plan in (direct, fft):
-            k, n, m = plan.support.size, plan.grid_points, plan.embedding_size
-            assert (k * n < m * math.log2(m)) == plan.direct_synthesis
+        # K n against c L log2 L: sqexp has 27 modes in a band of 27 at grid
+        # 512 (L = 539), matern52 1,139 in a band of 1,139 at grid 2048
+        # (L = 3,200 of m = 32,768) and rq 1,269 at grid 512 (L = 1,782 of
+        # m = 131,072).
+        # rq:alpha=0.5 has full support, 65,536 modes: direct would be the
+        # cheaper route but its basis would take 512 MiB.
+        cases = _ROUTE_PLANS + [("rq:alpha=0.5,ell=1", 256)]
+        plans = {(spec, grid): mc.build_embedding_plan(parse_kernel(spec), grid)
+                 for spec, grid in cases}
+        assert plans["sqexp", 512].direct_synthesis
+        assert plans["sqexp", 2048].direct_synthesis
+        assert not plans["matern52", 2048].direct_synthesis
+        assert not plans["rq:alpha=2,ell=1", 512].direct_synthesis
+        assert not plans["rq:alpha=0.5,ell=1", 256].direct_synthesis
+        assert plans["matern52", 2048].band_length == 3200
+        assert plans["matern32", 512].band_length == plans["matern32", 512].embedding_size
+        for plan in plans.values():
+            k, n, band = plan.support.size, plan.grid_points, plan.band_length
+            signed = np.where(plan.support < plan.embedding_size // 2, plan.support,
+                              plan.support - plan.embedding_size)
+            width = signed.max() - signed.min() + 1
+            assert band == min(plan.embedding_size, next_fast_len(n + width - 1))
+            cost = mc.SYNTHESIS_COST_RATIO * band * math.log2(band)
+            assert (k * n <= mc.DIRECT_BASIS_LIMIT and k * n < cost) == plan.direct_synthesis
 
-    @pytest.mark.parametrize("spec,grid", [("rq:alpha=2,ell=1", 512), ("matern52", 2048)])
+    @pytest.mark.parametrize("spec,grid", _ROUTE_PLANS)
     def test_routes_agree_on_the_same_draws(self, spec, grid):
         plan = mc.build_embedding_plan(parse_kernel(spec), grid)
         draws = mc._support_draws(plan, 7, 3, 7)
         assert draws.shape == (4, 2 * plan.support.size)
-        direct_x, direct_xdot = mc._direct_paths(plan, draws)
-        fft_x, fft_xdot = mc._fft_paths(plan, draws)
-        assert direct_x.shape == fft_x.shape == (8, grid)
-        assert_allclose(direct_x, fft_x, rtol=0.0, atol=1e-12)
-        assert_allclose(direct_xdot, fft_xdot, rtol=0.0, atol=1e-12)
+        oracle_x, oracle_xdot = _support_oracle(plan, draws)
+        for route in (mc._direct_paths, mc._band_paths):
+            x, xdot = route(plan, draws)
+            assert x.shape == xdot.shape == (8, grid)
+            assert_allclose(x, oracle_x, rtol=0.0, atol=1e-12)
+            assert_allclose(xdot, oracle_xdot, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["sqexp", "matern52", "rq:alpha=2,"]),
+        ell=st.floats(0.2, 3.0),
+        grid=st.integers(2, 300),
+        holes=st.booleans(),
+    )
+    def test_band_route_equals_the_direct_route(self, family, ell, grid, holes):
+        prefix = family if family.endswith(",") else family + ":"
+        plan = mc.build_embedding_plan(parse_kernel(f"{prefix}ell={ell}"), grid)
+        if holes and plan.support.size > 2:
+            # a support with gaps inside its band
+            eigenvalues = plan.eigenvalues.copy()
+            eigenvalues[plan.support[1::3]] = 0.0
+            plan = replace(plan, eigenvalues=eigenvalues,
+                           support=np.flatnonzero(eigenvalues))
+        draws = mc._support_draws(plan, 3, 0, 3)
+        direct = mc._direct_paths(plan, draws)
+        band = mc._band_paths(plan, draws)
+        for got, want in zip(band, direct):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048)])
     def test_value_only_blocks_are_the_x_half(self, spec, grid):
@@ -269,8 +333,8 @@ class TestSynthesisRoutes:
         for lo, hi in ((0, 3), (5, 6)):
             x, xdot = mc._pair_block(plan, 13, lo, hi)
             old_x, old_xdot = _pre_support_pair_block(plan, 13, lo, hi)
-            assert_array_equal(x, old_x)
-            assert_array_equal(xdot, old_xdot)
+            assert_allclose(x, old_x, rtol=0.0, atol=1e-12)
+            assert_allclose(xdot, old_xdot, rtol=0.0, atol=1e-12)
 
     def test_direct_route_marginal_law(self):
         x, xd = _stack(RQ, 256, 4000, seed=24)
