@@ -27,6 +27,7 @@ import scipy.fft
 from .chaos import Functional
 from .errors import DomainError, EmbeddingFailure
 from .kernels import Kernel
+from .specfun import hermite
 
 __all__ = [
     "EmbeddingPlan",
@@ -57,9 +58,9 @@ EIGENVALUE_FLOOR = 1e-12
 # Doublings of the embedding size allowed while chasing covariance tails.
 GROWTH_CAP = 6
 
-# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L: a
-# pair's K x n basis product costs about as much as band synthesis at 30
-# times L log2 L, the break-even of a timing sweep over 40 plans.
+# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L.  In a
+# timing sweep over 40 plans on a 2-core box, the K x n basis product and
+# band synthesis took equal time near this ratio.
 SYNTHESIS_COST_RATIO = 30.0
 
 # Largest K n of a direct route: its two (2K, n) maps hold 32 K n bytes, so
@@ -488,19 +489,6 @@ def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
 # integrated functionals
 
 
-def _hermite_rungs(v, orders) -> dict:
-    """{k: H_k(v)} for each k in ``orders``, from one run of the recurrence
-    H_{k+1} = v H_k - k H_{k-1} that holds two rungs beside the ones kept."""
-    rungs = {0: np.ones_like(v)} if 0 in orders else {}
-    h_prev, h = 1.0, v
-    for k in range(1, max(orders, default=0) + 1):
-        if k > 1:
-            h, h_prev = v * h - (k - 1) * h_prev, h
-        if k in orders:
-            rungs[k] = h
-    return rungs
-
-
 def _scalar_functional(func: Functional, v):
     if func.kind == "sign":
         return np.sign(v)
@@ -552,7 +540,7 @@ def mc_integrated_functionals(
 
     def statistic(x, xd):
         channels = {"x": x} if values_only else {"x": x, "xdot": xd / plan.sigma}
-        rungs = {axis: _hermite_rungs(v, orders[axis]) for axis, v in channels.items()}
+        rungs = {axis: hermite(orders[axis], v) for axis, v in channels.items()}
         columns = []
         for f in functionals:
             if f.kind == "H2":

@@ -54,22 +54,29 @@ def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:
     return float(total)
 
 
-def hermite(n: int, x) -> float | np.ndarray:
-    """Probabilists' Hermite polynomial ``H_n(x)``.
+def hermite(n, x):
+    """Probabilists' Hermite polynomial ``H_n(x)``, vectorized over ``x``.
 
     Three-term recurrence ``H_{k+1} = x H_k - k H_{k-1}`` with ``H_0 = 1``,
-    ``H_1 = x``.  Vectorized over ``x``.
+    ``H_1 = x``.  For a set of orders ``n``, one run of the recurrence
+    returns ``{k: H_k(x)}`` for each of them and holds only two rungs beside
+    the ones kept; ``H_1`` is then ``x`` itself, not a copy.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"hermite requires integer n >= 0, got {n!r}")
+    ladder = isinstance(n, (set, frozenset))
+    orders = n if ladder else {n}
+    for k in orders:
+        if k < 0 or k != int(k):
+            raise DomainError(f"hermite requires integer n >= 0, got {k!r}")
     x = np.asarray(x, dtype=float)
-    if int(n) == 0:
-        h = np.ones_like(x)
-    elif int(n) == 1:
-        h = x.copy()
-    else:
-        # start from H_2 = x^2 - 1 so H_0 is never materialized
-        h_prev, h = x, x * x - 1.0
-        for k in range(2, int(n)):
-            h, h_prev = x * h - k * h_prev, h
+    rungs = {0: np.ones_like(x)} if 0 in orders else {}
+    h_prev, h = 1.0, x
+    for k in range(1, int(max(orders, default=0)) + 1):
+        if k > 1:
+            h, h_prev = x * h - (k - 1) * h_prev, h
+        if k in orders:
+            rungs[k] = h
+    if ladder:
+        return rungs
+    h = rungs[int(n)]
+    h = h.copy() if h is x else h
     return h if h.ndim else float(h)

@@ -15,6 +15,8 @@ import pytest
 
 from gpchaos import cli
 from gpchaos import montecarlo as mc
+from gpchaos.chaos import parse_functional
+from gpchaos.kernels import parse_kernel
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -67,3 +69,18 @@ def test_traced_h2_report_records_the_tensor_form(spans, capsys):
     assert {"covstruct.tensor_power_quadratic_form", "chaos.integrated_chaos_norms"} <= names
     metrics = spans.span_metrics(tracer.spans)
     assert metrics["covstruct.tensor_form_us"] > 0.0
+
+
+def test_traced_monte_carlo_functionals_record_hermite(spans):
+    # specfun.hermite_s is computed from these spans, and on the
+    # verify-sparse and simulate-dense runs the Monte Carlo statistic is
+    # the only caller of the public Hermite recurrence
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        mc.mc_integrated_functionals(
+            [parse_functional("H:2")], parse_kernel("sqexp"), n_paths=4, grid_points=64, seed=0
+        )
+    finally:
+        tracer.uninstall()
+    assert spans.span_metrics(tracer.spans)["specfun.hermite_s"] > 0.0

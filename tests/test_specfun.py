@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gpchaos.errors import DomainError
 from gpchaos.specfun import (
@@ -103,6 +103,23 @@ class TestHermite:
 
     def test_scalar_anchor(self):
         assert hermite(3, 2.0) == 2.0  # 8 - 6
+
+    def test_ladder_matches_single_orders(self):
+        # one recurrence for a set of orders gives each H_k bit for bit
+        x = np.linspace(-5.0, 5.0, 41)
+        orders = {0, 1, 3, 4, 9}
+        rungs = hermite(orders, x)
+        assert set(rungs) == orders
+        for k in orders:
+            assert_array_equal(rungs[k], hermite(k, x))
+        assert hermite(set(), x) == {}
+        with pytest.raises(DomainError):
+            hermite({2, -1}, x)
+
+    def test_single_order_returns_a_new_array(self):
+        x = np.array([0.5, -1.0])
+        hermite(1, x)[0] = 9.0
+        assert x[0] == 0.5
 
     def test_orthogonality_gauss_hermite(self):
         # E[H_m(xi) H_n(xi)] = n! delta_{mn} under the standard normal.
