@@ -414,7 +414,13 @@ def sobolev_norm(norms: dict, alpha: float) -> SobolevNorm:
     # scale by 2^(-2k), exactly, so that huge norms leave room for the
     # weights and the sum; k = 0 unless the largest norm is above 2^512
     k = max(0, math.frexp(max(values))[1] - 512) // 2
-    increments = [(1.0 + n) ** alpha * math.ldexp(v, -2 * k) for n, v in zip(orders, values)]
+    try:
+        weights = [(1.0 + n) ** alpha for n in orders]
+    except OverflowError:
+        raise DomainError(
+            f"Sobolev weight (1 + {orders[-1]})^{alpha:g} does not fit in double precision"
+        ) from None
+    increments = [w * math.ldexp(v, -2 * k) for w, v in zip(weights, values)]
     total = math.fsum(increments)
     n_top = orders[-1]
     window_start = n_top - max(2, n_top // 4)

@@ -229,6 +229,15 @@ class TestChaosCommand:
         assert out == ""
         assert err == "gpchaos: 100! * 100! does not fit in double precision\n"
 
+    def test_sobolev_weight_overflow_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", "H:4", "--n-max", "40",
+            "--alpha", "300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "gpchaos: Sobolev weight (1 + 40)^300 does not fit in double precision\n"
+
     def test_quadrature_diagnostics_block(self, capsys):
         code, out, err = run_cli(
             capsys, "chaos", "--kernel", "sqexp", "--functional", "H2:1,1", "--n-max", "4"
