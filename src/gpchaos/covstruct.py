@@ -41,6 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AMatrix:
+    """The entries of A(t); arrays shaped like ``t`` when ``t`` is one."""
+
     a11: float
     a12: float
     a21: float
@@ -51,14 +53,14 @@ class AMatrix:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]])
 
 
-def a_matrix(kernel: Kernel, t: float) -> AMatrix:
-    """A(t) from the kernel's first two derivatives; raises
-    NotDifferentiable when r''(0) does not exist."""
+def a_matrix(kernel: Kernel, t) -> AMatrix:
+    """A(t) from the kernel's first two derivatives, elementwise over an
+    array ``t``; raises NotDifferentiable when r''(0) does not exist."""
     sig2 = -kernel.r2_zero()
     sig = math.sqrt(sig2)
     a12 = -kernel.r_prime(t) / sig
     return AMatrix(kernel.r(t), a12, -a12, -kernel.r_second(t) / sig2,
-                   float(t))
+                   t if np.ndim(t) else float(t))
 
 
 def _entries(a):
@@ -133,9 +135,10 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
 # tensor powers
 
 
-def tensor_power_quadratic_form(kernel: Kernel, t: float, a: int, b: int) -> float:
+def tensor_power_quadratic_form(kernel: Kernel, t, a: int, b: int):
     """N(t) = <c, A(t)^{tensor n} c> / <c, c>, n = a + b, for c the
-    symmetrized chaos coefficients of H_a(X) H_b(Xdot / sigma).
+    symmetrized chaos coefficients of H_a(X) H_b(Xdot / sigma); a float,
+    or an array shaped like ``t`` when ``t`` is one.
 
     With A = [[p, q], [r, s]] (conjugated by the coordinate swap when
     a > b, so that a <= b), beta = b - a, D = ps - qr and E = ps + qr,
@@ -161,7 +164,8 @@ def tensor_power_quadratic_form(kernel: Kernel, t: float, a: int, b: int) -> flo
             (c - 1) * (c * (c - 2) * e - beta * beta * d) * cur
             - 2 * (k - 1) * (k + beta - 1) * c * d * d * prev
         ) / (2 * k * (k + beta) * (c - 2))
-    return float(s**beta * cur)
+    out = s**beta * cur
+    return out if np.ndim(t) else float(out)
 
 
 # --------------------------------------------------------------------------
@@ -200,16 +204,13 @@ def quadratic_bound_fit(kernel: Kernel, n_points: int = 200
     r2, r4 = kernel.r2_zero(), kernel.r4_zero()
     window = 0.5 * min(1.0, kernel.length_scale)
     t = np.linspace(0.0, window, n_points + 1)[1:]
-    sig2 = -r2
-    a11 = kernel.r(t)
-    a12 = -kernel.r_prime(t) / math.sqrt(sig2)
-    a22 = -kernel.r_second(t) / sig2
-    h = a11**2 + 2.0 * a12**2 + a22**2
+    m = a_matrix(kernel, t)
+    h = m.a11**2 + 2.0 * m.a12**2 + m.a22**2
     nhs_y = (1.0 - np.sqrt(h / 2.0)) / t**2
-    op_y = (1.0 - _op_norm_closed(a11, a12, -a12, a22)) / t**2
+    op_y = (1.0 - _op_norm_closed(m.a11, m.a12, m.a21, m.a22)) / t**2
     c_hat, se = _infimum_minus_3se(nhs_y)
     c_op, se_op = _infimum_minus_3se(op_y)
-    limit = (r4 - r2 * r2) / (4.0 * sig2)
+    limit = (r4 - r2 * r2) / (-4.0 * r2)
     notes = [
         "bound fitted on the normalized Hilbert-Schmidt norm sqrt(h/2); "
         f"its t->0 quadratic coefficient is {limit:.6g}",

@@ -96,6 +96,17 @@ class TestAMatrix:
             a = a_matrix(k, t)
             assert np.max(np.abs(a.as_array())) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("spec", A2_KERNELS)
+    def test_array_lags_match_scalar_lags(self, spec):
+        k = parse_kernel(spec)
+        t = np.linspace(-1.5, 1.5, 13)
+        m = a_matrix(k, t)
+        for field in ("a11", "a12", "a21", "a22"):
+            got = getattr(m, field)
+            assert got.shape == t.shape
+            assert_allclose(got, [getattr(a_matrix(k, ti), field) for ti in t],
+                            rtol=1e-15, atol=1e-300)
+
     def test_requires_second_derivative(self):
         with pytest.raises(NotDifferentiable):
             a_matrix(parse_kernel("matern12"), 0.5)
@@ -240,6 +251,16 @@ class TestTensorPower:
                 for a in range(n + 1):
                     qf = tensor_power_quadratic_form(k, t, a, n - a)
                     assert abs(qf) <= op**n * (1 + 1e-12)
+
+    @pytest.mark.parametrize("spec", A2_KERNELS)
+    def test_array_lags_match_scalar_lags(self, spec):
+        k = parse_kernel(spec)
+        t = np.linspace(-1.5, 1.5, 13)
+        for a, b in ((0, 0), (1, 0), (0, 3), (3, 2), (7, 6), (40, 1)):
+            got = tensor_power_quadratic_form(k, t, a, b)
+            assert got.shape == t.shape
+            assert_allclose(got, [tensor_power_quadratic_form(k, ti, a, b) for ti in t],
+                            rtol=1e-15, atol=1e-300)
 
     def test_rejects_bad_orders(self):
         k = parse_kernel("sqexp:ell=1")
