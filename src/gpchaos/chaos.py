@@ -17,13 +17,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import DecaySeries, fit_decay_exponent
 from .covstruct import tensor_power_quadratic_form
 from .errors import DomainError, QuadratureFailure
 from .kernels import Kernel
-from .specfun import hermite
 
 __all__ = [
     "Functional",
@@ -173,33 +171,41 @@ def parse_functional(text: str) -> Functional:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional Hermite coefficients
+# one-dimensional point norms
 
 
-def _exact_scalar_coefficients(func: Functional, n_max: int):
-    """Closed-form Hermite coefficients of sign, abs, and indicators.
+def _scalar_point_norms(func: Functional, n_max: int) -> np.ndarray:
+    """Closed-form squared chaos norms n! c_n^2 of sign, abs and indicators.
 
     Half-line moments reduce to int_u^inf H_n phi = H_{n-1}(u) phi(u) for
-    n >= 1, so every coefficient is a finite Hermite evaluation.
+    n >= 1, so c_n = H_{n-1}(u) phi(u) / n! for the indicator of (u, inf);
+    sign is twice the indicator at 0 above order 0, and abs has
+    c_n = 2 phi(0) H_{n-2}(0) / n!, because H_n(0) = -(n - 1) H_{n-2}(0).
+    The normalized Hermite values h_k = H_k / sqrt(k!) follow
+    h_{k+1} = (u h_k - sqrt(k) h_{k-1}) / sqrt(k + 1), so no factorial
+    and no H_k is ever formed, and every order is one step of the pass.
+    The pass runs in extended precision where the platform has it (a
+    64-bit significand on x86-64): near a zero of h_k the square of a
+    double recurrence keeps only about 1e-11 of its relative accuracy.
     """
-    out = np.zeros(n_max + 1)
-    if func.kind == "sign":
-        for n in range(1, n_max + 1, 2):
-            out[n] = 2.0 * hermite(n - 1, 0.0) * _PHI0 / math.factorial(n)
-    elif func.kind == "ind":
-        u = float(func.level)
-        out[0] = _std_normal_sf(u)
-        pdf_u = _std_normal_pdf(u)
-        for n in range(1, n_max + 1):
-            out[n] = hermite(n - 1, u) * pdf_u / math.factorial(n)
-    elif func.kind == "abs":
-        out[0] = math.sqrt(2.0 / math.pi)
-        for n in range(2, n_max + 1, 2):
-            moment = 2.0 * _PHI0 * (hermite(n, 0.0) + n * hermite(n - 2, 0.0))
-            out[n] = moment / math.factorial(n)
-    else:  # pragma: no cover - guarded by caller
-        raise DomainError(f"no exact expansion for kind {func.kind!r}")
-    return out
+    u = float(func.level) if func.kind == "ind" else 0.0
+    h = np.zeros(n_max + 1, dtype=np.longdouble)
+    h[0] = 1.0
+    if n_max >= 1:
+        h[1] = u
+    root = np.sqrt(np.arange(n_max + 1, dtype=np.longdouble))
+    for k in range(1, n_max):
+        h[k + 1] = (u * h[k] - root[k] * h[k - 1]) / root[k + 1]
+    n = np.arange(1, n_max + 1, dtype=np.longdouble)
+    out = np.zeros(n_max + 1, dtype=np.longdouble)
+    if func.kind == "abs":
+        out[0] = 2.0 / math.pi
+        out[2:] = (2.0 * _PHI0) ** 2 * h[:-2] ** 2 / (n[1:] * n[:-1])
+    else:
+        scale = 2.0 * _PHI0 if func.kind == "sign" else _std_normal_pdf(u)
+        out[0] = _std_normal_sf(u) ** 2 if func.kind == "ind" else 0.0
+        out[1:] = scale**2 * h[:-1] ** 2 / n
+    return out.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +228,10 @@ _QUAD_LOG: ContextVar = ContextVar("gpchaos_quad_log", default=None)
 
 
 class QuadLog:
-    """Largest error estimate of the time-average quadratures run while the
-    log is entered, and whether each ended without a quad warning and met
-    its tolerance max(epsabs, epsrel |value|).  Entering it again after it
-    exits extends it."""
+    """Largest error estimate of the time averages run while the log is
+    entered, and whether every one met its tolerance max(epsabs, epsrel
+    |value|) within the subinterval limit.  Entering it again after it exits
+    extends it."""
 
     def __init__(self):
         self.max_error, self.within_tolerance = 0.0, True
@@ -238,35 +244,87 @@ class QuadLog:
         _QUAD_LOG.reset(self._token)
 
 
-def _time_average(f) -> float:
-    """2 int_0^1 (1-u) f(u) du; the error estimate goes to the entered QuadLog.
+# The time-average rule: on each subinterval a 20-node Gauss-Legendre sum is
+# the value and its distance from the 10-node sum the error estimate.  On
+# [0, 1], _NODES holds both node sets and the columns of _WEIGHTS the two
+# rules' weights, so one product gives both sums.
+_GL_HIGH, _GL_LOW = 20, 10
+_X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(_GL_HIGH)
+_X_LOW, _W_LOW = np.polynomial.legendre.leggauss(_GL_LOW)
+_NODES = 0.5 * (1.0 + np.concatenate([_X_HIGH, _X_LOW]))
+_WEIGHTS = np.zeros((_GL_HIGH + _GL_LOW, 2))
+_WEIGHTS[:_GL_HIGH, 0], _WEIGHTS[_GL_HIGH:, 1] = 0.5 * _W_HIGH, 0.5 * _W_LOW
+_EPSABS, _EPSREL = 1e-12, 1e-11
+_SUBINTERVAL_LIMIT = 200
+# Rows integrated on one set of nodes; more are taken in slices of this
+# many, which bounds the memory of a pass.
+_SLICE_ROWS = 64
 
-    ``f`` is the lag covariance of a stationary functional, so the average is
-    the variance of its unit-time integral: a value below zero (or NaN) can
-    only be quadrature failure, and raises QuadratureFailure.  quad's
-    warning, if any, is kept off stderr and goes into the log and the error.
+
+def _time_average(f, keys) -> np.ndarray:
+    """2 int_0^1 (1-u) f(u, k) du for every k in ``keys``.
+
+    ``f(u, ks)`` maps an array of lags and an array of keys to the
+    ``(len(ks), len(u))`` integrands, so each pass of the adaptive rule
+    evaluates every key on one shared set of nodes.  A subinterval is
+    bisected while any key's error estimate misses its share, by length, of
+    the tolerance max(epsabs, epsrel |value|); the rule stops at the
+    subinterval limit.  Error estimates go to the entered QuadLog.  Each
+    integrand is the lag covariance of a stationary functional, so each
+    average is the variance of its unit-time integral: a value below zero
+    (or NaN) can only be quadrature failure, and raises QuadratureFailure
+    with the rule's own diagnosis.
     """
-    epsabs, epsrel = 1e-12, 1e-11
-    val, err, _, *warning = quad(lambda u: (1.0 - u) * f(u), 0.0, 1.0, epsabs=epsabs,
-                                 epsrel=epsrel, limit=200, full_output=1)
-    log = _QUAD_LOG.get()
-    if log is not None:
-        log.max_error = max(log.max_error, err)
-        log.within_tolerance &= not warning and err <= max(epsabs, epsrel * abs(val))
-    if not val >= 0.0:
-        reason = "; quad: " + " ".join(warning[0].split()) if warning else ""
-        raise QuadratureFailure(
-            f"time average came out {2.0 * val:.6g}, but it is a variance "
-            f"(quadrature error estimate {2.0 * err:.2g}{reason})"
-        )
-    return 2.0 * val
+    keys = np.asarray(keys)
+    out = np.empty(keys.size)
+    for start in range(0, keys.size, _SLICE_ROWS):
+        ks = keys[start:start + _SLICE_ROWS]
+        left, width = np.zeros(1), np.ones(1)
+        kept_value, kept_error = np.zeros(ks.size), np.zeros(ks.size)
+        n_sub = 1
+        while True:
+            u = (left[:, None] + width[:, None] * _NODES).ravel()
+            g = (f(u, ks) * (1.0 - u)).reshape(ks.size, left.size, _NODES.size)
+            high, low = np.moveaxis(width[:, None] * (g @ _WEIGHTS), -1, 0)
+            error = np.abs(high - low)
+            value = kept_value + high.sum(axis=1)
+            tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
+            miss = (error > tol[:, None] * width).any(axis=0)
+            n_miss = int(np.count_nonzero(miss))
+            if n_miss == 0 or n_sub + n_miss > _SUBINTERVAL_LIMIT:
+                break
+            kept_value += high[:, ~miss].sum(axis=1)
+            kept_error += error[:, ~miss].sum(axis=1)
+            half = 0.5 * width[miss]
+            left = np.concatenate([left[miss], left[miss] + half])
+            width = np.concatenate([half, half])
+            n_sub += n_miss
+        error = kept_error + error.sum(axis=1)
+        log = _QUAD_LOG.get()
+        if log is not None:
+            log.max_error = max(log.max_error, float(error.max()))
+            log.within_tolerance &= n_miss == 0 and bool(np.all(error <= tol))
+        bad = np.flatnonzero(~(value >= 0.0))
+        if bad.size:
+            i, stop = bad[0], "stopped by" if n_miss else "within"
+            raise QuadratureFailure(
+                f"time average came out {2.0 * value[i]:.6g}, but it is a variance "
+                f"(quadrature error estimate {2.0 * error[i]:.2g}; Gauss-Legendre "
+                f"{_GL_HIGH}/{_GL_LOW} on {n_sub} subintervals, {stop} the limit "
+                f"of {_SUBINTERVAL_LIMIT})"
+            )
+        out[start:start + ks.size] = 2.0 * value
+    return out
 
 
-def _time_average_weight(rho, n: int) -> float:
-    """2 int_0^1 (1-u) rho(u)^n du, the order-n squared-norm contraction."""
-    if n == 0:
-        return 1.0
-    return _time_average(lambda u: rho(u) ** n)
+def _time_average_weights(rho, orders) -> np.ndarray:
+    """2 int_0^1 (1-u) rho(u)^n du for each n in ``orders``, the order-n
+    squared-norm contractions; 1 exactly at n = 0."""
+    orders = np.asarray(orders, dtype=int)
+    out = np.ones(orders.size)
+    live = orders != 0
+    out[live] = _time_average(lambda u, ns: rho(u) ** ns[:, None], orders[live])
+    return out
 
 
 def _factorial_float(*orders: int) -> float:
@@ -303,9 +361,7 @@ def point_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -> dic
         if n <= n_max:
             norms[n] = _factorial_float(functional.a, functional.b)
     else:
-        coeffs = _exact_scalar_coefficients(functional, n_max)
-        for n in range(n_max + 1):
-            norms[n] = float(_factorial_float(n) * coeffs[n] ** 2)
+        norms.update(enumerate(_scalar_point_norms(functional, n_max).tolist()))
     return norms
 
 
@@ -326,14 +382,15 @@ def integrated_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -
         kernel.r4_zero()  # joint-decay structure needs the fourth derivative
         a, b = functional.a, functional.b
         if a + b <= n_max:
-            weight = _time_average(lambda u: tensor_power_quadratic_form(kernel, u, a, b))
-            norms[a + b] = _factorial_float(a, b) * weight
+            weight = _time_average(
+                lambda u, _: tensor_power_quadratic_form(kernel, u, a, b)[None], [a + b])
+            norms[a + b] = _factorial_float(a, b) * float(weight[0])
         return norms
     point = point_chaos_norms(functional, kernel, n_max)
-    rho = _axis_correlation(kernel, functional)
-    for n in range(n_max + 1):
-        if point[n] != 0.0:
-            norms[n] = float(point[n] * _time_average_weight(rho, n))
+    orders = [n for n in range(n_max + 1) if point[n] != 0.0]
+    weights = _time_average_weights(_axis_correlation(kernel, functional), orders)
+    for n, weight in zip(orders, weights.tolist()):
+        norms[n] = point[n] * weight
     return norms
 
 
@@ -436,25 +493,32 @@ def sobolev_norm(norms: dict, alpha: float) -> SobolevNorm:
 _LADDER_FAMILIES = ("hermite1d", "hermite2d")
 
 
+def _ladder_rhos(kernel: Kernel, family: str, orders) -> np.ndarray:
+    """rho_n of the ladder member of each order, in one time average."""
+    family = str(family).strip().lower()
+    if family not in _LADDER_FAMILIES:
+        raise DomainError(f"family must be one of {_LADDER_FAMILIES}, got {family!r}")
+    if family == "hermite1d":
+        return _time_average_weights(kernel.r, orders)
+    kernel.r4_zero()  # joint-decay structure needs the fourth derivative
+    return _time_average(
+        lambda u, ns: np.array([tensor_power_quadratic_form(kernel, u, (n + 1) // 2, n // 2)
+                                for n in ns]),
+        orders,
+    )
+
+
 def regularization_rho(kernel: Kernel, family: str, n: int) -> float:
     """Integrated-to-point norm ratio rho_n for one ladder member.
 
     ``family`` is "hermite1d" (H_n of X) or "hermite2d" (the balanced
     product H_ceil(n/2) H_floor(n/2) across both coordinates).
     """
-    family = str(family).strip().lower()
-    if family not in _LADDER_FAMILIES:
-        raise DomainError(f"family must be one of {_LADDER_FAMILIES}, got {family!r}")
     if int(n) != n or n < 0:
         raise DomainError(f"chaos order n={n} must be a nonnegative integer")
-    n = int(n)
     # the point norm cancels, so work with the contraction weight directly;
     # this keeps orders beyond 170 inside float range
-    if family == "hermite1d":
-        return _time_average_weight(kernel.r, n)
-    kernel.r4_zero()  # joint-decay structure needs the fourth derivative
-    a, b = (n + 1) // 2, n // 2
-    return _time_average(lambda u: tensor_power_quadratic_form(kernel, u, a, b))
+    return float(_ladder_rhos(kernel, family, [int(n)])[0])
 
 
 def regularization_exponent(kernel: Kernel, family: str, orders) -> DecaySeries:
@@ -468,8 +532,8 @@ def regularization_exponent(kernel: Kernel, family: str, orders) -> DecaySeries:
         raise DomainError("need at least two distinct chaos orders to fit a decay exponent")
     if min(orders) < 1:
         raise DomainError("decay fits need orders n >= 1")
-    entries = tuple((n, regularization_rho(kernel, family, n)) for n in sorted(set(orders)))
-    return fit_decay_exponent(entries)
+    orders = sorted(set(orders))
+    return fit_decay_exponent(tuple(zip(orders, _ladder_rhos(kernel, family, orders).tolist())))
 
 
 def laplace_decay_constant(kernel: Kernel) -> float:

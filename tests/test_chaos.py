@@ -3,18 +3,21 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
+from gpchaos import chaos
 from gpchaos.chaos import (
     Functional,
     QuadLog,
-    _exact_scalar_coefficients,
+    _scalar_point_norms,
+    _time_average_weights,
     chaos_spectrum,
     integrated_chaos_norms,
     laplace_decay_constant,
@@ -93,42 +96,65 @@ class TestParseFunctional:
 
 
 class TestHermiteCoeffs1D:
+    # n! c_n^2 from the closed-form coefficients c_n
+
     def test_sign_exact(self):
-        coeffs = _exact_scalar_coefficients(parse_functional("sign"), 7)
-        assert coeffs[0] == 0.0
-        assert coeffs[2] == 0.0 and coeffs[4] == 0.0 and coeffs[6] == 0.0
-        assert_allclose(coeffs[1], 2.0 * PHI0, rtol=1e-15)
-        assert_allclose(coeffs[3], -PHI0 / 3.0, rtol=1e-15)
-        # a_5 = 2 H_4(0) phi(0) / 5! with H_4(0) = 3
-        assert_allclose(coeffs[5], 6.0 * PHI0 / 120.0, rtol=1e-15)
+        norms = _scalar_point_norms(parse_functional("sign"), 7)
+        assert norms[0] == 0.0
+        assert norms[2] == 0.0 and norms[4] == 0.0 and norms[6] == 0.0
+        assert_allclose(norms[1], (2.0 * PHI0) ** 2, rtol=1e-15)
+        assert_allclose(norms[3], 6.0 * (PHI0 / 3.0) ** 2, rtol=1e-15)
+        # c_5 = 2 H_4(0) phi(0) / 5! with H_4(0) = 3
+        assert_allclose(norms[5], 120.0 * (6.0 * PHI0 / 120.0) ** 2, rtol=1e-15)
 
     def test_indicator_at_zero_halves_sign(self):
-        sgn = _exact_scalar_coefficients(parse_functional("sign"), 9)
-        ind = _exact_scalar_coefficients(parse_functional("ind:0"), 9)
-        assert ind[0] == 0.5
-        assert_allclose(ind[1:], np.asarray(sgn[1:]) / 2.0, rtol=1e-15)
+        sgn = _scalar_point_norms(parse_functional("sign"), 9)
+        ind = _scalar_point_norms(parse_functional("ind:0"), 9)
+        assert ind[0] == 0.25
+        assert_allclose(ind[1:], np.asarray(sgn[1:]) / 4.0, rtol=1e-15)
 
     def test_indicator_level_one(self):
-        coeffs = _exact_scalar_coefficients(parse_functional("ind:1"), 3)
+        norms = _scalar_point_norms(parse_functional("ind:1"), 3)
         pdf1 = PHI0 * math.exp(-0.5)
-        assert_allclose(coeffs[0], 0.5 * math.erfc(1.0 / math.sqrt(2.0)), rtol=1e-14)
-        assert_allclose(coeffs[1], pdf1, rtol=1e-14)
-        assert_allclose(coeffs[2], pdf1 / 2.0, rtol=1e-14)  # H_1(1) = 1
+        assert_allclose(norms[0], (0.5 * math.erfc(1.0 / math.sqrt(2.0))) ** 2, rtol=1e-14)
+        assert_allclose(norms[1], pdf1**2, rtol=1e-14)
+        assert_allclose(norms[2], 2.0 * (pdf1 / 2.0) ** 2, rtol=1e-14)  # H_1(1) = 1
 
     def test_abs_exact(self):
-        coeffs = _exact_scalar_coefficients(parse_functional("abs"), 6)
-        assert_allclose(coeffs[0], math.sqrt(2.0 / math.pi), atol=1e-10)
-        assert coeffs[1] == 0.0 and coeffs[3] == 0.0 and coeffs[5] == 0.0
-        assert_allclose(coeffs[2], math.sqrt(2.0 / math.pi) / 2.0, rtol=1e-15)
+        norms = _scalar_point_norms(parse_functional("abs"), 6)
+        assert_allclose(norms[0], 2.0 / math.pi, atol=1e-10)
+        assert norms[1] == 0.0 and norms[3] == 0.0 and norms[5] == 0.0
+        assert_allclose(norms[2], 2.0 * (math.sqrt(2.0 / math.pi) / 2.0) ** 2, rtol=1e-15)
         # E[|xi| H_4] = (E|xi|^5 - 6 E|xi|^3 + 3 E|xi|) = -sqrt(2/pi)
-        assert_allclose(coeffs[4], -math.sqrt(2.0 / math.pi) / 24.0, rtol=1e-14)
+        assert_allclose(norms[4], 24.0 * (math.sqrt(2.0 / math.pi) / 24.0) ** 2, rtol=1e-14)
+
+    @pytest.mark.parametrize("spec", ["sign", "abs", "ind:0.5", "ind:-1.3", "ind:3"])
+    def test_matches_exact_rational_norms(self, spec):
+        # H_k(u) at the double u is an exact rational, so H_{n-1}(u)^2 / n!
+        # (and H_{n-2}(0)^2 / n! for abs) is exact up to one rounding; only
+        # the Gaussian factor in front is a double.  Extended precision
+        # keeps every order to a few ulps; with doubles alone, orders near a
+        # zero of H_{n-1}(u) keep about 1e-11.
+        func = parse_functional(spec)
+        u = Fraction(func.level)
+        hermite = [Fraction(1), u]
+        for k in range(1, 171):
+            hermite.append(u * hermite[k] - k * hermite[k - 1])
+        if func.kind == "abs":
+            scale, shift = 4.0 * PHI0**2, 2
+        elif func.kind == "sign":
+            scale, shift = 4.0 * PHI0**2, 1
+        else:
+            scale, shift = (PHI0 * math.exp(-0.5 * func.level**2)) ** 2, 1
+        got = _scalar_point_norms(func, 171)
+        rtol = 1e-14 if np.finfo(np.longdouble).nmant >= 63 else 1e-10
+        for n in range(2, 172):
+            exact = scale * float(Fraction(hermite[n - shift] ** 2, math.factorial(n)))
+            assert got[n] == pytest.approx(exact, rel=rtol, abs=0.0), n
 
     @pytest.mark.parametrize("spec,l2", [("sign", 1.0), ("abs", 1.0), ("ind:0", 0.5)])
     def test_partial_parseval(self, spec, l2):
-        coeffs = _exact_scalar_coefficients(parse_functional(spec), 20)
-        partial = math.fsum(
-            math.factorial(n) * coeffs[n] ** 2 for n in range(len(coeffs))
-        )
+        partial = math.fsum(_scalar_point_norms(parse_functional(spec), 20))
         assert partial <= l2 + 1e-12
         assert partial >= l2 - 0.2
 
@@ -269,6 +295,70 @@ class TestIntegratedNorms:
             integrated_chaos_norms(parse_functional("H:1"), SQEXP, -2)
 
 
+class TestTimeAverage:
+    def test_sqexp_closed_form(self):
+        # 2 int_0^1 (1-u) e^{-a u^2} du
+        #   = 2 (sqrt(pi) erf(sqrt a) / (2 sqrt a) - (1 - e^{-a}) / (2a))
+        orders = np.arange(1, 201)
+        exact = [
+            2.0 * (math.sqrt(math.pi) * math.erf(math.sqrt(a)) / (2.0 * math.sqrt(a))
+                   - (1.0 - math.exp(-a)) / (2.0 * a))
+            for a in orders.tolist()
+        ]
+        assert_allclose(_time_average_weights(SQEXP.r, orders), exact, rtol=1e-12, atol=0)
+
+    def test_cosine_trigonometric_sum(self):
+        # cos^n(pi u) = 2^-n sum_j C(n, j) cos(k_j u), k_j = (n - 2j) pi, and
+        # 2 int_0^1 (1-u) cos(k u) du = 2 (1 - cos k) / k^2, or 1 at k = 0
+        def term(k):
+            return 1.0 if k == 0 else 2.0 * (1.0 - math.cos(k * math.pi)) / (k * math.pi) ** 2
+
+        orders = range(1, 41)
+        exact = [
+            math.fsum(math.comb(n, j) * term(n - 2 * j) for j in range(n + 1)) / 2.0**n
+            for n in orders
+        ]
+        got = _time_average_weights(parse_kernel("cosine:ell=1").r, orders)
+        assert_allclose(got, exact, rtol=1e-12, atol=0)
+
+    def test_order_zero_is_exactly_one(self):
+        got = _time_average_weights(MATERN52.r, [0, 3, 0])
+        assert got[0] == 1.0 and got[2] == 1.0 and 0.0 < got[1] < 1.0
+
+    def test_batch_invariance(self):
+        # rows share nodes, so a batch may bisect further than one row
+        # alone; both results meet the same tolerance
+        orders = list(range(1, 151))  # three slices
+        batch = _time_average_weights(MATERN52.r, orders)
+        for n in (1, 7, 40, 64, 65, 150):
+            alone = _time_average_weights(MATERN52.r, [n])[0]
+            assert_allclose(batch[n - 1], alone, rtol=2e-11, atol=2e-12)
+
+    def test_slices_bound_the_rows_of_a_pass(self):
+        calls = []
+
+        def powers(u, ns):
+            calls.append(ns.size)
+            return MATERN52.r(u) ** ns[:, None]
+
+        chaos._time_average(powers, np.arange(1, 151))
+        assert max(calls) == 64 and sorted(set(calls)) == [22, 64]
+
+    def test_one_integrator_call_per_spectrum_and_fit(self, monkeypatch):
+        calls = []
+        integrator = chaos._time_average
+
+        def counted(f, keys):
+            calls.append(len(keys))
+            return integrator(f, keys)
+
+        monkeypatch.setattr(chaos, "_time_average", counted)
+        integrated_chaos_norms(parse_functional("abs"), SQEXP, 40)
+        regularization_exponent(SQEXP, "hermite1d", range(20, 32))
+        regularization_exponent(SQEXP, "hermite2d", range(2, 13))
+        assert calls == [20, 12, 11]
+
+
 class TestQuadLog:
     def test_collects_estimates_only_while_entered(self):
         kernel = parse_kernel("sqexp")
@@ -283,14 +373,22 @@ class TestQuadLog:
         assert log.max_error >= first and log.within_tolerance
 
     def test_flags_an_estimate_above_tolerance(self):
-        # a thousand sharp periodic peaks on [0, 1] exhaust quad's 200
-        # subintervals
-        # quad's warning goes to the log, not to the warnings machinery
+        # a thousand sharp periodic peaks on [0, 1] exhaust the 200
+        # subintervals; nothing goes to the warnings machinery
         with QuadLog() as log, warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
+            warnings.simplefilter("error")
             regularization_rho(parse_kernel("periodic:T=0.001,ell=0.05"), "hermite1d", 3)
         assert not log.within_tolerance
         assert log.max_error > 1e-11
+
+    def test_hitting_the_limit_clears_the_flag(self):
+        # the interval around the cusp of |u - 1/3|^0.1 misses its share of
+        # the tolerance at every width, so the rule bisects it up to the
+        # limit, while the summed error estimate stays under the tolerance
+        with QuadLog() as log:
+            value = chaos._time_average(lambda u, _: np.abs(u - 1.0 / 3.0)[None] ** 0.1, [1])
+        assert log.max_error <= 1e-11 * value[0] / 2.0  # the tolerance met
+        assert not log.within_tolerance
 
 
 class TestChaosSpectrum:

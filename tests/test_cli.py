@@ -176,11 +176,11 @@ class TestChaosCommand:
         assert code == 2
 
     def test_failed_quadrature_is_a_runtime_error(self, tmp_path, cli_env):
-        # the order-3 time average of a fast cosine comes out negative; a
-        # child process, because pytest intercepts warnings in-process
+        # the order-1 time average of a fast cosine is exactly 0 and comes
+        # out at -4e-15; a child process, so the stderr line is the CLI's own
         proc = subprocess.run(
-            [sys.executable, "-m", "gpchaos", "chaos", "--kernel", "cosine:ell=0.001",
-             "--functional", "H:3", "--n-max", "6"],
+            [sys.executable, "-m", "gpchaos", "chaos", "--kernel", "cosine:ell=0.01",
+             "--functional", "H:1", "--n-max", "6"],
             env=cli_env(), capture_output=True, text=True, cwd=str(tmp_path),
         )
         assert proc.returncode == 3
@@ -188,7 +188,35 @@ class TestChaosCommand:
         err = proc.stderr
         assert len(err.splitlines()) == 1, err
         assert err.startswith("gpchaos: ") and "variance" in err
-        assert "quad: " in err  # quad's own diagnosis rides along
+        # the integrator's own diagnosis rides along
+        assert "Gauss-Legendre 20/10 on 128 subintervals, stopped by the limit of 200" in err
+
+    def test_unresolved_quadrature_is_flagged(self, capsys):
+        # five thousand cosine periods on [0, 1] exhaust the subinterval
+        # limit; the order-3 average stays positive, so the report stands
+        # and says its quadrature missed the tolerance
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "cosine:ell=0.001", "--functional", "H:3",
+            "--n-max", "6",
+        )
+        assert code == 0, err
+        assert json.loads(out)["diagnostics"]["quad_within_tolerance"] is False
+
+    @pytest.mark.parametrize("functional", ["sign", "abs", "ind:0.5"])
+    def test_scalar_spectrum_past_order_170(self, capsys, functional):
+        code, out, err = run_cli(
+            capsys, "chaos", "--kernel", "sqexp", "--functional", functional,
+            "--n-max", "400",
+        )
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        point = report["spectrum"]["point_norms"]
+        assert len(point) == 401 and all(0.0 <= v <= 1.0 for v in point)
+        assert report["diagnostics"]["quad_within_tolerance"] is True
 
     def test_two_dimensional_order_thirteen(self, capsys):
         code, out, err = run_cli(
