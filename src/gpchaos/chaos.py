@@ -12,6 +12,7 @@ recurrence in the entries of A(u) for products across both.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -245,15 +246,21 @@ class QuadLog:
 
 
 # The time-average rule: on each subinterval a 20-node Gauss-Legendre sum is
-# the value and its distance from the 10-node sum the error estimate.  On
-# [0, 1], _NODES holds both node sets and the columns of _WEIGHTS the two
-# rules' weights, so one product gives both sums.
+# the value and its distance from the 10-node sum the error estimate.
 _GL_HIGH, _GL_LOW = 20, 10
-_X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(_GL_HIGH)
-_X_LOW, _W_LOW = np.polynomial.legendre.leggauss(_GL_LOW)
-_NODES = 0.5 * (1.0 + np.concatenate([_X_HIGH, _X_LOW]))
-_WEIGHTS = np.zeros((_GL_HIGH + _GL_LOW, 2))
-_WEIGHTS[:_GL_HIGH, 0], _WEIGHTS[_GL_HIGH:, 1] = 0.5 * _W_HIGH, 0.5 * _W_LOW
+
+
+@functools.cache
+def _gauss_legendre_pair():
+    """Both rules' nodes on [0, 1], and their weights as the two columns of
+    one matrix, so one product gives both sums.  Built on first use, since
+    leggauss's eigensolver would otherwise start LAPACK at import."""
+    (x_high, w_high), (x_low, w_low) = map(np.polynomial.legendre.leggauss, (_GL_HIGH, _GL_LOW))
+    weights = np.zeros((_GL_HIGH + _GL_LOW, 2))
+    weights[:_GL_HIGH, 0], weights[_GL_HIGH:, 1] = 0.5 * w_high, 0.5 * w_low
+    return 0.5 * (1.0 + np.concatenate([x_high, x_low])), weights
+
+
 _EPSABS, _EPSREL = 1e-12, 1e-11
 _SUBINTERVAL_LIMIT = 200
 # Rows integrated on one set of nodes; more are taken in slices of this
@@ -275,6 +282,7 @@ def _time_average(f, keys) -> np.ndarray:
     (or NaN) can only be quadrature failure, and raises QuadratureFailure
     with the rule's own diagnosis.
     """
+    nodes, weights = _gauss_legendre_pair()
     keys = np.asarray(keys)
     out = np.empty(keys.size)
     for start in range(0, keys.size, _SLICE_ROWS):
@@ -283,9 +291,9 @@ def _time_average(f, keys) -> np.ndarray:
         kept_value, kept_error = np.zeros(ks.size), np.zeros(ks.size)
         n_sub = 1
         while True:
-            u = (left[:, None] + width[:, None] * _NODES).ravel()
-            g = (f(u, ks) * (1.0 - u)).reshape(ks.size, left.size, _NODES.size)
-            high, low = np.moveaxis(width[:, None] * (g @ _WEIGHTS), -1, 0)
+            u = (left[:, None] + width[:, None] * nodes).ravel()
+            g = (f(u, ks) * (1.0 - u)).reshape(ks.size, left.size, nodes.size)
+            high, low = np.moveaxis(width[:, None] * (g @ weights), -1, 0)
             error = np.abs(high - low)
             value = kept_value + high.sum(axis=1)
             tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
