@@ -178,34 +178,31 @@ def parse_functional(text: str) -> Functional:
 def _scalar_point_norms(func: Functional, n_max: int) -> np.ndarray:
     """Closed-form squared chaos norms n! c_n^2 of sign, abs and indicators.
 
-    Half-line moments reduce to int_u^inf H_n phi = H_{n-1}(u) phi(u) for
-    n >= 1, so c_n = H_{n-1}(u) phi(u) / n! for the indicator of (u, inf);
-    sign is twice the indicator at 0 above order 0, and abs has
-    c_n = 2 phi(0) H_{n-2}(0) / n!, because H_n(0) = -(n - 1) H_{n-2}(0).
-    The normalized Hermite values h_k = H_k / sqrt(k!) follow
-    h_{k+1} = (u h_k - sqrt(k) h_{k-1}) / sqrt(k + 1), so no factorial
-    and no H_k is ever formed, and every order is one step of the pass.
-    The pass runs in extended precision where the platform has it (a
-    64-bit significand on x86-64): near a zero of h_k the square of a
-    double recurrence keeps only about 1e-11 of its relative accuracy.
+    int_u^inf H_n phi = H_{n-1}(u) phi(u) for n >= 1 gives c_n =
+    H_{n-1}(u) phi(u) / n! for the indicator of (u, inf); sign is twice the
+    indicator at 0 above order 0, and abs has c_n = 2 phi(0) H_{n-2}(0) / n!.
+    One pass of h_{k+1} = (u h_k - sqrt(k) h_{k-1}) / sqrt(k + 1), with
+    h_k = H_k / sqrt(k!), gives every order without forming n! or H_n.  It
+    runs in extended precision where the platform has it (x86-64): near a
+    zero of h_k the square of a double recurrence keeps only ~1e-11.
     """
     u = float(func.level) if func.kind == "ind" else 0.0
     h = np.zeros(n_max + 1, dtype=np.longdouble)
     h[0] = 1.0
     if n_max >= 1:
         h[1] = u
-    root = np.sqrt(np.arange(n_max + 1, dtype=np.longdouble))
+    n = np.arange(n_max + 1, dtype=np.longdouble)
+    root = np.sqrt(n)
     for k in range(1, n_max):
         h[k + 1] = (u * h[k] - root[k] * h[k - 1]) / root[k + 1]
-    n = np.arange(1, n_max + 1, dtype=np.longdouble)
     out = np.zeros(n_max + 1, dtype=np.longdouble)
     if func.kind == "abs":
         out[0] = 2.0 / math.pi
-        out[2:] = (2.0 * _PHI0) ** 2 * h[:-2] ** 2 / (n[1:] * n[:-1])
+        out[2:] = (2.0 * _PHI0) ** 2 * h[:-2] ** 2 / (n[2:] * n[1:-1])
     else:
         scale = 2.0 * _PHI0 if func.kind == "sign" else _std_normal_pdf(u)
         out[0] = _std_normal_sf(u) ** 2 if func.kind == "ind" else 0.0
-        out[1:] = scale**2 * h[:-1] ** 2 / n
+        out[1:] = scale**2 * h[:-1] ** 2 / n[1:]
     return out.astype(float)
 
 
@@ -271,16 +268,13 @@ _SLICE_ROWS = 64
 def _time_average(f, keys) -> np.ndarray:
     """2 int_0^1 (1-u) f(u, k) du for every k in ``keys``.
 
-    ``f(u, ks)`` maps an array of lags and an array of keys to the
-    ``(len(ks), len(u))`` integrands, so each pass of the adaptive rule
+    ``f(u, ks)`` returns the ``(len(ks), len(u))`` integrands, so each pass
     evaluates every key on one shared set of nodes.  A subinterval is
     bisected while any key's error estimate misses its share, by length, of
-    the tolerance max(epsabs, epsrel |value|); the rule stops at the
-    subinterval limit.  Error estimates go to the entered QuadLog.  Each
-    integrand is the lag covariance of a stationary functional, so each
-    average is the variance of its unit-time integral: a value below zero
-    (or NaN) can only be quadrature failure, and raises QuadratureFailure
-    with the rule's own diagnosis.
+    max(epsabs, epsrel |value|), up to the subinterval limit; the estimates
+    go to the entered QuadLog.  Each average is the variance of a unit-time
+    integral, so a value below zero (or NaN) can only be quadrature
+    failure: it raises QuadratureFailure with the rule's own diagnosis.
     """
     nodes, weights = _gauss_legendre_pair()
     keys = np.asarray(keys)
