@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
+from .quadrature import integrate
 from .specfun import gamma_ln, hyp2f1_terminating
 
 __all__ = [
@@ -39,6 +39,7 @@ class DecaySeries:
 
 
 def _check_domain(c, c_prime, n):
+    """``int(n)``, once c, c' and n are checked."""
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     if n < 0 or n != int(n):
@@ -49,27 +50,16 @@ def _check_domain(c, c_prime, n):
         # form lives (the integrand touches 0 only at the endpoint)
         raise DomainError(
             f"c' must lie in (0, c^(-1/2)] = (0, {limit:g}], got {c_prime}")
+    return int(n)
 
 
 def iter_integral_quadrature(c: float, c_prime: float, n: int) -> float:
     """Double integral of (1 - c s^2)^n over 0 <= s < t <= c'.
 
     The inner t-integral is analytic, leaving
-    int_0^{c'} (c' - s)(1 - c s^2)^n ds, evaluated adaptively to absolute
-    error <= 1e-12.
+    int_0^{c'} (c' - s)(1 - c s^2)^n ds, evaluated adaptively.
     """
-    _check_domain(c, c_prime, n)
-    n = int(n)
-
-    def f(s):
-        return (c_prime - s) * (1.0 - c * s * s) ** n
-
-    # the integrand concentrates on a ~ (c n)^{-1/2} neighborhood of 0
-    val, err = quad(f, 0.0, c_prime, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > 1e-12:
-        val, err = quad(f, 0.0, c_prime, epsabs=1e-13, epsrel=1e-12,
-                        limit=500, points=[min(c_prime, (c * (n + 1)) ** -0.5)])
-    return val
+    return iter_integral_series(c, c_prime, [n])[0][1]
 
 
 def iter_integral_closed_form(n: int) -> float:
@@ -91,9 +81,12 @@ def gauss_theorem_value(n: int) -> float:
 
 
 def iter_integral_series(c: float, c_prime: float, n_values) -> list:
-    """(n, value) pairs of the iterated integral over the given n grid."""
-    return [(int(n), iter_integral_quadrature(c, c_prime, n))
-            for n in n_values]
+    """(n, value) pairs of the iterated integral over the given n grid, in
+    one adaptive pass on shared nodes."""
+    ns = np.array([_check_domain(c, c_prime, n) for n in n_values], dtype=int)
+    values, _ = integrate(
+        lambda s, ks: (c_prime - s) * (1.0 - c * s * s) ** ks[:, None], ns, 0.0, c_prime)
+    return list(zip(ns.tolist(), values.tolist()))
 
 
 def fit_decay_exponent(entries) -> DecaySeries:

@@ -12,17 +12,16 @@ recurrence in the entries of A(u) for products across both.
 
 from __future__ import annotations
 
-import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import DecaySeries, fit_decay_exponent
 from .covstruct import tensor_power_quadratic_form
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError
 from .kernels import Kernel
+from .quadrature import integrate
 
 __all__ = [
     "Functional",
@@ -36,7 +35,6 @@ __all__ = [
     "regularization_rho",
     "regularization_exponent",
     "laplace_decay_constant",
-    "QuadLog",
     "spectrum_to_csv",
     "spectrum_to_dict",
 ]
@@ -222,101 +220,11 @@ def _axis_correlation(kernel: Kernel, func: Functional):
     return kernel.r
 
 
-_QUAD_LOG: ContextVar = ContextVar("gpchaos_quad_log", default=None)
-
-
-class QuadLog:
-    """Largest error estimate of the time averages run while the log is
-    entered, and whether every one met its tolerance max(epsabs, epsrel
-    |value|) within the subinterval limit.  Entering it again after it exits
-    extends it."""
-
-    def __init__(self):
-        self.max_error, self.within_tolerance = 0.0, True
-
-    def __enter__(self):
-        self._token = _QUAD_LOG.set(self)
-        return self
-
-    def __exit__(self, *exc):
-        _QUAD_LOG.reset(self._token)
-
-
-# The time-average rule: on each subinterval a 20-node Gauss-Legendre sum is
-# the value and its distance from the 10-node sum the error estimate.
-_GL_HIGH, _GL_LOW = 20, 10
-
-
-@functools.cache
-def _gauss_legendre_pair():
-    """Both rules' nodes on [0, 1], and their weights as the two columns of
-    one matrix, so one product gives both sums.  Built on first use, since
-    leggauss's eigensolver would otherwise start LAPACK at import."""
-    (x_high, w_high), (x_low, w_low) = map(np.polynomial.legendre.leggauss, (_GL_HIGH, _GL_LOW))
-    weights = np.zeros((_GL_HIGH + _GL_LOW, 2))
-    weights[:_GL_HIGH, 0], weights[_GL_HIGH:, 1] = 0.5 * w_high, 0.5 * w_low
-    return 0.5 * (1.0 + np.concatenate([x_high, x_low])), weights
-
-
-_EPSABS, _EPSREL = 1e-12, 1e-11
-_SUBINTERVAL_LIMIT = 200
-# Rows integrated on one set of nodes; more are taken in slices of this
-# many, which bounds the memory of a pass.
-_SLICE_ROWS = 64
-
-
 def _time_average(f, keys) -> np.ndarray:
-    """2 int_0^1 (1-u) f(u, k) du for every k in ``keys``.
-
-    ``f(u, ks)`` returns the ``(len(ks), len(u))`` integrands, so each pass
-    evaluates every key on one shared set of nodes.  A subinterval is
-    bisected while any key's error estimate misses its share, by length, of
-    max(epsabs, epsrel |value|), up to the subinterval limit; the estimates
-    go to the entered QuadLog.  Each average is the variance of a unit-time
-    integral, so a value below zero (or NaN) can only be quadrature
-    failure: it raises QuadratureFailure with the rule's own diagnosis.
-    """
-    nodes, weights = _gauss_legendre_pair()
-    keys = np.asarray(keys)
-    out = np.empty(keys.size)
-    for start in range(0, keys.size, _SLICE_ROWS):
-        ks = keys[start:start + _SLICE_ROWS]
-        left, width = np.zeros(1), np.ones(1)
-        kept_value, kept_error = np.zeros(ks.size), np.zeros(ks.size)
-        n_sub = 1
-        while True:
-            u = (left[:, None] + width[:, None] * nodes).ravel()
-            g = (f(u, ks) * (1.0 - u)).reshape(ks.size, left.size, nodes.size)
-            high, low = np.moveaxis(width[:, None] * (g @ weights), -1, 0)
-            error = np.abs(high - low)
-            value = kept_value + high.sum(axis=1)
-            tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
-            miss = (error > tol[:, None] * width).any(axis=0)
-            n_miss = int(np.count_nonzero(miss))
-            if n_miss == 0 or n_sub + n_miss > _SUBINTERVAL_LIMIT:
-                break
-            kept_value += high[:, ~miss].sum(axis=1)
-            kept_error += error[:, ~miss].sum(axis=1)
-            half = 0.5 * width[miss]
-            left = np.concatenate([left[miss], left[miss] + half])
-            width = np.concatenate([half, half])
-            n_sub += n_miss
-        error = kept_error + error.sum(axis=1)
-        log = _QUAD_LOG.get()
-        if log is not None:
-            log.max_error = max(log.max_error, float(error.max()))
-            log.within_tolerance &= n_miss == 0 and bool(np.all(error <= tol))
-        bad = np.flatnonzero(~(value >= 0.0))
-        if bad.size:
-            i, stop = bad[0], "stopped by" if n_miss else "within"
-            raise QuadratureFailure(
-                f"time average came out {2.0 * value[i]:.6g}, but it is a variance "
-                f"(quadrature error estimate {2.0 * error[i]:.2g}; Gauss-Legendre "
-                f"{_GL_HIGH}/{_GL_LOW} on {n_sub} subintervals, {stop} the limit "
-                f"of {_SUBINTERVAL_LIMIT})"
-            )
-        out[start:start + ks.size] = 2.0 * value
-    return out
+    """2 int_0^1 (1-u) f(u, k) du for every k in ``keys``, by the package's
+    integrator; ``f(u, ks)`` returns the ``(len(ks), len(u))`` integrands.
+    Each average is the variance of a unit-time integral."""
+    return 2.0 * integrate(lambda u, ks: f(u, ks) * (1.0 - u), keys)[0]
 
 
 def _time_average_weights(rho, orders) -> np.ndarray:

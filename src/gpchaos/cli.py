@@ -20,7 +20,6 @@ from . import __version__
 from . import montecarlo as mc
 from .asymptotics import fit_decay_exponent, iter_integral_series, series_to_csv
 from .chaos import (
-    QuadLog,
     chaos_spectrum,
     laplace_decay_constant,
     parse_functional,
@@ -32,6 +31,7 @@ from .chaos import (
 from .conditions import condition_report, report_to_dict
 from .errors import DomainError, NonFiniteResult
 from .kernels import parse_kernel
+from .quadrature import QuadLog
 from .verify import _RUNTIME_ERRORS, battery
 
 
@@ -367,9 +367,10 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         text = handler(args)
-    except (*_RUNTIME_ERRORS, NonFiniteResult) as exc:
+    except (*_RUNTIME_ERRORS, NonFiniteResult, ArithmeticError) as exc:
         # a bare DomainError is a bad value inside a well-formed flag, a
-        # usage problem; its subclasses and the rest are runtime failures
+        # usage problem; its subclasses and the rest, such as a parameter
+        # whose float arithmetic overflows, are runtime failures
         print(f"gpchaos: {exc}", file=sys.stderr)
         return 2 if type(exc) is DomainError else 3
     _emit(text, args.out)

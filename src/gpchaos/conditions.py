@@ -5,13 +5,14 @@ Three verdicts per kernel:
 * A1 -- the moving-average kernel b and its derivative lie in L1 and L2
   (boundedness is tracked as well), and ||b||_2 > 0.  Membership is decided
   from the local-singularity metadata carried by the b representation; the
-  numeric norm values come from adaptive quadrature (closed forms) or the
-  sampled grid (numeric inversions).
+  numeric norm values come from the package's integrator (closed forms) or
+  the sampled grid (numeric inversions).
 * A2 -- the fourth derivative of r exists near 0 and the discriminant
   r''''(0) - r''(0)^2 is strictly positive.
 * G  -- (r''(t) - r''(0))/t is absolutely integrable on (0, delta]; decided
-  by dyadic refinement toward 0 with a Cauchy threshold, a numeric proxy
-  for membership that is recorded as such in the report.
+  from the lowest non-even exponent p of r at 0, since the integrand
+  behaves like t^(p - 3): it holds when r''(0) exists and p > 2 or r has
+  no such term.  The integral's value is reported alongside.
 
 ``condition_report`` bundles the three into one serializable document.
 """
@@ -20,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NoBRepresentation, NotDifferentiable
 from .kernels import Kernel, b_representation, r_derivatives_at_zero
+from .quadrature import integrate
 
 __all__ = [
     "A1Report",
@@ -37,9 +38,6 @@ __all__ = [
     "condition_report",
     "report_to_dict",
 ]
-
-GEMAN_CAUCHY_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class NormCheck:
@@ -89,35 +87,26 @@ class ConditionReport:
 
 
 # --------------------------------------------------------------------------
-# local-singularity bookkeeping
+# numeric norms
 #
 # The b representation describes behavior at 0 as one of: None (bounded),
 # "log" (logarithmic divergence), or a float p < 0 (growth like |x|^p).
 
 
-def _in_l1(sing):
-    return sing is None or sing == "log" or sing > -1.0
-
-
-def _in_l2(sing):
-    return sing is None or sing == "log" or sing > -0.5
-
-
-def _in_linf(sing):
-    return sing is None
-
-
-# --------------------------------------------------------------------------
-# numeric norms
-
-
-def _closed_integral(f, scale):
-    """Integral of f over (0, inf) split at a window edge; returns
-    (value, quadrature error bound)."""
-    edge = 8.0 * scale
-    body, body_err = quad(f, 0.0, edge, limit=200)
-    tail, tail_err = quad(f, edge, np.inf, limit=200)
-    return body + tail, body_err + tail_err
+def _closed_integral(f, sing, k, scale):
+    """Integral of |f|^k over (0, inf), where f behaves like ``sing`` at 0;
+    returns (value, quadrature error estimate).  A power singularity x^p
+    sets the endpoint map to 1 / (k p + 1), which leaves the integrand
+    constant at 0; a logarithm takes the cube."""
+    if sing is None:
+        power = 1.0
+    elif sing == "log":
+        power = 3.0
+    else:
+        power = 1.0 / (k * sing + 1.0)
+    (value,), (error,) = integrate(
+        lambda x, _: np.abs(f(x))[None] ** k, [k], 0.0, math.inf, power, scale)
+    return value, error
 
 
 def _closed_sup(f, scale):
@@ -128,35 +117,26 @@ def _closed_sup(f, scale):
 
 def _norm_checks(fun, vals_grid, x_grid, sing, scale, errs):
     """L1/L2/Linf checks for one function (b or b'). ``vals_grid`` is None
-    for closed-form representations."""
-    if _in_l1(sing):
+    for closed-form representations.  A logarithm lies in every Lk, |x|^p
+    in Lk when k p > -1, and only a bounded function in Linf."""
+    checks = []
+    for k in (1, 2):
+        if not (sing is None or sing == "log" or k * sing > -1.0):
+            checks.append(NormCheck(False, math.inf))
+            continue
         if vals_grid is None:
-            v, e = _closed_integral(lambda x: abs(fun(x)), scale)
+            v, e = _closed_integral(fun, sing, k, scale)
             errs.append(e)
-            l1 = NormCheck(True, 2.0 * v)
         else:
-            l1 = NormCheck(True, float(
-                2.0 * np.trapezoid(np.abs(vals_grid), x_grid)))
+            v = np.trapezoid(np.abs(vals_grid) ** k, x_grid)
+        checks.append(NormCheck(True, float(2.0 * v) ** (1.0 / k)))
+    if sing is not None:
+        checks.append(NormCheck(False, math.inf))
+    elif vals_grid is None:
+        checks.append(NormCheck(True, _closed_sup(fun, scale)))
     else:
-        l1 = NormCheck(False, math.inf)
-    if _in_l2(sing):
-        if vals_grid is None:
-            v, e = _closed_integral(lambda x: fun(x) ** 2, scale)
-            errs.append(e)
-            l2 = NormCheck(True, math.sqrt(2.0 * v))
-        else:
-            l2 = NormCheck(True, float(math.sqrt(
-                2.0 * np.trapezoid(vals_grid**2, x_grid))))
-    else:
-        l2 = NormCheck(False, math.inf)
-    if _in_linf(sing):
-        if vals_grid is None:
-            linf = NormCheck(True, _closed_sup(fun, scale))
-        else:
-            linf = NormCheck(True, float(np.max(np.abs(vals_grid))))
-    else:
-        linf = NormCheck(False, math.inf)
-    return l1, l2, linf
+        checks.append(NormCheck(True, float(np.max(np.abs(vals_grid)))))
+    return checks
 
 
 def check_a1(kernel: Kernel) -> A1Report:
@@ -212,42 +192,30 @@ def check_a2(kernel: Kernel) -> A2Report:
 
 
 def check_geman(kernel: Kernel, delta: float = None) -> GemanReport:
-    """Dyadic-refinement integrability of (r''(t) - r''(0))/t on (0, delta].
+    """Integrability of (r''(t) - r''(0))/t on (0, delta], from the Taylor
+    exponent of r at 0.
 
-    Slices [delta/2^{j+1}, delta/2^j] are integrated one at a time; the
-    partial sums converge (Cauchy, threshold 1e-6) exactly when successive
-    refinements stop contributing.  Raises NotDifferentiable when r''(0)
-    does not exist.
+    With p the lowest non-even exponent of r at 0 (``_odd_taylor_power``),
+    the integrand behaves like t^(p - 3), so the condition holds when p > 2
+    or r has no such term.  The integral is reported as well, from one
+    adaptive pass; for 2 < p < 3 the map t = delta u^(1/(p - 2)) leaves its
+    leading term constant.  Raises NotDifferentiable when r''(0) does not
+    exist.
     """
     if delta is None:
         delta = min(1.0, kernel.length_scale)
     if delta <= 0:
         raise DomainError("delta must be positive")
     r2_0 = kernel.r2_zero()  # NotDifferentiable propagates
-
-    def integrand(t):
-        return abs((kernel.r_second(t) - r2_0) / t)
-
-    total = 0.0
-    hi = delta
-    converged = False
-    notes = [
-        "dyadic-refinement Cauchy criterion, threshold "
-        f"{GEMAN_CAUCHY_TOL:g}; a numeric proxy for L1 membership",
-    ]
-    for _ in range(60):
-        lo = hi / 2.0
-        slice_val = quad(integrand, lo, hi, limit=100)[0]
-        total += slice_val
-        hi = lo
-        if slice_val < GEMAN_CAUCHY_TOL:
-            converged = True
-            break
-    if not converged:
-        notes.append(
-            f"refinement stalled: last slice contributed {slice_val:.3e} "
-            f"above threshold; integral reported down to t = {hi:.3e}")
-    return GemanReport(float(delta), total, converged, tuple(notes))
+    p = kernel._odd_taylor_power()
+    term = "no non-even term" if p is None else f"lowest non-even term |t|^{p:g}"
+    if p is not None and p <= 2.0:
+        return GemanReport(float(delta), math.inf, False, (f"r has {term} at 0",))
+    power = 1.0 / (p - 2.0) if p is not None and p < 3.0 else 1.0
+    (value,), (error,) = integrate(
+        lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], 0.0, delta, power)
+    notes = (f"r has {term} at 0; integral quadrature error estimate {error:.2e}",)
+    return GemanReport(float(delta), float(value), True, notes)
 
 
 def condition_report(kernel: Kernel, delta: float = None) -> ConditionReport:

@@ -10,7 +10,8 @@ class NotDifferentiable(DomainError):
 
 
 class NoSpectralDensity(DomainError):
-    """The covariance has no spectral density (its spectral measure has atoms)."""
+    """No spectral density to evaluate: the spectral measure has atoms, or
+    the density has no closed form in the package."""
 
 
 class NoBRepresentation(DomainError):

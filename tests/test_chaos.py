@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from gpchaos import chaos
 from gpchaos.chaos import (
     Functional,
-    QuadLog,
     _scalar_point_norms,
     _time_average_weights,
     chaos_spectrum,
@@ -31,6 +30,7 @@ from gpchaos.chaos import (
 )
 from gpchaos.errors import DomainError, NotDifferentiable, QuadratureFailure
 from gpchaos.kernels import parse_kernel
+from gpchaos.quadrature import QuadLog
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpchaos import __version__
 from gpchaos import montecarlo as mc
@@ -17,6 +21,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
 
 
 def run_json(capsys, *argv):
@@ -190,6 +198,14 @@ class TestChaosCommand:
         assert err.startswith("gpchaos: ") and "variance" in err
         # the integrator's own diagnosis rides along
         assert "Gauss-Legendre 20/10 on 128 subintervals, stopped by the limit of 200" in err
+
+    def test_exact_zero_time_average_is_not_a_failure(self, capsys):
+        # the order-1 time average of cos(10 pi u) is exactly 0 and comes out
+        # a round-off below it, inside a tolerance the rule met
+        report = run_json(
+            capsys, "chaos", "--kernel", "cosine:ell=0.1", "--functional", "H:1", "--n-max", "6"
+        )
+        assert report["spectrum"]["integrated_norms"][1] == 0.0
 
     def test_unresolved_quadrature_is_flagged(self, capsys):
         # five thousand cosine periods on [0, 1] exhaust the subinterval
@@ -365,6 +381,16 @@ class TestSimulateCommand:
         assert run_cli(capsys, *argv) == first
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
+    # the package's own integrator is the only one in the library
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gpchaos.cli, sys; assert 'scipy.integrate' not in sys.modules"],
+        env=cli_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv",
@@ -384,6 +410,13 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    def test_float_overflow_is_runtime_error(self, capsys):
+        # ell = 1e-320 squares to zero, and the kernel divides by it
+        code, out, err = run_cli(capsys, "chaos", "--kernel", "sqexp:ell=1e-320")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == "gpchaos: float division by zero"
 
     def test_non_finite_result_is_runtime_error(self, capsys, monkeypatch):
         monkeypatch.setattr(mc, "rice_crossing_mean", lambda kernel, level: math.nan)
@@ -440,3 +473,68 @@ class TestVerifyAll:
         )
         assert code == 0
         assert one == three
+
+
+# Spec strings from the kernel and functional grammars: each family with
+# its own parameters and a foreign one, values of every float class, and
+# broken separators.
+_FAMILY_KEYS = {
+    "sqexp": ("ell",), "matern": ("nu", "ell"), "maternhi": ("m", "ell"),
+    "gammaexp": ("gamma", "ell"), "rq": ("alpha", "ell"), "wendland": ("k",),
+    "cosine": ("ell",), "periodic": ("T", "period", "ell"), "matern52": ("ell",),
+    " Sqexp ": ("ell",), "bogus": ("ell",), "": ("ell",),
+}
+_VALUES = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.integers(-3, 120).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "abc", "1e-320", "1e300", "-0", "1.5.2", "0x10"]),
+)
+_WELL_FORMED_KERNELS = st.sampled_from(sorted(_FAMILY_KEYS)).flatmap(lambda family: st.builds(
+    lambda values: family + ":" + ",".join(map("=".join, zip(_FAMILY_KEYS[family], values))),
+    st.lists(_VALUES, min_size=2, max_size=2),
+))
+_MALFORMED_KERNELS = st.sampled_from(sorted(_FAMILY_KEYS)).flatmap(lambda family: st.builds(
+    lambda colon, params: family + colon + ",".join(params),
+    st.sampled_from([":", "", "::"]),
+    st.lists(st.builds(lambda key, sep, value: key + sep + value,
+                       st.sampled_from(_FAMILY_KEYS[family] + ("x",)),
+                       st.sampled_from(["=", "", "=="]), _VALUES),
+             max_size=3),
+))
+_KERNEL_SPECS = st.one_of(_WELL_FORMED_KERNELS, _MALFORMED_KERNELS)
+_AXES = st.sampled_from(["", "@x", "@xdot", "@y", "@"])
+_FUNCTIONAL_SPECS = st.one_of(
+    st.builds("H:{}{}".format, st.integers(0, 8), _AXES),
+    st.builds("H2:{},{}".format, st.integers(0, 4), st.integers(0, 4)),
+    st.builds("{}{}".format, st.sampled_from(["sign", "abs"]), _AXES),
+    st.builds("ind:{}{}".format, _VALUES, _AXES),
+    st.builds(lambda name, args, axis: name + args + axis,
+              st.sampled_from(["H", "H2", "sign", "ind", "bogus", ""]),
+              st.one_of(st.just(""), st.builds(":{}".format, _VALUES),
+                        st.builds(":{},{}".format, _VALUES, _VALUES)),
+              _AXES),
+)
+
+
+class TestSpecGrammarFuzz:
+    @staticmethod
+    def _run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=_KERNEL_SPECS, functional=_FUNCTIONAL_SPECS)
+    def test_every_spec_exits_with_a_documented_code(self, kernel, functional):
+        # an uncaught exception fails the test with its traceback
+        for argv in (("chaos", "--kernel", kernel, "--functional", functional, "--n-max", "6"),
+                     ("conditions", "--kernel", kernel)):
+            code, out, err = self._run(*argv)
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Traceback" not in err
+            if code == 0:
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                assert out == "" and err.splitlines()[-1].startswith("gpchaos: "), (argv, err)

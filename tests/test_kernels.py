@@ -297,12 +297,12 @@ class TestSpectralDensity:
                         0.5, rtol=1e-12)
 
     def test_gammaexp_origin_gamma_integral(self):
-        # F'(0) = (1/pi) int_0^inf exp(-t^gamma) dt = Gamma(1 + 1/gamma)/pi
-        k = GammaExponential(1.5, 1.0)
-        assert_allclose(k.spectral_density(0.0),
-                        math.gamma(1.0 + 1.0 / 1.5) / math.pi, rtol=1e-9)
+        # F'(0) = (1/pi) int_0^inf exp(-t/ell) dt = ell/pi at gamma = 1; other
+        # gammas below 2 have no closed form, and no caller needs one
         k1 = GammaExponential(1.0, 1.3)
         assert_allclose(k1.spectral_density(0.0), 1.3 / math.pi, rtol=1e-14)
+        with pytest.raises(NoSpectralDensity):
+            GammaExponential(1.5, 1.0).spectral_density(0.0)
 
     @pytest.mark.parametrize("k", [
         MaternHalfInteger(0, 1.0),
@@ -504,13 +504,17 @@ class TestBRepresentation:
         MaternHalfInteger(0, 1.0),
         MaternHalfInteger(1, 1.0),
         MaternHalfInteger(2, 1.0),
+        MaternHalfInteger(3, 1.0),
         Matern(2.5, 1.0),
         RationalQuadratic(2.0, 1.0),
         Wendland(4),
     ], ids=lambda k: k.spec_string())
     def test_reconstruction(self, k):
         t = np.linspace(0.0, 3.0 * k.length_scale, 13)
-        assert_allclose(reconstruct_r(k, t), k.r(t), atol=1e-5)
+        if b_representation(k).grid is None:  # a closed form, integrated to round-off
+            assert_allclose(reconstruct_r(k, t), k.r(t), rtol=0.0, atol=1e-12)
+        else:  # a grid b is only as good as its spline
+            assert_allclose(reconstruct_r(k, t), k.r(t), atol=1e-5)
 
     def test_reconstruction_anchors(self):
         assert_allclose(reconstruct_r(SquaredExponential(1.0), 1.0),
@@ -521,6 +525,12 @@ class TestBRepresentation:
     def test_reconstruction_beyond_grid_window(self):
         with pytest.raises(DomainError):
             reconstruct_r(RationalQuadratic(2.0, 1.0), 50.0)
+
+    def test_grid_b_out_of_double_range_is_no_representation(self):
+        # a length scale near the bottom of the double range puts the
+        # sampled b above its top
+        with pytest.raises(NoBRepresentation, match="not finite"):
+            b_representation(RationalQuadratic(1.0, 3.6e-274))
 
     def test_gammaexp_cusp_metadata(self):
         rep = b_representation(GammaExponential(1.5, 1.0))
@@ -601,6 +611,10 @@ class TestParseKernel:
             MaternHalfInteger(-1, 1.0)
         with pytest.raises(DomainError):
             Wendland(0)
+        with pytest.raises(DomainError):
+            Wendland(21)
+        with pytest.raises(DomainError):
+            MaternHalfInteger(21, 1.0)
         with pytest.raises(DomainError):
             GammaExponential(0.0, 1.0)
         with pytest.raises(DomainError):
