@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import Kernel, _error_exponents
+from .kernels import Kernel, richardson_at_zero
 
 __all__ = [
     "AMatrix",
@@ -112,21 +112,16 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
         a = a_matrix(kernel, t)
         return a.a11**2 + a.a12**2 + a.a21**2 + a.a22**2
 
-    h0 = 0.1 * kernel.fd_scale
-    steps = [h0 / 2**j for j in range(5)]
-    first = (h(steps[-1]) - h(-steps[-1])) / (2.0 * steps[-1])
+    step = 0.1 * kernel.fd_scale / 2**4
+    first = (h(step) - h(-step)) / (2.0 * step)
 
     # odd |t|-powers of r at p produce |t|^{p-2} terms in h
     p = kernel._odd_taylor_power()
-    exponents = _error_exponents(None if p is None else p - 2.0, 2)
-    vals = [(h(s) - 2.0 * h(0.0) + h(-s)) / s**2 for s in steps]
-    for q in exponents:
-        fac = 2.0**q
-        vals = [(fac * vals[i + 1] - vals[i]) / (fac - 1.0)
-                for i in range(len(vals) - 1)]
+    second = richardson_at_zero(lambda s: (h(s) - 2.0 * h(0.0) + h(-s)) / s**2,
+                                kernel, None if p is None else p - 2.0, 2)
     return {
         "first": first,
-        "second": vals[0],
+        "second": second,
         "printed_second": (r4 - r2 * r2) / r2,
     }
 

@@ -56,6 +56,7 @@ __all__ = [
     "parse_kernel",
     "r_derivatives_at_zero",
     "reconstruct_r",
+    "richardson_at_zero",
     "wendland_poly",
 ]
 
@@ -164,12 +165,34 @@ class Kernel:
     def _r2_abs(self, s):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def derivatives_at_zero(self) -> DerivativesAtZero:  # pragma: no cover
+    def _r2_at_zero(self):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _r4_at_zero(self):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    # notes on printed constants behind the values at 0, attached where
+    # r''''(0) exists
+    _printed_notes = ()
+
+    def _missing_note(self, p, derivative):
+        return f"|t|^{p:g} term in the expansion at 0; no {derivative}"
 
     def _odd_taylor_power(self):
         """Lowest non-even |t|-exponent of r at 0, or None if even-smooth."""
         return None
+
+    def derivatives_at_zero(self) -> DerivativesAtZero:
+        """r''(0) and r''''(0) where they exist, which the Taylor exponent p
+        of ``_odd_taylor_power`` decides: r''(0) exists iff p is None or
+        p > 2, and r''''(0) iff p is None or p > 4."""
+        p = self._odd_taylor_power()
+        r2_ok, r4_ok = (p is None or p > order for order in (2.0, 4.0))
+        r2 = self._r2_at_zero() if r2_ok else math.nan
+        r4 = self._r4_at_zero() if r4_ok else math.nan
+        notes = self._printed_notes if r4_ok else (
+            self._missing_note(p, "r''''(0)" if r2_ok else "r''(0)"),)
+        return DerivativesAtZero(r2, r4, r4 - r2 * r2, r2_ok, r4_ok, notes)
 
     def spectral_density(self, lam):  # pragma: no cover - abstract
         raise NoSpectralDensity(f"{self.family}: no spectral density")
@@ -203,10 +226,6 @@ class Kernel:
         return f"{self.family}:{inner}" if inner else self.family
 
 
-def _disc(r2, r4):
-    return r4 - r2 * r2
-
-
 # --------------------------------------------------------------------------
 # squared exponential
 
@@ -231,10 +250,11 @@ class SquaredExponential(Kernel):
     def _r2_abs(self, s):
         return (4.0 * s**2 / self.ell**4 - 2.0 / self.ell**2) * self._r_abs(s)
 
-    def derivatives_at_zero(self):
-        r2 = -2.0 / self.ell**2
-        r4 = 12.0 / self.ell**4
-        return DerivativesAtZero(r2, r4, _disc(r2, r4), True, True)
+    def _r2_at_zero(self):
+        return -2.0 / self.ell**2
+
+    def _r4_at_zero(self):
+        return 12.0 / self.ell**4
 
     def spectral_density(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -349,25 +369,14 @@ class Matern(Kernel):
             lambda z: -c * gam**2 * (z ** (nu - 1.0) * kv(nu - 1.0, z) - z**nu * kv(nu - 2.0, z)),
         )
 
-    def derivatives_at_zero(self):
-        nu, ell = self.nu, self.ell
-        notes = []
-        if nu > 1:
-            r2 = -nu / ((nu - 1.0) * ell**2)
-            r2_ok = True
-        else:
-            r2, r2_ok = math.nan, False
-            notes.append("r''(0) requires nu > 1")
-        if nu > 2:
-            r4 = 3.0 * nu**2 / ((nu - 1.0) * (nu - 2.0) * ell**4)
-            r4_ok = True
-            notes.append(_MATERN_R4_NOTE)
-        else:
-            r4, r4_ok = math.nan, False
-            if nu > 1:
-                notes.append("r''''(0) requires nu > 2")
-        disc = _disc(r2, r4) if (r2_ok and r4_ok) else math.nan
-        return DerivativesAtZero(r2, r4, disc, r2_ok, r4_ok, tuple(notes))
+    def _r2_at_zero(self):
+        return -self.nu / ((self.nu - 1.0) * self.ell**2)
+
+    def _r4_at_zero(self):
+        nu = self.nu
+        return 3.0 * nu**2 / ((nu - 1.0) * (nu - 2.0) * self.ell**4)
+
+    _printed_notes = (_MATERN_R4_NOTE,)
 
     def _odd_taylor_power(self):
         return 2.0 * self.nu
@@ -389,9 +398,8 @@ class MaternHalfInteger(Kernel):
     """Matern covariance at nu = m + 1/2 via the exponential-polynomial form.
 
     r(t) = e^{-z} m!/(2m)! sum_{i=0}^{m} (m+i)!/(i!(m-i)!) (2z)^{m-i},
-    z = sqrt(2 nu) |t| / ell.  The Taylor coefficients of p(z) e^{-z} are
-    kept as exact rationals so derivative availability at 0 (vanishing of
-    the odd terms) is decided exactly, not by floating-point comparison.
+    z = sqrt(2 nu) |t| / ell, whose Taylor series at 0 is
+    1 - z^2/(2(2m-1)) + z^4/(8(2m-1)(2m-3)) + ... up to its odd term z^{2m+1}.
     """
 
     m: int
@@ -428,19 +436,6 @@ class MaternHalfInteger(Kernel):
         return tuple(coeffs)
 
     @functools.cached_property
-    def _q_taylor(self):
-        """Exact Taylor coefficients of q(z) = p(z) e^{-z} through z^4."""
-        p = self._p_coeffs
-        out = []
-        for j in range(5):
-            acc = Fraction(0)
-            for i in range(min(j, len(p) - 1) + 1):
-                acc += p[i] * Fraction((-1) ** (j - i),
-                                       math.factorial(j - i))
-            out.append(acc)
-        return tuple(out)
-
-    @functools.cached_property
     def _polys(self):
         p = np.array([float(c) for c in self._p_coeffs])
         p1 = npoly.polyder(p)
@@ -465,23 +460,11 @@ class MaternHalfInteger(Kernel):
             + npoly.polyval(z, p)
         return self._gam**2 * val * np.exp(-z)
 
-    def derivatives_at_zero(self):
-        T = self._q_taylor
-        gam = self._gam
-        notes = []
-        if T[1] == 0:
-            r2, r2_ok = 2.0 * float(T[2]) * gam**2, True
-        else:
-            r2, r2_ok = math.nan, False
-            notes.append("odd |t| term in the expansion at 0; no r''(0)")
-        if T[1] == 0 and T[3] == 0:
-            r4, r4_ok = 24.0 * float(T[4]) * gam**4, True
-        else:
-            r4, r4_ok = math.nan, False
-            if r2_ok:
-                notes.append("|t|^3 term in the expansion at 0; no r''''(0)")
-        disc = _disc(r2, r4) if (r2_ok and r4_ok) else math.nan
-        return DerivativesAtZero(r2, r4, disc, r2_ok, r4_ok, tuple(notes))
+    def _r2_at_zero(self):
+        return -1.0 / (2 * self.m - 1) * self._gam**2
+
+    def _r4_at_zero(self):
+        return 24.0 * (1 / (8 * (2 * self.m - 1) * (2 * self.m - 3))) * self._gam**4
 
     def _odd_taylor_power(self):
         return 2.0 * self.nu
@@ -526,17 +509,15 @@ class GammaExponential(Kernel):
 
         return _positive(s, -2.0 / self.ell**2 if g == 2.0 else np.nan, at)
 
-    def derivatives_at_zero(self):
-        if self.gamma == 2.0:
-            r2 = -2.0 / self.ell**2
-            r4 = 12.0 / self.ell**4
-            return DerivativesAtZero(r2, r4, _disc(r2, r4), True, True)
-        notes = ("no t^2 term in the expansion at 0 unless gamma is 1 or 2",)
-        if self.gamma == 1.0:
-            notes = ("one-sided r''(0+) = 1/ell^2 exists but the two-sided "
-                     "second derivative does not (cusp at 0)",)
-        return DerivativesAtZero(math.nan, math.nan, math.nan, False, False,
-                                 notes)
+    # r''(0) exists at gamma = 2 alone, where r is the squared exponential
+    _r2_at_zero = SquaredExponential._r2_at_zero
+    _r4_at_zero = SquaredExponential._r4_at_zero
+
+    def _missing_note(self, p, derivative):
+        if p == 1.0:
+            return ("one-sided r''(0+) = 1/ell^2 exists but the two-sided "
+                    "second derivative does not (cusp at 0)")
+        return super()._missing_note(p, derivative)
 
     def _odd_taylor_power(self):
         return None if self.gamma == 2.0 else self.gamma
@@ -611,11 +592,13 @@ class RationalQuadratic(Kernel):
         return (-u ** (-a - 1.0) / self.ell**2
                 + (a + 1.0) * s**2 / (a * self.ell**4) * u ** (-a - 2.0))
 
-    def derivatives_at_zero(self):
-        r2 = -1.0 / self.ell**2
-        r4 = 3.0 * (1.0 + 1.0 / self.alpha) / self.ell**4
-        return DerivativesAtZero(r2, r4, _disc(r2, r4), True, True,
-                                 (_RQ_DISC_NOTE,))
+    def _r2_at_zero(self):
+        return -1.0 / self.ell**2
+
+    def _r4_at_zero(self):
+        return 3.0 * (1.0 + 1.0 / self.alpha) / self.ell**4
+
+    _printed_notes = (_RQ_DISC_NOTE,)
 
     def spectral_density(self, lam):
         if self.alpha <= 0.5:
@@ -671,8 +654,7 @@ class Wendland(Kernel):
 
     r is the k-fold repeated integral of (1-t)^{k+1}, normalized at 0; all
     polynomial manipulation is exact rational arithmetic, so derivative
-    values at 0 are exact and the availability of the fourth derivative
-    (vanishing cubic term, k >= 2) is decided symbolically.
+    values at 0 are exact.
     """
 
     k: int
@@ -712,21 +694,16 @@ class Wendland(Kernel):
     def _r2_abs(self, s):
         return self._masked_eval(s, self._float_coeffs[2])
 
-    def derivatives_at_zero(self):
-        c = self._coeffs
-        notes = []
-        r2 = float(2 * c[2])
-        r4, r4_ok = math.nan, False
-        if len(c) > 3 and c[3] == 0:
-            r4, r4_ok = float(24 * c[4]), True
-            notes.append(
-                "discriminant from exact polynomial arithmetic; the printed "
-                "shorthand 18k(3k+1) disagrees at every k (936 vs 47736/49 "
-                "at k = 4) and is not used")
-        else:
-            notes.append("|t|^3 term present for k = 1; no r''''(0)")
-        disc = _disc(r2, r4) if r4_ok else math.nan
-        return DerivativesAtZero(r2, r4, disc, True, r4_ok, tuple(notes))
+    def _r2_at_zero(self):
+        return float(2 * self._coeffs[2])
+
+    def _r4_at_zero(self):
+        return float(24 * self._coeffs[4])
+
+    _printed_notes = (
+        "discriminant from exact polynomial arithmetic; the printed shorthand "
+        "18k(3k+1) disagrees at every k (936 vs 47736/49 at k = 4) and is not "
+        "used",)
 
     def _odd_taylor_power(self):
         return 2.0 * self.k + 1.0
@@ -823,11 +800,12 @@ class Cosine(Kernel):
     def _r2_abs(self, s):
         return -self._omega**2 * np.cos(self._omega * s)
 
-    def derivatives_at_zero(self):
-        w2 = self._omega * self._omega
-        r2, r4 = -w2, w2 * w2
-        # discriminant r4 - r2^2 cancels exactly in floating point as well
-        return DerivativesAtZero(r2, r4, r4 - r2 * r2, True, True)
+    # the discriminant r4 - r2^2 cancels exactly in floating point as well
+    def _r2_at_zero(self):
+        return -self._omega * self._omega
+
+    def _r4_at_zero(self):
+        return self._r2_at_zero() ** 2
 
     def spectral_density(self, lam):
         raise NoSpectralDensity(
@@ -872,12 +850,12 @@ class Periodic(Kernel):
             + (u / self.ell**2) ** 2 * np.sin(2.0 * u * s) ** 2
         return trig * self._r_abs(s)
 
-    def derivatives_at_zero(self):
-        u = math.pi / self.T
-        l2 = self.ell**2
-        r2 = -2.0 * u**2 / l2
-        r4 = 8.0 * u**4 / l2 + 12.0 * u**4 / l2**2
-        return DerivativesAtZero(r2, r4, _disc(r2, r4), True, True)
+    def _r2_at_zero(self):
+        return -2.0 * (math.pi / self.T) ** 2 / self.ell**2
+
+    def _r4_at_zero(self):
+        u4, l2 = (math.pi / self.T) ** 4, self.ell**2
+        return 8.0 * u4 / l2 + 12.0 * u4 / l2**2
 
     def spectral_density(self, lam):
         raise NoSpectralDensity(
@@ -1058,31 +1036,33 @@ def _error_exponents(p_odd, order, count=4):
     return sorted(exps)[:count]
 
 
-def fd_derivatives_at_zero(kernel: Kernel) -> dict:
-    """Neville-extrapolated central differences for r''(0) and r''''(0).
+def richardson_at_zero(quotient, kernel: Kernel, p_odd, order) -> float:
+    """Neville extrapolation to h = 0 of ``quotient(h)``, a central
+    difference of order ``order`` of a function whose lowest non-even
+    |t|-exponent at 0 is ``p_odd`` (None if it has none).
 
     Geometric step ladder h0 * 2^{-j}, j = 0..4, with h0 = 0.1 times the
     kernel's differencing scale; a fixed absolute ladder would lose the
     fourth derivative to rounding (h^4 ~ 1e-16 at h = 1e-4).  The
-    extrapolation eliminates the kernel-specific error-exponent ladder,
-    see _error_exponents.
+    extrapolation eliminates the error-exponent ladder of _error_exponents.
     """
     h0 = 0.1 * kernel.fd_scale
-    steps = [h0 / 2**j for j in range(5)]
+    vals = [quotient(h0 / 2**j) for j in range(5)]
+    for p in _error_exponents(p_odd, order):
+        fac = 2.0**p
+        vals = [(fac * vals[i + 1] - vals[i]) / (fac - 1.0)
+                for i in range(len(vals) - 1)]
+    return vals[0]
+
+
+def fd_derivatives_at_zero(kernel: Kernel) -> dict:
+    """Extrapolated central differences for r''(0) and r''''(0)."""
     p_odd = kernel._odd_taylor_power()
-
-    def neville(vals, exponents):
-        for p in exponents:
-            fac = 2.0**p
-            vals = [(fac * vals[i + 1] - vals[i]) / (fac - 1.0)
-                    for i in range(len(vals) - 1)]
-        return vals[0]
-
-    d2 = neville([(2.0 * kernel.r(h) - 2.0) / h**2 for h in steps],
-                 _error_exponents(p_odd, 2))
-    d4 = neville([(2.0 * kernel.r(2 * h) - 8.0 * kernel.r(h) + 6.0) / h**4
-                  for h in steps],
-                 _error_exponents(p_odd, 4))
+    d2 = richardson_at_zero(lambda h: (2.0 * kernel.r(h) - 2.0) / h**2,
+                            kernel, p_odd, 2)
+    d4 = richardson_at_zero(
+        lambda h: (2.0 * kernel.r(2 * h) - 8.0 * kernel.r(h) + 6.0) / h**4,
+        kernel, p_odd, 4)
     return {"r2": d2, "r4": d4}
 
 
