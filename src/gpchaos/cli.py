@@ -369,9 +369,10 @@ def main(argv=None) -> int:
         text = handler(args)
     except (*_RUNTIME_ERRORS, NonFiniteResult, ArithmeticError) as exc:
         # a bare DomainError is a bad value inside a well-formed flag, a
-        # usage problem; its subclasses and the rest, such as a parameter
-        # whose float arithmetic overflows, are runtime failures
-        print(f"gpchaos: {exc}", file=sys.stderr)
+        # usage problem; its subclasses and the rest are runtime failures,
+        # such as float arithmetic that overflows, named with the kernel
+        where = f"{args.kernel}: " if isinstance(exc, ArithmeticError) and "kernel" in args else ""
+        print(f"gpchaos: {where}{exc}", file=sys.stderr)
         return 2 if type(exc) is DomainError else 3
     _emit(text, args.out)
     return 0

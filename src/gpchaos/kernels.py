@@ -21,6 +21,7 @@ implementations that can be cross-checked against each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
-from scipy.special import kv
+from scipy.special import kve
 
 from .errors import (
     DomainError,
@@ -283,12 +284,50 @@ class SquaredExponential(Kernel):
 # Matern, generic order
 
 
+def _matern_log_c(nu):
+    """log of 2^(1-nu) / Gamma(nu), which makes z^nu K_nu(z) 1 at 0."""
+    return (1.0 - nu) * math.log(2.0) - gamma_ln(nu)
+
+
+def _bessel_form(nu, z, order=0, log_p=None):
+    """The order-th derivative (0, 1 or 2) of P z^nu K_nu(z) at z > 0, P =
+    exp(log_p), by default 2^(1-nu)/Gamma(nu): each power of z times K_mu(z)
+    in logarithms, through kve.  Near 0, where K_nu overflows at large nu,
+    it is P Gamma(nu) 2^(nu-1) sum_{k < nu} (-1)^k Gamma(nu-k)/(Gamma(nu) k!)
+    (z^2/4)^k, wherever z^2 < 2 nu (the terms fall) and the odd part,
+    (z/2)^(2 nu - order) / (Gamma(nu) Gamma(nu+1)), is below e^-77 (rounding,
+    with room for its 1/sin(pi nu) and log z factors near integer nu)."""
+    log_p = _matern_log_c(nu) if log_p is None else log_p
+
+    def part(a, mu):  # P z^a K_mu(z)
+        return np.exp(log_p + a * np.log(z) - z) * kve(mu, z)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (part(nu, nu) if order == 0 else -part(nu, nu - 1.0) if order == 1
+               else part(nu, nu - 2.0) - part(nu - 1.0, nu - 1.0))
+    if nu <= 0:
+        return out
+    near = (z * z < 2.0 * nu) & ((2.0 * nu - order) * (np.log(z) - math.log(2.0))
+                                 < gamma_ln(nu) + gamma_ln(nu + 1.0) - 77.0)
+    zn = z[near]
+    w, g = zn * zn / 4.0, np.ones(zn.shape)
+    total = g if order == 0 else np.zeros(zn.shape)
+    k, term = 1, np.ones(zn.shape)
+    while k < nu and np.any(np.abs(term) > 1e-17 * np.abs(total)):
+        # g = (-1)^k Gamma(nu-k)/(Gamma(nu) k!) w^(k-1); term = g (d/dz)^order w^k / w^(k-1)
+        g = g * (-1.0 / (k * (nu - k))) * (w if k > 1 else 1.0)
+        term = g * (w if order == 0 else k * zn / 2.0 if order == 1 else k * (k - 0.5))
+        total, k = total + term, k + 1
+    out[near] = math.exp(log_p - _matern_log_c(nu)) * total
+    return out
+
+
 def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
     """Closed-form moving-average kernel shared by both Matern routes.
 
     b(x) = P (g|x|)^q K_q(g|x|) with q = (nu - 1/2)/2 and g = sqrt(2 nu)/ell;
     the prefactor is fixed by int b^2 = 1.  The derivative uses
-    d/dz [z^q K_q(z)] = -z^q K_{q-1}(z).
+    d/dz [z^q K_q(z)] = -z^q K_{q-1}(z).  b ~ |x|^(2q) at 0 when q < 0.
     """
     gam = math.sqrt(2.0 * nu) / ell
     mu = nu + 0.5
@@ -297,22 +336,17 @@ def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
         math.log(gam)
     log_p = 0.5 * (math.log(2.0) + log_d) + math.log(gam) \
         - q * math.log(2.0) - gamma_ln(q + 0.5)
-    pref = math.exp(log_p)
-    b0 = pref * 2.0 ** (q - 1.0) * math.exp(gamma_ln(q)) if q > 0 else np.inf
+    b0 = math.exp(log_p - _matern_log_c(q)) if q > 0 else np.inf
 
     def b(x):
-        return _even(lambda s: _positive(gam * s, b0, lambda z: pref * z**q * kv(q, z)), x)
+        return _even(lambda s: _positive(gam * s, b0, lambda z: _bessel_form(q, z, 0, log_p)), x)
 
     def b_prime(x):
         return _even(lambda s: _positive(
-            gam * s, 0.0, lambda z: -pref * gam * z**q * kv(q - 1.0, z)), x, odd=True)
+            gam * s, 0.0, lambda z: gam * _bessel_form(q, z, 1, log_p)), x, odd=True)
 
-    if q == 0:
-        b_sing, bp_sing = "log", -1.0
-    elif q < 0.5:
-        b_sing, bp_sing = None, 2.0 * q - 1.0
-    else:
-        b_sing, bp_sing = None, None
+    b_sing = "log" if q == 0 else 2.0 * q if q < 0 else None
+    bp_sing = 2.0 * q - 1.0 if q < 0.5 else None
     return BKernel("closed", b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0,
                    notes=notes)
 
@@ -334,7 +368,8 @@ _MATERN_R4_NOTE = (
 class Matern(Kernel):
     """Matern covariance of general order nu, Bessel-function route.
 
-    r(t) = 2^{1-nu}/Gamma(nu) (g t)^nu K_nu(g t), g = sqrt(2 nu)/ell.
+    r(t) = 2^{1-nu}/Gamma(nu) (g t)^nu K_nu(g t), g = sqrt(2 nu)/ell,
+    evaluated by _bessel_form.
     """
 
     nu: float
@@ -349,25 +384,16 @@ class Matern(Kernel):
     def _gam(self):
         return math.sqrt(2.0 * self.nu) / self.ell
 
-    @property
-    def _c(self):
-        return 2.0 ** (1.0 - self.nu) / math.exp(gamma_ln(self.nu))
-
     def _r_abs(self, s):
-        nu, c = self.nu, self._c
-        return _positive(self._gam * s, 1.0, lambda z: c * z**nu * kv(nu, z))
+        return _positive(self._gam * s, 1.0, lambda z: _bessel_form(self.nu, z))
 
     def _r1_abs(self, s):
-        nu, c, gam = self.nu, self._c, self._gam
-        return _positive(gam * s, 0.0, lambda z: -c * gam * z**nu * kv(nu - 1.0, z))
+        return _positive(self._gam * s, 0.0, lambda z: self._gam * _bessel_form(self.nu, z, 1))
 
     def _r2_abs(self, s):
-        nu, c, gam = self.nu, self._c, self._gam
         d = self.derivatives_at_zero()
-        return _positive(
-            gam * s, d.r2 if d.r2_available else np.nan,
-            lambda z: -c * gam**2 * (z ** (nu - 1.0) * kv(nu - 1.0, z) - z**nu * kv(nu - 2.0, z)),
-        )
+        return _positive(self._gam * s, d.r2 if d.r2_available else np.nan,
+                         lambda z: self._gam**2 * _bessel_form(self.nu, z, 2))
 
     def _r2_at_zero(self):
         return -self.nu / ((self.nu - 1.0) * self.ell**2)
@@ -604,11 +630,12 @@ class RationalQuadratic(Kernel):
         if self.alpha <= 0.5:
             raise NoSpectralDensity(
                 "rq: covariance is not integrable for alpha <= 1/2")
+        # F'(lam) = a / (sqrt(pi) Gamma(alpha)) (z/2)^p K_p(z), z = a |lam|
         a = self.ell * math.sqrt(2.0 * self.alpha)
         p = self.alpha - 0.5
-        c = a / (math.sqrt(math.pi) * math.exp(gamma_ln(self.alpha)))
+        log_c = math.log(a / math.sqrt(math.pi)) - gamma_ln(self.alpha) - p * math.log(2.0)
         return _even(lambda s: _positive(
-            a * s, c * math.exp(gamma_ln(p)) / 2.0, lambda z: c * (z / 2.0) ** p * kv(p, z)), lam)
+            a * s, math.exp(log_c - _matern_log_c(p)), lambda z: _bessel_form(p, z, 0, log_c)), lam)
 
     def b_representation(self):
         if self.alpha <= 0.5:
@@ -675,24 +702,32 @@ class Wendland(Kernel):
         return tuple(c / norm for c in raw)
 
     @functools.cached_property
-    def _float_coeffs(self):
-        c = np.array([float(x) for x in self._coeffs])
-        return c, npoly.polyder(c), npoly.polyder(c, 2)
-
-    def _masked_eval(self, s, coeff):
-        out = np.zeros_like(s)
-        inside = s <= 1.0
-        out[inside] = npoly.polyval(s[inside], coeff)
+    def _factored(self):
+        """Exact q_j, in floats, with r^(j)(t) = (1-t)^(2k+1-j) q_j(t): the
+        coefficients of r cancel, those of q_j do not.  Dividing by 1 - t
+        takes prefix sums."""
+        c, out = list(self._coeffs), []
+        for j in range(3):
+            q = c
+            for _ in range(2 * self.k + 1 - j):
+                q = list(itertools.accumulate(q))[:-1]
+            out.append(np.array([float(a) for a in q]))
+            c = [i * a for i, a in enumerate(c)][1:]
         return out
 
-    def _r_abs(self, s):
-        return self._masked_eval(s, self._float_coeffs[0])
+    def _masked_eval(self, s, j):
+        out = np.zeros_like(s)
+        inside = s <= 1.0
+        si, q = s[inside], self._factored[j]
+        log_power = (2 * self.k + 1 - j) * np.log1p(-si)
+        # q_0(0) = 1, and r as one exponential rounds like 1 + O(t^2) near 0
+        out[inside] = np.exp(log_power + np.log1p(si * npoly.polyval(si, q[1:]))) \
+            if j == 0 else np.exp(log_power) * npoly.polyval(si, q)
+        return out
 
-    def _r1_abs(self, s):
-        return self._masked_eval(s, self._float_coeffs[1])
-
-    def _r2_abs(self, s):
-        return self._masked_eval(s, self._float_coeffs[2])
+    _r_abs = functools.partialmethod(_masked_eval, j=0)
+    _r1_abs = functools.partialmethod(_masked_eval, j=1)
+    _r2_abs = functools.partialmethod(_masked_eval, j=2)
 
     def _r2_at_zero(self):
         return float(2 * self._coeffs[2])
@@ -885,15 +920,21 @@ def _grid_payload(lam, f_vals, dx, trunc, notes):
     """Grid b and b' by FFT inversion of sqrt(2 pi F') sampled at the
     frequencies ``lam`` of an n-point grid of step dx, with splines on the
     half line."""
-    g = np.sqrt(2.0 * math.pi * f_vals)
+    neg = f_vals < 0
+    if np.any(neg):
+        notes.append(f"clipped negative spectral noise, mass "
+                     f"{-f_vals[neg].sum() * (2.0 * math.pi / (lam.size * dx)):.2e}")
+        f_vals = np.clip(f_vals, 0.0, None)
     half = lam.size // 2
-    b_vals = np.fft.ifft(g).real[:half + 1] / dx
-    bp_vals = np.fft.ifft(1j * lam * g).real[:half + 1] / dx
     x = np.arange(half + 1) * dx
-    if not all(np.isfinite(v).all() for v in (x, b_vals, bp_vals)):
-        raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
-    spl_b = CubicSpline(x, b_vals)
-    spl_bp = CubicSpline(x, bp_vals)
+    with np.errstate(all="ignore"):
+        g = np.sqrt(2.0 * math.pi * f_vals)
+        b_vals = np.fft.ifft(g).real[:half + 1] / dx
+        bp_vals = np.fft.ifft(1j * lam * g).real[:half + 1] / dx
+        try:  # CubicSpline rejects non-finite values, and slopes that overflow
+            spl_b, spl_bp = CubicSpline(x, b_vals), CubicSpline(x, bp_vals)
+        except ValueError:
+            raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}") from None
     x_max = x[-1]
 
     def windowed(spline):
@@ -928,13 +969,7 @@ def _grid_b_from_spectral(density, scale, decay_scale, n=1 << 16):
             f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
             f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
     lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    f_vals = np.asarray(density(np.abs(lam)), dtype=float)
-    neg = f_vals < 0
-    if np.any(neg):
-        clipped = -f_vals[neg].sum() * (2.0 * math.pi / (n * dx))
-        notes.append(f"clipped negative spectral noise, mass {clipped:.2e}")
-        f_vals = np.clip(f_vals, 0.0, None)
-    return _grid_payload(lam, f_vals, dx, trunc, notes)
+    return _grid_payload(lam, np.asarray(density(np.abs(lam)), dtype=float), dx, trunc, notes)
 
 
 def _grid_b_from_covariance(kernel, n=1 << 20):
@@ -946,16 +981,11 @@ def _grid_b_from_covariance(kernel, n=1 << 20):
     row = kernel.r(np.minimum(t, x_len - t))
     f_vals = np.fft.fft(row).real * dt / (2.0 * math.pi)
     lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
-    neg = f_vals < 0
-    notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})"]
-    if np.any(neg):
-        clipped = -f_vals[neg].sum() * (2.0 * math.pi / (n * dt))
-        notes.append(f"clipped negative spectral noise, mass {clipped:.2e}")
-        f_vals = np.clip(f_vals, 0.0, None)
     lam_max = math.pi / dt
     tail_amp = math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max
-    notes.append(f"square-root spectral tail beyond {lam_max:.3g} "
-                 f"contributes at most ~{tail_amp:.2e} near the origin")
+    notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})",
+             f"square-root spectral tail beyond {lam_max:.3g} "
+             f"contributes at most ~{tail_amp:.2e} near the origin"]
     return _grid_payload(lam, f_vals, dt, tail_amp, notes)
 
 
@@ -1039,13 +1069,10 @@ def _error_exponents(p_odd, order, count=4):
 def richardson_at_zero(quotient, kernel: Kernel, p_odd, order) -> float:
     """Neville extrapolation to h = 0 of ``quotient(h)``, a central
     difference of order ``order`` of a function whose lowest non-even
-    |t|-exponent at 0 is ``p_odd`` (None if it has none).
-
-    Geometric step ladder h0 * 2^{-j}, j = 0..4, with h0 = 0.1 times the
-    kernel's differencing scale; a fixed absolute ladder would lose the
-    fourth derivative to rounding (h^4 ~ 1e-16 at h = 1e-4).  The
-    extrapolation eliminates the error-exponent ladder of _error_exponents.
-    """
+    |t|-exponent at 0 is ``p_odd`` (None if none), over the error exponents
+    of _error_exponents and the steps h0 2^-j, j = 0..4, h0 = 0.1 times the
+    kernel's differencing scale: a fixed absolute ladder would lose the
+    fourth derivative to rounding (h^4 ~ 1e-16 at h = 1e-4)."""
     h0 = 0.1 * kernel.fd_scale
     vals = [quotient(h0 / 2**j) for j in range(5)]
     for p in _error_exponents(p_odd, order):
@@ -1141,8 +1168,4 @@ def parse_kernel(text: str) -> Kernel:
     if missing:
         raise DomainError(
             f"family {fam!r} requires parameter(s) {', '.join(missing)}")
-    if "m" in params:
-        params["m"] = int(params["m"])
-    if "k" in params:
-        params["k"] = int(params["k"])
     return cls(**params)

@@ -234,19 +234,24 @@ def test_criterion_11_determinism(tmp_path, cli_env):
 def test_criterion_12_class_sweep_of_geman_and_a2():
     # Geman's condition holds iff r''(0) exists (Matern nu > 1, gamma = 2);
     # A2 needs the fourth derivative as well (Matern nu > 2, Wendland k >= 2)
-    expected = {}  # spec -> (Geman holds, A2 holds); None leaves A2 unpinned
+    # and a positive discriminant, which is exactly 0 for the cosine
+    expected = {}  # spec -> (Geman holds, A2 holds)
     for nu in (0.9, 1.0, 1.02, 1.05, 1.1, 1.2, 1.5, 1.9, 2.0, 2.05, 2.5):
         expected[f"matern:nu={nu:g}"] = (nu > 1.0, nu > 2.0)
     for k in (1, 2, 3, 4):
         expected[f"wendland:k={k}"] = (True, k >= 2)
+    for m in (0, 1, 2, 3):
+        expected[f"maternhi:m={m}"] = (m >= 1, m >= 2)
     for gamma in (0.5, 1.0, 1.5, 1.9, 2.0):
-        expected[f"gammaexp:gamma={gamma:g}"] = (gamma == 2.0, None)
+        expected[f"gammaexp:gamma={gamma:g}"] = (gamma == 2.0, gamma == 2.0)
     for alpha in (0.5, 1.0, 2.0, 10.0):
         expected[f"rq:alpha={alpha:g}"] = (True, True)
+    expected["cosine"] = (True, False)  # the discriminant is exactly 0
+    expected["periodic:T=2,ell=0.8"] = (True, True)
     wrong = []
     for spec, (geman, a2) in expected.items():
         report = condition_report(parse_kernel(spec))
-        if report.geman.holds != geman or a2 not in (None, report.a2.holds):
+        if (report.geman.holds, report.a2.holds) != (geman, a2):
             wrong.append(spec)
     _verdict(12, "Geman and A2 verdicts across the class thresholds", not wrong,
              f"{len(expected)} kernels, wrong: {', '.join(wrong) or 'none'}")

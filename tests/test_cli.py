@@ -416,7 +416,24 @@ class TestNonFiniteInput:
         code, out, err = run_cli(capsys, "chaos", "--kernel", "sqexp:ell=1e-320")
         assert code == 3
         assert out == ""
-        assert err.splitlines()[-1] == "gpchaos: float division by zero"
+        assert err.splitlines()[-1] == "gpchaos: sqexp:ell=1e-320: float division by zero"
+
+    def test_float_overflow_is_one_line_naming_the_kernel(self, tmp_path, cli_env):
+        # a child process, so numpy warnings would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpchaos", "conditions", "--kernel", "rq:alpha=112,ell=1e300"],
+            env=cli_env(), capture_output=True, text=True, cwd=str(tmp_path),
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("gpchaos: rq:alpha=112,ell=1e300: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("chaos", "--kernel", "matern:nu=100", "--functional", "H:2", "--n-max", "4"),
+        ("conditions", "--kernel", "matern:nu=100"),
+    ], ids=["chaos", "conditions"])
+    def test_large_matern_order_reports(self, capsys, argv):
+        run_json(capsys, *argv)
 
     def test_non_finite_result_is_runtime_error(self, capsys, monkeypatch):
         monkeypatch.setattr(mc, "rice_crossing_mean", lambda kernel, level: math.nan)

@@ -106,6 +106,13 @@ class TestA1:
         assert not a1.bprime_in_Linf.finite
         assert a1.b_L2_positive and not a1.holds
 
+    def test_matern_below_one_half_b_unbounded(self):
+        # b ~ |x|^(nu - 1/2) at 0: in L1 and L2 (with unit norm), not bounded
+        a1 = check_a1(parse_kernel("matern:nu=0.3"))
+        assert a1.b_in_L1.finite and a1.b_in_L2.finite
+        assert_allclose(a1.b_in_L2.value, 1.0, rtol=1e-12)
+        assert not a1.b_in_Linf.finite and not a1.holds
+
     def test_matern12_l2_norm_is_one(self):
         a1 = check_a1(parse_kernel("matern12"))
         assert_allclose(a1.b_in_L2.value, 1.0, rtol=1e-7)

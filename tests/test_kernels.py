@@ -109,6 +109,34 @@ class TestCovarianceValues:
             assert_allclose(ge.r_second(t), hi.r_second(t),
                             rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-3, 0.5])
+    def test_matern_routes_agree_at_small_lags(self, t):
+        # z^nu K_nu(z) overflows below these lags at nu = 20.5; the Bessel
+        # route switches to its even series there
+        hi, ge = MaternHalfInteger(20), Matern(20.5)
+        for name in ("r", "r_prime", "r_second"):
+            assert_allclose(getattr(ge, name)(t), getattr(hi, name)(t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", [1.5, 35.0, 100.0, 205.79])
+    def test_matern_finite_at_small_lags_and_large_nu(self, nu):
+        k = Matern(nu)
+        t = np.array([1e-300, 1e-12, 1e-3, 0.3, 3.0])
+        values = [k.r(t), k.r_prime(t), k.r_second(t)]
+        assert all(np.isfinite(v).all() for v in values)
+        assert_allclose(values[2][0], k.r2_zero(), rtol=1e-13)
+        assert np.all(np.diff(values[0]) <= 0) and values[0][0] == 1.0
+
+    @pytest.mark.parametrize("k", [4, 12, 20])
+    def test_wendland_matches_exact_rationals(self, k):
+        kernel, ts = Wendland(k), np.linspace(0.0, 1.0, 101)
+        coeffs = list(kernel._coeffs)
+        for name in ("r", "r_prime", "r_second"):
+            exact = np.array([float(sum(a * Fraction(t) ** i for i, a in enumerate(coeffs)))
+                              for t in ts])
+            scale = max(1.0, np.abs(exact).max())
+            assert_allclose(getattr(kernel, name)(ts), exact, rtol=0, atol=1e-14 * scale)
+            coeffs = [i * a for i, a in enumerate(coeffs)][1:]
+
     def test_wendland_compact_support(self):
         k = Wendland(4)
         assert k.r(0.0) == 1.0
@@ -230,6 +258,17 @@ class TestDerivativesAtZero:
         assert any("one-sided" in n for n in d1.notes)
         d2 = r_derivatives_at_zero(GammaExponential(2.0, 1.0))
         assert_allclose((d2.r2, d2.r4), (-2.0, 12.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("k", CATALOG + [Matern(1.5), Matern(2.0), Wendland(1)],
+                             ids=lambda k: k.spec_string())
+    def test_availability_follows_the_taylor_exponent(self, k):
+        # the second derivative at 0 exists iff p is None or p > 2, the fourth iff p > 4
+        p = k._odd_taylor_power()
+        d = r_derivatives_at_zero(k)
+        assert d.r2_available == (p is None or p > 2)
+        assert d.r4_available == (p is None or p > 4)
+        assert math.isnan(d.discriminant) != d.r4_available
+        assert "derivatives_at_zero" not in type(k).__dict__
 
     def test_strict_accessors_raise(self):
         with pytest.raises(NotDifferentiable):
