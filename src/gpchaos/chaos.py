@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import DecaySeries, fit_decay_exponent
-from .covstruct import tensor_power_quadratic_form
+from .covstruct import _quadratic_form, a_matrix, tensor_power_quadratic_form
 from .errors import DomainError
 from .kernels import Kernel
 from .quadrature import integrate
@@ -411,11 +411,12 @@ def _ladder_rhos(kernel: Kernel, family: str, orders) -> np.ndarray:
     if family == "hermite1d":
         return _time_average_weights(kernel.r, orders)
     kernel.r4_zero()  # joint-decay structure needs the fourth derivative
-    return _time_average(
-        lambda u, ns: np.array([tensor_power_quadratic_form(kernel, u, (n + 1) // 2, n // 2)
-                                for n in ns]),
-        orders,
-    )
+
+    def forms(u, ns):
+        m = a_matrix(kernel, u)
+        return np.array([_quadratic_form(m, (n + 1) // 2, n // 2) for n in ns])
+
+    return _time_average(forms, orders)
 
 
 def regularization_rho(kernel: Kernel, family: str, n: int) -> float:

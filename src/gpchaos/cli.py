@@ -366,7 +366,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handler = _COMMANDS[args.command]
     try:
-        text = handler(args)
+        # numpy warnings would precede the one error line; a non-finite
+        # result still fails, through NonFiniteResult or the integrator
+        with np.errstate(all="ignore"):
+            text = handler(args)
     except (*_RUNTIME_ERRORS, NonFiniteResult, ArithmeticError) as exc:
         # a bare DomainError is a bad value inside a well-formed flag, a
         # usage problem; its subclasses and the rest are runtime failures,

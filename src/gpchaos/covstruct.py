@@ -145,8 +145,12 @@ def tensor_power_quadratic_form(kernel: Kernel, t, a: int, b: int):
     if int(a) != a or a < 0 or int(b) != b or b < 0:
         raise DomainError(
             f"Hermite orders ({a}, {b}) must be nonnegative integers")
-    a, b = int(a), int(b)
-    m = a_matrix(kernel, t)
+    out = _quadratic_form(a_matrix(kernel, t), int(a), int(b))
+    return out if np.ndim(t) else float(out)
+
+
+def _quadratic_form(m: AMatrix, a: int, b: int):
+    """N of ``tensor_power_quadratic_form`` from the entries of A(t)."""
     p, q, r, s = m.a11, m.a12, m.a21, m.a22
     if a > b:
         a, b, p, q, r, s = b, a, s, r, q, p
@@ -159,8 +163,7 @@ def tensor_power_quadratic_form(kernel: Kernel, t, a: int, b: int):
             (c - 1) * (c * (c - 2) * e - beta * beta * d) * cur
             - 2 * (k - 1) * (k + beta - 1) * c * d * d * prev
         ) / (2 * k * (k + beta) * (c - 2))
-    out = s**beta * cur
-    return out if np.ndim(t) else float(out)
+    return s**beta * cur
 
 
 # --------------------------------------------------------------------------

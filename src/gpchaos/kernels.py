@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
 from .errors import (
@@ -88,6 +87,9 @@ class DerivativesAtZero:
 class BKernel:
     """Moving-average kernel b, either closed-form or on a sampled grid.
 
+    A closed form carries callables ``b`` and ``b_prime``; a grid b carries
+    ``b = b_prime = None`` and its samples ``grid = (x, b, b', dx)`` at x =
+    0, dx, ... up to half the period of its FFT grid.
     ``b_singularity``/``bprime_singularity`` describe local behavior at the
     origin: ``None`` means bounded, ``"log"`` a logarithmic divergence, and a
     float p means growth like \\|x\\|^p with p < 0.  ``tail`` is a decay model
@@ -571,13 +573,9 @@ class GammaExponential(Kernel):
                 "gammaexp: square-root spectral density decays like "
                 f"|lam|^-{(1 + self.gamma) / 2:g}, too slowly for the "
                 "numeric inversion route (needs exponent > 1)")
-        rep = _grid_b_from_covariance(self)
         p = (self.gamma - 3.0) / 2.0  # b' ~ |x|^p near 0, p in (-1, -1/2)
-        return BKernel("grid", rep.b, rep.b_prime, None, p, rep.tail,
-                       rep.truncation_error, grid=rep.grid,
-                       notes=rep.notes + (
-                           "b has a cusp at 0; b' is unbounded with local "
-                           f"exponent {p:g}",))
+        return _grid_b_from_covariance(
+            self, p, f"b has a cusp at 0; b' is unbounded with local exponent {p:g}")
 
 
 # --------------------------------------------------------------------------
@@ -642,10 +640,7 @@ class RationalQuadratic(Kernel):
             raise NoBRepresentation(
                 "rq: no spectral density for alpha <= 1/2")
         a = self.ell * math.sqrt(2.0 * self.alpha)
-        rep = _grid_b_from_spectral(self.spectral_density, scale=a,
-                                    decay_scale=a)
-        return BKernel("grid", rep.b, rep.b_prime, None, None, rep.tail,
-                       rep.truncation_error, grid=rep.grid, notes=rep.notes)
+        return _grid_b_from_spectral(self.spectral_density, a, a, None)
 
 
 # --------------------------------------------------------------------------
@@ -717,7 +712,7 @@ class Wendland(Kernel):
 
     def _masked_eval(self, s, j):
         out = np.zeros_like(s)
-        inside = s <= 1.0
+        inside = s < 1.0
         si, q = s[inside], self._factored[j]
         log_power = (2 * self.k + 1 - j) * np.log1p(-si)
         # q_0(0) = 1, and r as one exponential rounds like 1 + O(t^2) near 0
@@ -796,11 +791,8 @@ class Wendland(Kernel):
         return (out / math.pi).reshape(s.shape)
 
     def b_representation(self):
-        rep = _grid_b_from_spectral(self.spectral_density, scale=0.5,
-                                    decay_scale=1.0)
-        bp_sing = "log" if self.k == 1 else None
-        return BKernel("grid", rep.b, rep.b_prime, None, bp_sing, rep.tail,
-                       rep.truncation_error, grid=rep.grid, notes=rep.notes)
+        return _grid_b_from_spectral(self.spectral_density, 0.5, 1.0,
+                                     "log" if self.k == 1 else None)
 
 
 # --------------------------------------------------------------------------
@@ -906,20 +898,10 @@ class Periodic(Kernel):
 # sampled-grid b construction
 
 
-@dataclass(frozen=True)
-class _GridRep:
-    b: object
-    b_prime: object
-    tail: tuple
-    truncation_error: float
-    grid: tuple
-    notes: tuple
-
-
-def _grid_payload(lam, f_vals, dx, trunc, notes):
-    """Grid b and b' by FFT inversion of sqrt(2 pi F') sampled at the
-    frequencies ``lam`` of an n-point grid of step dx, with splines on the
-    half line."""
+def _grid_payload(lam, f_vals, dx, trunc, notes, bp_sing):
+    """Grid b, samples of b and b' on the half line, by FFT inversion of
+    sqrt(2 pi F') sampled at the frequencies ``lam`` of an n-point grid of
+    step dx."""
     neg = f_vals < 0
     if np.any(neg):
         notes.append(f"clipped negative spectral noise, mass "
@@ -931,27 +913,14 @@ def _grid_payload(lam, f_vals, dx, trunc, notes):
         g = np.sqrt(2.0 * math.pi * f_vals)
         b_vals = np.fft.ifft(g).real[:half + 1] / dx
         bp_vals = np.fft.ifft(1j * lam * g).real[:half + 1] / dx
-        try:  # CubicSpline rejects non-finite values, and slopes that overflow
-            spl_b, spl_bp = CubicSpline(x, b_vals), CubicSpline(x, bp_vals)
-        except ValueError:
-            raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}") from None
-    x_max = x[-1]
-
-    def windowed(spline):
-        return lambda ax: np.where(ax <= x_max, spline(np.minimum(ax, x_max)), 0.0)
-
-    def b(xx):
-        return _even(windowed(spl_b), xx)
-
-    def b_prime(xx):
-        return _even(windowed(spl_bp), xx, odd=True)
-
-    return _GridRep(b, b_prime, ("numeric", x_max), trunc,
-                    (x, b_vals, bp_vals, dx), tuple(notes))
+    if not (np.all(np.isfinite(b_vals)) and np.all(np.isfinite(bp_vals))):
+        raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
+    return BKernel("grid", None, None, None, bp_sing, ("numeric", x[-1]), trunc,
+                   grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
 
-def _grid_b_from_spectral(density, scale, decay_scale, n=1 << 16):
-    """Invert sqrt(2 pi F') on an FFT grid; returns callables + metadata."""
+def _grid_b_from_spectral(density, scale, decay_scale, bp_sing, n=1 << 16):
+    """Grid b by inverting sqrt(2 pi F') on an FFT grid."""
     dx = scale / 200.0
     lam_max = math.pi / dx
     # doubling search for the 1e-16 relative decay point of F'
@@ -969,10 +938,11 @@ def _grid_b_from_spectral(density, scale, decay_scale, n=1 << 16):
             f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
             f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
     lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    return _grid_payload(lam, np.asarray(density(np.abs(lam)), dtype=float), dx, trunc, notes)
+    return _grid_payload(lam, np.asarray(density(np.abs(lam)), dtype=float), dx, trunc,
+                         notes, bp_sing)
 
 
-def _grid_b_from_covariance(kernel, n=1 << 20):
+def _grid_b_from_covariance(kernel, bp_sing, note, n=1 << 20):
     """Grid b via FFT of the sampled covariance (heavy spectral tails)."""
     scale = kernel.length_scale
     x_len = 64.0 * scale
@@ -985,8 +955,8 @@ def _grid_b_from_covariance(kernel, n=1 << 20):
     tail_amp = math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max
     notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})",
              f"square-root spectral tail beyond {lam_max:.3g} "
-             f"contributes at most ~{tail_amp:.2e} near the origin"]
-    return _grid_payload(lam, f_vals, dt, tail_amp, notes)
+             f"contributes at most ~{tail_amp:.2e} near the origin", note]
+    return _grid_payload(lam, f_vals, dt, tail_amp, notes, bp_sing)
 
 
 # --------------------------------------------------------------------------
@@ -1003,36 +973,27 @@ def b_representation(kernel: Kernel) -> BKernel:
     return kernel.b_representation()
 
 
-@functools.lru_cache(maxsize=32)
-def _reconstruction_spline(kernel: Kernel):
-    rep = b_representation(kernel)
-    x, b_vals, _, dx = rep.grid
-    stride = max(1, int(round(0.002 * kernel.length_scale / dx)))
-    vals = b_vals[::stride]
-    step = dx * stride
-    keep = np.nonzero(np.abs(vals) > 1e-10 * np.abs(vals).max())[0]
-    m = keep[-1] + 1 if keep.size else vals.size
-    half = vals[:m]
-    full = np.concatenate([half[:0:-1], half])
-    n_lag = min(half.size - 1,
-                int(math.ceil(8.0 * kernel.length_scale / step)))
-    lags = np.arange(n_lag + 1)
-    corr = np.empty(n_lag + 1)
-    for k in lags:
-        corr[k] = np.dot(full[: full.size - k], full[k:]) * step
-    return CubicSpline(lags * step, corr), n_lag * step
-
-
 def reconstruct_r(kernel: Kernel, t):
-    """Quadrature of int b(t+s) b(s) ds, the reconstruction identity."""
+    """int b(t+s) b(s) ds, the reconstruction identity.
+
+    A grid b is a trigonometric sum, and so is b * b: its coefficients are
+    the squared spectrum of b's even periodic extension, summed against
+    cos(lam t) at each lag up to the tabulated half period.  A closed-form b
+    is integrated by quadrature.
+    """
     rep = b_representation(kernel)
     t_arr = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
     if rep.grid is not None:
-        spline, t_max = _reconstruction_spline(kernel)
-        if t_arr.max(initial=0.0) > t_max:
+        x, b_vals, _, dx = rep.grid
+        if t_arr.max(initial=0.0) > x[-1]:
             raise DomainError(
-                f"reconstruct_r: lag beyond tabulated window {t_max:g}")
-        out = spline(t_arr)
+                f"reconstruct_r: lag beyond tabulated window {x[-1]:g}")
+        extension = np.concatenate([b_vals, b_vals[-2:0:-1]])
+        power = (dx * np.fft.rfft(extension).real) ** 2
+        power[1:-1] *= 2.0
+        period = extension.size * dx
+        lam = 2.0 * math.pi / period * np.arange(power.size)
+        out = np.array([np.cos(lam * s) @ power for s in t_arr]) / period
     else:
         # b is even: r(t) = 2 int_0^inf b(t+s) b(s) ds + int_0^t b(t-s) b(s) ds,
         # and the second is twice its half over [0, t/2], at s = t w/2

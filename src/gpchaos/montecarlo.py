@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +42,6 @@ __all__ = [
     "ms_derivative_residual",
     "MSDerivativeCheck",
     "ms_derivative_check",
-    "write_paths_binary",
-    "read_paths_binary",
 ]
 
 # Periodization wraps of the covariance row on each side.
@@ -67,9 +64,6 @@ SYNTHESIS_COST_RATIO = 30.0
 # this caps the basis at 64 MiB (a full-support rq:alpha=0.5 plan at grid
 # 256 would otherwise pick a 512 MiB basis).
 DIRECT_BASIS_LIMIT = 1 << 21
-
-_BINARY_MAGIC = b"GPRG"
-_BINARY_VERSION = 1
 
 
 def _worker_count(workers=None) -> int:
@@ -635,57 +629,3 @@ def ms_derivative_check(
         mc_estimate=mean,
         std_error=math.sqrt(variance / n_paths),
     )
-
-
-# ---------------------------------------------------------------------------
-# binary path dumps
-
-
-def write_paths_binary(paths, file) -> int:
-    """Dump paths (header GPRG, version, grid step, counts; then row-major
-    float64 x then xdot per path).  Returns the number of paths written."""
-    samples = list(paths)
-    if not samples:
-        raise DomainError("no paths to write")
-    length = samples[0].length
-    step = samples[0].grid_step
-    for s in samples:
-        if s.length != length or s.grid_step != step:
-            raise DomainError("paths in one dump must share grid step and length")
-
-    def emit(handle):
-        handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<IdQQ", _BINARY_VERSION, step, len(samples), length))
-        for s in samples:
-            handle.write(np.ascontiguousarray(s.x, dtype="<f8").tobytes())
-            handle.write(np.ascontiguousarray(s.xdot, dtype="<f8").tobytes())
-
-    if hasattr(file, "write"):
-        emit(file)
-    else:
-        with open(file, "wb") as handle:
-            emit(handle)
-    return len(samples)
-
-
-def read_paths_binary(file):
-    """Inverse of write_paths_binary: (grid_step, x, xdot) with arrays of
-    shape (n_paths, length)."""
-
-    def consume(handle):
-        magic = handle.read(4)
-        if magic != _BINARY_MAGIC:
-            raise DomainError(f"bad magic {magic!r}; expected {_BINARY_MAGIC!r}")
-        version, step, n_paths, length = struct.unpack("<IdQQ", handle.read(28))
-        if version != _BINARY_VERSION:
-            raise DomainError(f"unsupported dump version {version}")
-        data = np.frombuffer(handle.read(16 * n_paths * length), dtype="<f8")
-        if data.size != 2 * n_paths * length:
-            raise DomainError("truncated path dump")
-        data = data.reshape(n_paths, 2, length)
-        return step, data[:, 0, :].copy(), data[:, 1, :].copy()
-
-    if hasattr(file, "read"):
-        return consume(file)
-    with open(file, "rb") as handle:
-        return consume(handle)

@@ -382,10 +382,12 @@ class TestSimulateCommand:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
-    # the package's own integrator is the only one in the library
+    # the package's own integrator is the only one in the library, and a
+    # grid b is kept as samples, not interpolated
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import gpchaos.cli, sys; assert 'scipy.integrate' not in sys.modules"],
+         "import gpchaos.cli, sys; "
+         "assert not {'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)"],
         env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -420,13 +422,15 @@ class TestNonFiniteInput:
 
     def test_float_overflow_is_one_line_naming_the_kernel(self, tmp_path, cli_env):
         # a child process, so numpy warnings would reach its stderr
-        proc = subprocess.run(
-            [sys.executable, "-m", "gpchaos", "conditions", "--kernel", "rq:alpha=112,ell=1e300"],
-            env=cli_env(), capture_output=True, text=True, cwd=str(tmp_path),
-        )
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("gpchaos: rq:alpha=112,ell=1e300: ")
+        for command, spec in (("conditions", "rq:alpha=112,ell=1e300"),
+                              ("chaos", "sqexp:ell=1e-320")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gpchaos", command, "--kernel", spec],
+                env=cli_env(), capture_output=True, text=True, cwd=str(tmp_path),
+            )
+            assert proc.returncode == 3 and proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert proc.stderr.startswith(f"gpchaos: {spec}: ")
 
     @pytest.mark.parametrize("argv", [
         ("chaos", "--kernel", "matern:nu=100", "--functional", "H:2", "--n-max", "4"),

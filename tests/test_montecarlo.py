@@ -1,6 +1,5 @@
 """Tests for circulant-embedding simulation and its Monte Carlo checks."""
 
-import io
 import math
 from dataclasses import replace
 
@@ -604,49 +603,6 @@ class TestMSDerivativeResidual:
     def test_mc_check_h_beyond_span(self):
         with pytest.raises(DomainError):
             mc.ms_derivative_check(SQEXP, 2.0, n_paths=10, grid_points=128, seed=63)
-
-
-class TestBinaryDump:
-    def test_round_trip(self):
-        paths = list(mc.sample_paths(SQEXP, 64, 4, seed=71))
-        buf = io.BytesIO()
-        assert mc.write_paths_binary(paths, buf) == 4
-        buf.seek(0)
-        step, x, xd = mc.read_paths_binary(buf)
-        assert step == paths[0].grid_step
-        assert x.shape == (4, 64)
-        assert_array_equal(x, np.array([p.x for p in paths]))
-        assert_array_equal(xd, np.array([p.xdot for p in paths]))
-
-    def test_round_trip_via_file(self, tmp_path):
-        target = tmp_path / "paths.gprg"
-        paths = list(mc.sample_paths(SQEXP, 32, 2, seed=72))
-        mc.write_paths_binary(paths, str(target))
-        step, x, xd = mc.read_paths_binary(str(target))
-        assert step == paths[0].grid_step
-        assert_array_equal(x[1], paths[1].x)
-
-    def test_header_magic(self):
-        buf = io.BytesIO()
-        mc.write_paths_binary(list(mc.sample_paths(SQEXP, 16, 1, seed=73)), buf)
-        assert buf.getvalue()[:4] == b"GPRG"
-
-    def test_rejects_empty_and_ragged(self):
-        with pytest.raises(DomainError):
-            mc.write_paths_binary([], io.BytesIO())
-        a = next(iter(mc.sample_paths(SQEXP, 16, 1, seed=74)))
-        b = next(iter(mc.sample_paths(SQEXP, 32, 1, seed=74)))
-        with pytest.raises(DomainError):
-            mc.write_paths_binary([a, b], io.BytesIO())
-
-    def test_rejects_bad_magic_and_truncation(self):
-        with pytest.raises(DomainError):
-            mc.read_paths_binary(io.BytesIO(b"NOPE" + b"\x00" * 28))
-        buf = io.BytesIO()
-        mc.write_paths_binary(list(mc.sample_paths(SQEXP, 16, 2, seed=75)), buf)
-        clipped = io.BytesIO(buf.getvalue()[:-8])
-        with pytest.raises(DomainError):
-            mc.read_paths_binary(clipped)
 
 
 class TestWorkerCount:
