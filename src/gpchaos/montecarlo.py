@@ -284,9 +284,10 @@ def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: i
     normals = np.random.Generator(bits)
     # a fresh stream's state; re-keying it is cheaper than a new generator
     fresh = bits.state
+    key = fresh["state"]["key"]  # [seed, pair_start]; only the pair changes
     draws = np.empty((pair_stop - pair_start, 2 * k))
     for row, pair in zip(draws, range(pair_start, pair_stop)):
-        fresh["state"]["key"] = np.array([seed, pair], dtype=np.uint64)
+        key[1] = pair
         bits.state = fresh
         normals.standard_normal(out=row)
     return draws
@@ -397,20 +398,24 @@ def sample_paths(kernel: Kernel, grid_points: int, n_paths: int, seed: int, plan
 def count_crossings(path, level: float = 0.0) -> int:
     """Sign changes of x - level across adjacent grid points.
 
-    Tie rule: a grid value exactly at the level inherits the sign of the
-    previous excursion (a touch is not a crossing); a path that starts on
-    the level takes the opposite of its first excursion, so leaving the
-    level counts as one crossing.  Ties have probability zero for the
-    sampled laws; the rule only pins down determinism.
+    Tie rule, applied only when some grid value equals the level: a value
+    exactly at the level inherits the sign of the previous excursion (a
+    touch is not a crossing); a path that starts on the level takes the
+    opposite of its first excursion, so leaving the level counts as one
+    crossing.  Ties have probability zero for the sampled laws; the rule
+    only pins down determinism.  A path with a non-finite value is
+    rejected: NaN is on neither side of the level.
     """
     x = path.x if isinstance(path, PathSample) else np.asarray(path, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("count_crossings needs a finite path")
     return int(_crossing_counts(x[None, :], level)[0])
 
 
 def _crossing_counts(x_block, level):
-    """count_crossings for every row of a block, as floats."""
-    s = np.sign(x_block - level)
-    if not s.all():  # grid values exactly at the level: apply the tie rule
+    """count_crossings for every row of a finite block, as floats."""
+    if (x_block == level).any():  # grid values exactly at the level: apply the tie rule
+        s = np.sign(x_block - level)
         cols = np.arange(s.shape[1])
         # leading ties take the opposite of the first excursion's sign (an
         # all-tie row has first = 0 and sign 0, and stays all zero)
@@ -419,6 +424,8 @@ def _crossing_counts(x_block, level):
         # forward-fill interior ties with the previous nonzero sign
         idx = np.maximum.accumulate(np.where(s != 0.0, cols, 0), axis=1)
         s = np.take_along_axis(s, idx, axis=1)
+    else:  # no ties: which side of the level is enough, at a byte a point
+        s = x_block > level
     return np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1).astype(float)
 
 

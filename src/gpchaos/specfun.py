@@ -1,10 +1,11 @@
 """Special functions used by the kernel catalog and the decay asymptotics.
 
 Everything here is scalar-oriented and double precision, except
-:func:`hyp2f1_terminating`, which sums a terminating series in exact rational
-arithmetic: the alternating terms of ``2F1(-1/2, -n-1; 1/2; 1)`` grow to
-``~1e13`` before cancelling down to ``O(sqrt(n))``, which no floating-point
-summation order can survive at the accuracy needed here.
+:func:`hyp2f1_terminating`, which sums a terminating series exactly, as an
+integer numerator over an integer denominator with one correctly rounded
+division at the end: the alternating terms of ``2F1(-1/2, -n-1; 1/2; 1)``
+grow to ``~1e13`` before cancelling down to ``O(sqrt(n))``, which no
+floating-point summation order can survive at the accuracy needed here.
 """
 
 from __future__ import annotations
@@ -34,24 +35,25 @@ def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric ``2F1(a, b; c; z)`` for terminating series.
 
     ``b`` must be a nonpositive integer, so the series is the finite sum
-    ``sum_k (a)_k (b)_k / ((c)_k k!) z^k`` over ``k = 0 .. -b``.  The terms are
-    accumulated in exact rational arithmetic (floats are rationals, so the
-    only error is the final rounding to double).
+    ``sum_k (a)_k (b)_k / ((c)_k k!) z^k`` over ``k = 0 .. -b``.  Floats are
+    ratios of integers, so the term and the running total are carried as
+    exact integer numerators over one common integer denominator; the only
+    error is the final, correctly rounded division.
     """
     if b > 0 or b != int(b):
         raise DomainError(f"terminating series needs b a nonpositive integer, got {b!r}")
     n_terms = int(-b)
-    fa, fc, fz = Fraction(a), Fraction(c), Fraction(z)
-    for k in range(n_terms + 1):
-        if fc + k == 0:
-            raise DomainError(f"c = {c!r} hits a nonpositive integer before termination")
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n_terms + 1):
-        total += term
-        term *= (fa + k) * (int(b) + k) * fz
-        term /= (fc + k) * (k + 1)
-    return float(total)
+    (pa, qa), (pc, qc), (pz, qz) = (Fraction(v).as_integer_ratio() for v in (a, c, z))
+    if qc == 1 and -n_terms <= pc <= 0:
+        raise DomainError(f"c = {c!r} hits a nonpositive integer before termination")
+    # term_k = term / den and sum_{j<=k} term_j = total / den
+    term, total, den = 1, 1, 1
+    for k in range(n_terms):
+        step = qa * qz * (pc + k * qc) * (k + 1)
+        term *= (pa + k * qa) * (k - n_terms) * pz * qc
+        total = total * step + term
+        den *= step
+    return total / den
 
 
 def hermite(n, x):

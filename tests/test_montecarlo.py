@@ -394,6 +394,30 @@ class TestCountCrossings:
         block = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         assert_array_equal(mc._crossing_counts(block, 0.0), [0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("level", [0.0, 0.8])
+    def test_tie_free_sampled_block_matches_scalar_oracle(self, level):
+        x, _ = _stack(SQEXP, 256, 40, seed=17)
+        assert not (x == level).any()
+        counts = mc._crossing_counts(x, level)
+        assert counts.sum() > 0
+        assert_array_equal(counts, [_scalar_crossings(row, level) for row in x])
+
+    def test_one_tied_row_sends_the_whole_block_through_the_tie_rule(self):
+        x, _ = _stack(SQEXP, 256, 6, seed=18)
+        x[2, 100] = 0.0  # an exact tie in one row; the others have none
+        assert np.count_nonzero(x == 0.0) == 1
+        counts = mc._crossing_counts(x, 0.0)
+        assert_array_equal(counts, [_scalar_crossings(row, 0.0) for row in x])
+
+    def test_negative_zero_at_level_zero_is_a_tie(self):
+        assert mc.count_crossings(np.array([1.0, -0.0, 1.0])) == 0
+        assert mc.count_crossings(np.array([-0.0, -1.0, -1.0])) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_path_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            mc.count_crossings(np.array([1.0, bad, -1.0]))
+
     def test_sine_has_two_crossings_per_period(self):
         t = np.linspace(0.0, 1.0, 2048)
         assert mc.count_crossings(np.sin(2.0 * math.pi * 3.0 * t)) == 6

@@ -2,10 +2,12 @@
 
 Expected values come from independent oracles: exact rational identities
 (gamma recursion, integer factorials), hand-checkable short hypergeometric
-sums, and Gauss-Hermite orthogonality of the Hermite polynomials.
+sums, the series summed term by term in ``Fraction`` arithmetic, and
+Gauss-Hermite orthogonality of the Hermite polynomials.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +48,19 @@ class TestGammaLn:
             gamma_ln(bad)
 
 
+def _fraction_hyp2f1(a, b, c, z):
+    """Oracle: the terminating series summed term by term in Fraction
+    arithmetic, then rounded once to double."""
+    fa, fc, fz = Fraction(a), Fraction(c), Fraction(z)
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(int(-b) + 1):
+        total += term
+        term *= (fa + k) * (int(b) + k) * fz
+        term /= (fc + k) * (k + 1)
+    return float(total)
+
+
 class TestTerminatingHypergeometric:
     # Anchors: three-term sums computable by hand.
     #   F(-1/2,  0; 1/2; 1) = 1
@@ -76,6 +91,23 @@ class TestTerminatingHypergeometric:
             assert_allclose(hyp2f1_terminating(1.0, -2, 1.0, z),
                             (1.0 - z) ** 2, rtol=1e-14)
 
+    def test_gauss_series_bit_identical_to_fraction_sum(self):
+        for n in range(401):
+            args = (-0.5, -(n + 1), 0.5, 1.0)
+            assert hyp2f1_terminating(*args) == _fraction_hyp2f1(*args), f"n={n}"
+
+    @pytest.mark.parametrize("a,c,z", [
+        (-0.5, 0.5, 1.0),  # the Gauss series; n = 0 is b = 0
+        (1.3, -2.7, 0.37),  # negative c away from the poles
+        (-3.1, -4.5, -1.3),
+        (0.1, 0.25, 0.37),  # non-dyadic z
+        (2.0, -7.25, -1.3),  # negative, non-dyadic z
+    ])
+    def test_mixed_signs_bit_identical_to_fraction_sum(self, a, c, z):
+        for n in range(0, 61):
+            got = hyp2f1_terminating(a, -n, c, z)
+            assert got == _fraction_hyp2f1(a, -n, c, z), f"n={n}"
+
     def test_requires_terminating_b(self):
         with pytest.raises(DomainError):
             hyp2f1_terminating(-0.5, 0.3, 0.5, 1.0)
@@ -84,6 +116,13 @@ class TestTerminatingHypergeometric:
         # c hits a nonpositive integer before the series terminates
         with pytest.raises(DomainError):
             hyp2f1_terminating(-0.5, -4, -2.0, 1.0)
+
+    def test_pole_check_covers_k_up_to_minus_b(self):
+        # c + k = 0 is checked for k = 0 .. -b, ends included; c = 0 is one
+        for b, c in ((-3, -3.0), (-3, 0.0), (0, 0.0)):
+            with pytest.raises(DomainError):
+                hyp2f1_terminating(-0.5, b, c, 1.0)
+        assert hyp2f1_terminating(-0.5, -3, -4.0, 1.0) == _fraction_hyp2f1(-0.5, -3, -4.0, 1.0)
 
 
 class TestHermite:
