@@ -898,23 +898,25 @@ class Periodic(Kernel):
 # sampled-grid b construction
 
 
-def _grid_payload(lam, f_vals, dx, trunc, notes, bp_sing):
-    """Grid b, samples of b and b' on the half line, by FFT inversion of
-    sqrt(2 pi F') sampled at the frequencies ``lam`` of an n-point grid of
-    step dx."""
-    neg = f_vals < 0
-    if np.any(neg):
-        notes.append(f"clipped negative spectral noise, mass "
-                     f"{-f_vals[neg].sum() * (2.0 * math.pi / (lam.size * dx)):.2e}")
+def _grid_payload(f_vals, dx, trunc, notes, bp_sing):
+    """Grid b, samples of b and b' on the half line, by real FFT inversion of
+    the even sqrt(2 pi F') sampled at the n/2 + 1 non-negative frequencies of
+    an n-point grid of step dx."""
+    n = 2 * (f_vals.size - 1)
+    neg = np.minimum(f_vals, 0.0)
+    if neg.any():
+        # the full spectrum holds each interior bin twice, 0 and Nyquist once
+        mass = (neg[0] + neg[-1] - 2.0 * neg.sum()) * (2.0 * math.pi / (n * dx))
+        notes.append(f"clipped negative spectral noise, mass {mass:.2e}")
         f_vals = np.clip(f_vals, 0.0, None)
-    half = lam.size // 2
-    x = np.arange(half + 1) * dx
+    lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
     with np.errstate(all="ignore"):
         g = np.sqrt(2.0 * math.pi * f_vals)
-        b_vals = np.fft.ifft(g).real[:half + 1] / dx
-        bp_vals = np.fft.ifft(1j * lam * g).real[:half + 1] / dx
+        b_vals = np.fft.irfft(g, n)[:lam.size] / dx
+        bp_vals = np.fft.irfft(1j * (lam * g), n)[:lam.size] / dx
     if not (np.all(np.isfinite(b_vals)) and np.all(np.isfinite(bp_vals))):
         raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
+    x = np.arange(lam.size) * dx
     return BKernel("grid", None, None, None, bp_sing, ("numeric", x[-1]), trunc,
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
@@ -937,9 +939,8 @@ def _grid_b_from_spectral(density, scale, decay_scale, bp_sing, n=1 << 16):
         notes.append(
             f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
             f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
-    lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    return _grid_payload(lam, np.asarray(density(np.abs(lam)), dtype=float), dx, trunc,
-                         notes, bp_sing)
+    lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+    return _grid_payload(np.asarray(density(lam), dtype=float), dx, trunc, notes, bp_sing)
 
 
 def _grid_b_from_covariance(kernel, bp_sing, note, n=1 << 20):
@@ -947,16 +948,15 @@ def _grid_b_from_covariance(kernel, bp_sing, note, n=1 << 20):
     scale = kernel.length_scale
     x_len = 64.0 * scale
     dt = x_len / n
-    t = np.arange(n) * dt
-    row = kernel.r(np.minimum(t, x_len - t))
-    f_vals = np.fft.fft(row).real * dt / (2.0 * math.pi)
-    lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
+    # the even row r(min(t, L - t)) on the period [0, L), mirrored from its half
+    f_vals = np.fft.rfft(np.pad(kernel.r(np.arange(n // 2 + 1) * dt), (0, n // 2 - 1),
+                                mode="reflect")).real * dt / (2.0 * math.pi)
     lam_max = math.pi / dt
-    tail_amp = math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max
+    tail_amp = math.sqrt(max(f_vals[-1], 0.0)) * lam_max
     notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})",
              f"square-root spectral tail beyond {lam_max:.3g} "
              f"contributes at most ~{tail_amp:.2e} near the origin", note]
-    return _grid_payload(lam, f_vals, dt, tail_amp, notes, bp_sing)
+    return _grid_payload(f_vals, dt, tail_amp, notes, bp_sing)
 
 
 # --------------------------------------------------------------------------

@@ -14,14 +14,14 @@ function of (seed, path_index) no matter how work is scheduled.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.fft
 
 from .chaos import Functional
 from .errors import DomainError, EmbeddingFailure
@@ -80,6 +80,21 @@ def _worker_count(workers=None) -> int:
     return count
 
 
+@cache
+def _fast_lengths(bits: int) -> list:
+    """The sorted 2^a 3^b 5^c 7^d 11^e up to 2^bits: lengths pocketfft transforms fast."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        lengths += [q * p**e for q in lengths for e in range(1, bits + 1) if q * p**e <= 1 << bits]
+    return sorted(lengths)
+
+
+def _next_fast_len(target: int) -> int:
+    """The least 11-smooth number >= target, at most the power of two at or above it."""
+    lengths = _fast_lengths((target - 1).bit_length())
+    return lengths[bisect.bisect_left(lengths, target)]
+
+
 # ---------------------------------------------------------------------------
 # embedding plan
 
@@ -118,7 +133,7 @@ class EmbeddingPlan:
         """L, the FFT length of band synthesis: enough for a linear
         convolution of the support's band with n grid values, never above m."""
         band = int(self._signed_support.max() - self._signed_support.min()) + 1
-        return min(self.embedding_size, scipy.fft.next_fast_len(self.grid_points + band - 1))
+        return min(self.embedding_size, _next_fast_len(self.grid_points + band - 1))
 
     @property
     def direct_synthesis(self) -> bool:
@@ -173,7 +188,7 @@ class EmbeddingPlan:
         amp = np.sqrt(self.eigenvalues[k] * m) * chirp(position * position)
         lag = np.arange(length)
         lag = np.where(lag < n, lag, lag - length)  # d and d - L share a slot
-        kernel = scipy.fft.fft(chirp(-lag * lag))
+        kernel = np.fft.fft(chirp(-lag * lag))
         j = np.arange(n)
         post = chirp(j * j + 2 * k0 * j) / m
         return position, amp, amp * (1j * self.angular_frequencies[k]), kernel, post
@@ -318,9 +333,9 @@ def _band_paths(plan: EmbeddingPlan, draws, values_only=False):
         buffer = np.zeros((count, kernel.size), dtype=complex)
         for row, spectral in zip(buffer, amp * z):  # a 2-D scatter is far slower
             row[position] = spectral
-        spectrum = scipy.fft.fft(buffer, axis=1, overwrite_x=True)
-        spectrum *= kernel
-        field = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)[:, :n] * post
+        np.fft.fft(buffer, axis=1, out=buffer)
+        buffer *= kernel
+        field = np.fft.ifft(buffer, axis=1, out=buffer)[:, :n] * post
         return np.stack([field.real, field.imag], axis=1).reshape(2 * count, n)
 
     return paths(x_amp), None if values_only else paths(xdot_amp)

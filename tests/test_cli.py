@@ -382,12 +382,12 @@ class TestSimulateCommand:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
-    # the package's own integrator is the only one in the library, and a
-    # grid b is kept as samples, not interpolated
+    # the package's own integrator is the only one in the library, a grid b
+    # is kept as samples, not interpolated, and every FFT is numpy's
     proc = subprocess.run(
         [sys.executable, "-c",
          "import gpchaos.cli, sys; "
-         "assert not {'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)"],
+         "assert not {'scipy.integrate', 'scipy.interpolate', 'scipy.fft'} & set(sys.modules)"],
         env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

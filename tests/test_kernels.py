@@ -11,6 +11,7 @@ the defining identity r(t) = int b(t+s) b(s) ds.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from gpchaos.kernels import (
     RationalQuadratic,
     SquaredExponential,
     Wendland,
+    _grid_payload,
     _wendland_phi,
     _wendland_step,
     b_representation,
@@ -484,6 +486,38 @@ class TestWendlandPolynomials:
             assert sum(wendland_poly(k)) == 0
 
 
+def _clipped_notes(f_vals, dx):
+    """The clipping note of a sampled spectrum over all n signed frequencies."""
+    neg = f_vals < 0
+    if not neg.any():
+        return []
+    mass = -f_vals[neg].sum() * (2.0 * math.pi / (f_vals.size * dx))
+    return [f"clipped negative spectral noise, mass {mass:.2e}"]
+
+
+def _full_spectrum_grid_b(kernel, n, dx):
+    """Reference grid b: sqrt(2 pi F') at all n signed frequencies through
+    two complex inverse FFTs, F' from the density or, for gammaexp, from a
+    complex FFT of the full covariance row r(min(t, L - t)).  Returns b and
+    b' at x = 0, dx, ..., n dx / 2 and the notes the transforms produce."""
+    lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    if isinstance(kernel, GammaExponential):
+        t = np.arange(n) * dx
+        f_vals = np.fft.fft(kernel.r(np.minimum(t, n * dx - t))).real * dx / (2.0 * math.pi)
+        lam_max = math.pi / dx
+        notes = [f"spectral density sampled by FFT of r on [0, {n * dx:g})",
+                 f"square-root spectral tail beyond {lam_max:.3g} contributes at most "
+                 f"~{math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max:.2e} near the origin"]
+    else:
+        f_vals = kernel.spectral_density(np.abs(lam))
+        notes = []
+    notes += _clipped_notes(f_vals, dx)
+    g = np.sqrt(2.0 * math.pi * np.clip(f_vals, 0.0, None))
+    b = np.fft.ifft(g).real[:n // 2 + 1] / dx
+    bp = np.fft.ifft(1j * lam * g).real[:n // 2 + 1] / dx
+    return b, bp, notes
+
+
 class TestBRepresentation:
     def test_sqexp_closed_form(self):
         rep = b_representation(SquaredExponential(1.3))
@@ -577,6 +611,49 @@ class TestBRepresentation:
         # sampled b above its top
         with pytest.raises(NoBRepresentation, match="not finite"):
             b_representation(RationalQuadratic(1.0, 3.6e-274))
+
+    @pytest.mark.parametrize("k,tol_b,tol_bp", [
+        (RationalQuadratic(2.0, 1.0), 2e-15, 2e-15),
+        (Wendland(4), 2e-15, 2e-15),
+        # rounding in gammaexp's flat spectral tail, amplified by the square
+        # root and by lam in b'
+        (GammaExponential(1.5, 1.0), 1e-10, 5e-9),
+    ], ids=["rq", "wendland", "gammaexp"])
+    def test_half_line_build_matches_full_spectrum(self, k, tol_b, tol_bp):
+        rep = k.b_representation()
+        x, b_vals, bp_vals, dx = rep.grid
+        n = 2 * (x.size - 1)
+        assert_allclose(x, np.arange(x.size) * dx, rtol=0.0, atol=0.0)
+        ref_b, ref_bp, ref_notes = _full_spectrum_grid_b(k, n, dx)
+        assert np.abs(b_vals - ref_b).max() <= tol_b * np.abs(ref_b).max()
+        assert np.abs(bp_vals - ref_bp).max() <= tol_bp * np.abs(ref_bp).max()
+        # gammaexp also notes its cusp, which no transform decides
+        assert [note for note in rep.notes if "cusp" not in note] == ref_notes
+
+    def test_clipped_noise_mass_counts_the_full_spectrum(self):
+        # negative bins at 0, in the interior and at Nyquist: the half line
+        # holds each interior bin once, the full spectrum twice
+        n, dx = 32, 0.25
+        lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+        f_half = np.exp(-0.1 * lam**2)
+        f_half[[0, 5, 9, n // 2]] = [-1.25e-3, -3.5e-4, -2.0e-3, -7.5e-4]
+        full = np.concatenate([f_half, f_half[-2:0:-1]])
+        rep = _grid_payload(f_half, dx, 0.0, [], None)
+        assert list(rep.notes) == _clipped_notes(full, dx)
+        assert rep.notes == ("clipped negative spectral noise, mass 5.26e-03",)
+        assert np.all(np.isfinite(rep.grid[1])) and np.all(np.isfinite(rep.grid[2]))
+
+    def test_gammaexp_grid_build_peak_memory(self):
+        # the half-line build of a 2^20-point grid peaked near 36 MiB; the
+        # full complex construction it replaced peaked near 81 MiB
+        kernel = GammaExponential(1.5, 1.0)
+        tracemalloc.start()
+        try:
+            kernel.b_representation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * 2**20
 
     def test_gammaexp_cusp_metadata(self):
         rep = b_representation(GammaExponential(1.5, 1.0))

@@ -264,6 +264,11 @@ class TestSynthesisRoutes:
             cost = mc.SYNTHESIS_COST_RATIO * band * math.log2(band)
             assert (k * n <= mc.DIRECT_BASIS_LIMIT and k * n < cost) == plan.direct_synthesis
 
+    def test_next_fast_len_matches_scipy(self):
+        # band synthesis sizes its FFTs by the package's own 11-smooth search
+        targets = range(1, (1 << 17) + 1001)
+        assert [mc._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
     @pytest.mark.parametrize("spec,grid", _ROUTE_PLANS)
     def test_routes_agree_on_the_same_draws(self, spec, grid):
         plan = mc.build_embedding_plan(parse_kernel(spec), grid)
