@@ -16,12 +16,14 @@ __version__ = "0.2.0"
 from .errors import (
     DomainError,
     EmbeddingFailure,
+    GpchaosError,
     NoBRepresentation,
     NoSpectralDensity,
     NotDifferentiable,
 )
 
 __all__ = [
+    "GpchaosError",
     "DomainError",
     "NotDifferentiable",
     "NoSpectralDensity",

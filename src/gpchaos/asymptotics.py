@@ -20,6 +20,7 @@ __all__ = [
     "DecaySeries",
     "fit_decay_exponent",
     "gauss_theorem_value",
+    "geometric_orders",
     "iter_integral_closed_form",
     "iter_integral_quadrature",
     "iter_integral_series",
@@ -78,6 +79,12 @@ def gauss_theorem_value(n: int) -> float:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     return math.sqrt(math.pi) * math.exp(
         gamma_ln(n + 2.0) - gamma_ln(n + 1.5))
+
+
+def geometric_orders(lo: float, hi: float, count: int) -> list:
+    """The distinct integers nearest ``count`` geometrically spaced points
+    from ``lo`` to ``hi``, ascending: an order grid for a log-log fit."""
+    return sorted(set(int(round(v)) for v in np.geomspace(lo, hi, count)))
 
 
 def iter_integral_series(c: float, c_prime: float, n_values) -> list:

@@ -90,6 +90,8 @@ class Functional:
         for label, value in (("m", self.m), ("a", self.a), ("b", self.b)):
             if int(value) != value or value < 0:
                 raise DomainError(f"Hermite order {label}={value} must be a nonnegative integer")
+        if not math.isfinite(self.level):
+            raise DomainError(f"non-finite indicator level {self.level}")
 
     @property
     def degree(self):
@@ -116,57 +118,39 @@ def parse_functional(text: str) -> Functional:
     """Parse ``H:m``, ``H2:a,b``, ``sign``, ``abs``, ``ind:level``.
 
     An optional ``@x`` / ``@xdot`` suffix selects the coordinate (default
-    ``@x``); the indicator level defaults to 0.
+    ``@x``); the indicator level defaults to 0.  The values are checked by
+    ``Functional``.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError(f"empty functional spec {text!r}")
-    body = text.strip()
-    axis = "x"
-    if "@" in body:
-        body, _, axis = body.partition("@")
-        body = body.strip()
-        axis = axis.strip()
-        if axis not in _AXES:
-            raise DomainError(f"unknown axis {axis!r} in functional spec {text!r}")
+    body, at, axis = text.strip().partition("@")
+    axis = axis.strip() if at else "x"
     name, _, arg = body.partition(":")
     name = name.strip()
     arg = arg.strip()
 
-    def _order(token):
+    def _number(token, kind, what):
         try:
-            value = int(token)
+            return kind(token)
         except ValueError:
-            raise DomainError(f"bad Hermite order {token!r} in {text!r}") from None
-        if value < 0:
-            raise DomainError(f"Hermite order must be nonnegative in {text!r}")
-        return value
+            raise DomainError(f"bad {what} {token!r} in {text!r}") from None
 
     if name == "H":
         if not arg:
             raise DomainError(f"H needs an order, e.g. H:3 (got {text!r})")
-        return Functional(kind="H", m=_order(arg), axis=axis)
+        return Functional(kind="H", m=_number(arg, int, "Hermite order"), axis=axis)
     if name == "H2":
         parts = arg.split(",")
         if len(parts) != 2:
             raise DomainError(f"H2 needs two orders, e.g. H2:1,1 (got {text!r})")
-        if axis != "x":
-            raise DomainError("two-dimensional functionals take no axis suffix")
-        return Functional(kind="H2", a=_order(parts[0]), b=_order(parts[1]))
-    if name == "sign" or name == "abs":
-        if arg:
-            raise DomainError(f"{name} takes no argument (got {text!r})")
-        return Functional(kind=name, axis=axis)
-    if name == "ind":
-        if not arg:
-            return Functional(kind="ind", level=0.0, axis=axis)
-        try:
-            level = float(arg)
-        except ValueError:
-            raise DomainError(f"bad indicator level {arg!r} in {text!r}") from None
-        if not math.isfinite(level):
-            raise DomainError(f"non-finite indicator level in {text!r}")
-        return Functional(kind="ind", level=level, axis=axis)
-    raise DomainError(f"unknown functional spec {text!r}")
+        a, b = (_number(part, int, "Hermite order") for part in parts)
+        return Functional(kind="H2", a=a, b=b, axis=axis)
+    if name == "ind" and arg:
+        return Functional(kind="ind", level=_number(arg, float, "indicator level"), axis=axis)
+    functional = Functional(kind=name, axis=axis)
+    if arg:
+        raise DomainError(f"{name} takes no argument (got {text!r})")
+    return functional
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ import numpy as np
 
 from . import __version__
 from . import montecarlo as mc
-from .asymptotics import fit_decay_exponent, iter_integral_series, series_to_csv
+from .asymptotics import (
+    fit_decay_exponent,
+    geometric_orders,
+    iter_integral_series,
+    series_to_csv,
+)
 from .chaos import (
     chaos_spectrum,
     laplace_decay_constant,
@@ -29,10 +34,10 @@ from .chaos import (
     spectrum_to_dict,
 )
 from .conditions import condition_report, report_to_dict
-from .errors import DomainError, NonFiniteResult
+from .errors import DomainError, GpchaosError, NonFiniteResult
 from .kernels import parse_kernel
 from .quadrature import QuadLog
-from .verify import _RUNTIME_ERRORS, battery
+from .verify import battery
 
 
 def _jsonable(value):
@@ -67,8 +72,17 @@ def _strict_json(value, **kwargs) -> str:
         raise NonFiniteResult(f"report holds a non-finite number ({exc})") from None
 
 
-def _json_report(payload: dict) -> str:
-    return _strict_json(payload, indent=2) + "\n"
+def _config(args, **resolved) -> dict:
+    """The run configuration: every parsed option but ``--out``, with the
+    values the run resolved from them (canonical kernel and functional
+    specs, default alphas) in place of the raw text."""
+    return {**{k: v for k, v in vars(args).items() if k != "out"}, **resolved}
+
+
+def _report(schema: str, config: dict, **body) -> str:
+    """A JSON report: the schema, version and config envelope around ``body``."""
+    return _strict_json(
+        {"schema": schema, "version": __version__, "config": config, **body}, indent=2) + "\n"
 
 
 def _csv_with_config(body: str, config: dict) -> str:
@@ -156,46 +170,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_conditions(args) -> str:
     kernel = parse_kernel(args.kernel)
-    config = {
-        "command": "conditions",
-        "kernel": kernel.spec_string(),
-        "format": args.format,
-        "seed": args.seed,
-    }
-    payload = report_to_dict(condition_report(kernel))
-    payload["version"] = __version__
-    payload["config"] = config
-    return _json_report(payload)
+    body = report_to_dict(condition_report(kernel))
+    return _report(body.pop("schema"), _config(args, kernel=kernel.spec_string()), **body)
 
 
 def cmd_asymptotics(args) -> str:
-    if args.n_min < 0 or args.n_max < args.n_min:
+    lo = max(args.n_min, 1)
+    if args.n_min < 0 or args.n_max < lo:
         raise DomainError(f"bad order window [{args.n_min}, {args.n_max}]")
-    config = {
-        "command": "asymptotics",
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "format": args.format,
-        "seed": args.seed,
-    }
-    orders = sorted(set(int(round(v)) for v in np.geomspace(max(args.n_min, 1), args.n_max, 40)))
-    entries = iter_integral_series(1.0, 1.0, orders)
+    config = _config(args)
+    entries = iter_integral_series(1.0, 1.0, geometric_orders(lo, args.n_max, 40))
     if args.format == "csv":
         return _csv_with_config(series_to_csv(entries), config)
     series = fit_decay_exponent(entries)
-    payload = {
-        "schema": "decay-report/1",
-        "version": __version__,
-        "config": config,
-        "entries": [[n, v] for n, v in entries],
-        "fit": {
+    return _report(
+        "decay-report/1",
+        config,
+        entries=[[n, v] for n, v in entries],
+        fit={
             "slope": series.fitted_slope,
             "log_constant": series.fitted_log_constant,
             "window": list(series.fit_window),
             "residual": series.residual,
         },
-    }
-    return _json_report(payload)
+    )
 
 
 def cmd_chaos(args) -> str:
@@ -206,16 +204,9 @@ def cmd_chaos(args) -> str:
             f"n_max={args.n_max} is below the functional degree {functional.degree}"
         )
     alphas = args.alphas if args.alphas else [0.0]
-    config = {
-        "command": "chaos",
-        "kernel": kernel.spec_string(),
-        "functional": functional.spec_string(),
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "alphas": alphas,
-        "format": args.format,
-        "seed": args.seed,
-    }
+    config = _config(
+        args, kernel=kernel.spec_string(), functional=functional.spec_string(), alphas=alphas
+    )
     with QuadLog() as quad_errors:
         spectrum = chaos_spectrum(functional, kernel, n_max=args.n_max)
     if args.format == "csv":
@@ -237,52 +228,42 @@ def cmd_chaos(args) -> str:
     try:
         lo = max(args.n_min, 1)
         hi = max(args.n_max, lo + 5)
-        orders = sorted(set(int(round(v)) for v in np.geomspace(lo, hi, 12)))
+        orders = geometric_orders(lo, hi, 12)
         with quad_errors:
             series = regularization_exponent(kernel, "hermite1d", orders)
         regularization["orders"] = orders
         regularization["slope"] = series.fitted_slope
         regularization["log_constant"] = series.fitted_log_constant
-    except _RUNTIME_ERRORS as exc:
+    except GpchaosError as exc:
         regularization["skipped"] = str(exc)
     try:
         regularization["laplace_constant"] = laplace_decay_constant(kernel)
-    except _RUNTIME_ERRORS as exc:
+    except GpchaosError:
         regularization["laplace_constant"] = None
 
-    payload = {
-        "schema": "chaos-report/1",
-        "version": __version__,
-        "config": config,
-        "spectrum": spectrum_to_dict(spectrum),
-        "sobolev": sobolev,
-        "regularization": regularization,
-        "diagnostics": {
+    return _report(
+        "chaos-report/1",
+        config,
+        spectrum=spectrum_to_dict(spectrum),
+        sobolev=sobolev,
+        regularization=regularization,
+        diagnostics={
             "max_quad_error": quad_errors.max_error,
             "quad_within_tolerance": quad_errors.within_tolerance,
         },
-    }
-    return _json_report(payload)
+    )
 
 
 def cmd_simulate(args) -> str:
     kernel = parse_kernel(args.kernel)
     functionals = [parse_functional(s) for s in args.functionals] if args.functionals else None
-    config = {
-        "command": "simulate",
-        "kernel": kernel.spec_string(),
-        "functionals": [f.spec_string() for f in functionals] if functionals else None,
-        "level": args.level,
-        "paths": args.paths,
-        "grid": args.grid,
-        "format": args.format,
-        "seed": args.seed,
-    }
+    config = _config(
+        args,
+        kernel=kernel.spec_string(),
+        functionals=[f.spec_string() for f in functionals] if functionals else None,
+    )
     plan = mc.build_embedding_plan(kernel, args.grid)
-    payload = {
-        "schema": "simulate-report/1",
-        "version": __version__,
-        "config": config,
+    body = {
         "diagnostics": {
             "embedding_size": plan.embedding_size,
             "support_size": plan.support.size,
@@ -298,7 +279,7 @@ def cmd_simulate(args) -> str:
             kernel, args.level, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
             plan=plan,
         )
-        payload["crossings"] = {
+        body["crossings"] = {
             "level": stats.level,
             "mean": stats.mean,
             "variance": stats.variance,
@@ -311,7 +292,7 @@ def cmd_simulate(args) -> str:
             functionals, kernel, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
             plan=plan,
         )
-        payload["moments"] = [
+        body["moments"] = [
             {
                 "functional": out.functional,
                 "mean": out.mean,
@@ -321,32 +302,22 @@ def cmd_simulate(args) -> str:
             }
             for out in outs
         ]
-    return _json_report(payload)
+    return _report("simulate-report/1", config, **body)
 
 
 def cmd_verify_all(args) -> str:
     kernel = parse_kernel(args.kernel)
-    config = {
-        "command": "verify-all",
-        "kernel": kernel.spec_string(),
-        "paths": args.paths,
-        "grid": args.grid,
-        "format": args.format,
-        "seed": args.seed,
-    }
     checks = battery(kernel, args.paths, args.grid, args.seed)
     statuses = [c["status"] for c in checks]
-    payload = {
-        "schema": "verify-all/1",
-        "version": __version__,
-        "config": config,
-        "checks": checks,
-        "passed": statuses.count("pass"),
-        "failed": statuses.count("fail"),
-        "skipped": statuses.count("skip"),
-        "all_pass": "fail" not in statuses,
-    }
-    return _json_report(payload)
+    return _report(
+        "verify-all/1",
+        _config(args, kernel=kernel.spec_string()),
+        checks=checks,
+        passed=statuses.count("pass"),
+        failed=statuses.count("fail"),
+        skipped=statuses.count("skip"),
+        all_pass="fail" not in statuses,
+    )
 
 
 _COMMANDS = {
@@ -370,7 +341,7 @@ def main(argv=None) -> int:
         # result still fails, through NonFiniteResult or the integrator
         with np.errstate(all="ignore"):
             text = handler(args)
-    except (*_RUNTIME_ERRORS, NonFiniteResult, ArithmeticError) as exc:
+    except (GpchaosError, ArithmeticError) as exc:
         # a bare DomainError is a bad value inside a well-formed flag, a
         # usage problem; its subclasses and the rest are runtime failures,
         # such as float arithmetic that overflows, named with the kernel

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoBRepresentation, NotDifferentiable
+from .errors import NoBRepresentation, NotDifferentiable
 from .kernels import Kernel, b_representation, r_derivatives_at_zero
 from .quadrature import integrate
 
@@ -191,9 +191,13 @@ def check_a2(kernel: Kernel) -> A2Report:
     return A2Report(d.r2, d.r4, d.discriminant, holds, tuple(notes))
 
 
-def check_geman(kernel: Kernel, delta: float = None) -> GemanReport:
-    """Integrability of (r''(t) - r''(0))/t on (0, delta], from the Taylor
-    exponent of r at 0.
+def _geman_delta(kernel: Kernel) -> float:
+    return float(min(1.0, kernel.length_scale))
+
+
+def check_geman(kernel: Kernel) -> GemanReport:
+    """Integrability of (r''(t) - r''(0))/t on (0, delta], delta =
+    min(1, length scale), from the Taylor exponent of r at 0.
 
     With p the lowest non-even exponent of r at 0 (``_odd_taylor_power``),
     the integrand behaves like t^(p - 3), so the condition holds when p > 2
@@ -202,23 +206,20 @@ def check_geman(kernel: Kernel, delta: float = None) -> GemanReport:
     leading term constant.  Raises NotDifferentiable when r''(0) does not
     exist.
     """
-    if delta is None:
-        delta = min(1.0, kernel.length_scale)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    delta = _geman_delta(kernel)
     r2_0 = kernel.r2_zero()  # NotDifferentiable propagates
     p = kernel._odd_taylor_power()
     term = "no non-even term" if p is None else f"lowest non-even term |t|^{p:g}"
     if p is not None and p <= 2.0:
-        return GemanReport(float(delta), math.inf, False, (f"r has {term} at 0",))
+        return GemanReport(delta, math.inf, False, (f"r has {term} at 0",))
     power = 1.0 / (p - 2.0) if p is not None and p < 3.0 else 1.0
     (value,), (error,) = integrate(
         lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], 0.0, delta, power)
     notes = (f"r has {term} at 0; integral quadrature error estimate {error:.2e}",)
-    return GemanReport(float(delta), float(value), True, notes)
+    return GemanReport(delta, float(value), True, notes)
 
 
-def condition_report(kernel: Kernel, delta: float = None) -> ConditionReport:
+def condition_report(kernel: Kernel) -> ConditionReport:
     """Full verdict document for one kernel.
 
     ``check_geman``'s NotDifferentiable is absorbed here: a kernel whose
@@ -228,10 +229,9 @@ def condition_report(kernel: Kernel, delta: float = None) -> ConditionReport:
     a1 = check_a1(kernel)
     a2 = check_a2(kernel)
     try:
-        geman = check_geman(kernel, delta)
+        geman = check_geman(kernel)
     except NotDifferentiable as exc:
-        d = delta if delta is not None else min(1.0, kernel.length_scale)
-        geman = GemanReport(float(d), math.nan, False, (str(exc),))
+        geman = GemanReport(_geman_delta(kernel), math.nan, False, (str(exc),))
     notes = []
     if a2.holds and not geman.holds:
         notes.append(

@@ -191,9 +191,8 @@ def _infimum_minus_3se(y):
     return float(np.min(y) - 3.0 * se), se
 
 
-def quadratic_bound_fit(kernel: Kernel, n_points: int = 200
-                        ) -> QuadraticBoundFit:
-    """Fit the quadratic smallness bound on (0, 0.5*min(1, ell)].
+def quadratic_bound_fit(kernel: Kernel) -> QuadraticBoundFit:
+    """Fit the quadratic smallness bound on 200 points of (0, 0.5*min(1, ell)].
 
     ``c_hat`` comes from the normalized HS reading; the operator-norm
     reading is fitted alongside and flagged when it degenerates (its
@@ -201,7 +200,7 @@ def quadratic_bound_fit(kernel: Kernel, n_points: int = 200
     """
     r2, r4 = kernel.r2_zero(), kernel.r4_zero()
     window = 0.5 * min(1.0, kernel.length_scale)
-    t = np.linspace(0.0, window, n_points + 1)[1:]
+    t = np.linspace(0.0, window, 201)[1:]
     m = a_matrix(kernel, t)
     h = m.a11**2 + 2.0 * m.a12**2 + m.a22**2
     nhs_y = (1.0 - np.sqrt(h / 2.0)) / t**2

@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class GpchaosError(Exception):
+    """Base of every error the package raises on purpose, for a stated reason."""
+
+
+class DomainError(GpchaosError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
@@ -18,13 +22,13 @@ class NoBRepresentation(DomainError):
     """No square-integrable moving-average kernel is available for this covariance."""
 
 
-class EmbeddingFailure(RuntimeError):
+class EmbeddingFailure(GpchaosError, RuntimeError):
     """Circulant embedding produced eigenvalues too negative to clip safely."""
 
 
-class NonFiniteResult(RuntimeError):
+class NonFiniteResult(GpchaosError, RuntimeError):
     """A computed report value is NaN or infinite, so no strict JSON exists."""
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(GpchaosError, RuntimeError):
     """An adaptive quadrature returned a value its integrand rules out."""

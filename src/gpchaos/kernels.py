@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -218,14 +218,8 @@ class Kernel:
                 f"{self.spec_string()}: r''''(0) does not exist")
         return d.r4
 
-    def params(self) -> dict:
-        return {
-            k: getattr(self, k)
-            for k in self.__dataclass_fields__  # type: ignore[attr-defined]
-        }
-
     def spec_string(self) -> str:
-        inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params().items()))
+        inner = ",".join(f"{k}={getattr(self, k):g}" for k in sorted(f.name for f in fields(self)))
         return f"{self.family}:{inner}" if inner else self.family
 
 
@@ -921,8 +915,8 @@ def _grid_payload(f_vals, dx, trunc, notes, bp_sing):
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
 
-def _grid_b_from_spectral(density, scale, decay_scale, bp_sing, n=1 << 16):
-    """Grid b by inverting sqrt(2 pi F') on an FFT grid."""
+def _grid_b_from_spectral(density, scale, decay_scale, bp_sing):
+    """Grid b by inverting sqrt(2 pi F') on a 2^16-point FFT grid."""
     dx = scale / 200.0
     lam_max = math.pi / dx
     # doubling search for the 1e-16 relative decay point of F'
@@ -939,12 +933,13 @@ def _grid_b_from_spectral(density, scale, decay_scale, bp_sing, n=1 << 16):
         notes.append(
             f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
             f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
-    lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+    lam = 2.0 * math.pi * np.fft.rfftfreq(1 << 16, d=dx)
     return _grid_payload(np.asarray(density(lam), dtype=float), dx, trunc, notes, bp_sing)
 
 
-def _grid_b_from_covariance(kernel, bp_sing, note, n=1 << 20):
-    """Grid b via FFT of the sampled covariance (heavy spectral tails)."""
+def _grid_b_from_covariance(kernel, bp_sing, note):
+    """Grid b via a 2^20-point FFT of the sampled covariance (heavy spectral tails)."""
+    n = 1 << 20
     scale = kernel.length_scale
     x_len = 64.0 * scale
     dt = x_len / n
@@ -1008,8 +1003,8 @@ def reconstruct_r(kernel: Kernel, t):
     return _ret(out, t)
 
 
-def _error_exponents(p_odd, order, count=4):
-    """Exponent ladder of the central-difference error expansion.
+def _error_exponents(p_odd, order):
+    """The four lowest exponents of the central-difference error expansion.
 
     Smooth even kernels only have even powers h^2, h^4, ...; a non-even
     |t|^p term in the expansion of r at 0 adds the powers p - order,
@@ -1024,7 +1019,7 @@ def _error_exponents(p_odd, order, count=4):
             if e > 0:
                 exps.add(e)
             e += 2.0
-    return sorted(exps)[:count]
+    return sorted(exps)[:4]
 
 
 def richardson_at_zero(quotient, kernel: Kernel, p_odd, order) -> float:
@@ -1059,73 +1054,57 @@ def fd_derivatives_at_zero(kernel: Kernel) -> dict:
 
 
 _FAMILIES = {
-    "sqexp": (SquaredExponential, {"ell": 1.0}),
-    "matern": (Matern, {"nu": None, "ell": 1.0}),
-    "maternhi": (MaternHalfInteger, {"m": None, "ell": 1.0}),
-    "gammaexp": (GammaExponential, {"gamma": None, "ell": 1.0}),
-    "rq": (RationalQuadratic, {"alpha": None, "ell": 1.0}),
-    "wendland": (Wendland, {"k": None}),
-    "cosine": (Cosine, {"ell": 1.0}),
-    "periodic": (Periodic, {"T": 1.0, "ell": 1.0}),
+    cls.family: cls
+    for cls in (SquaredExponential, Matern, MaternHalfInteger, GammaExponential,
+                RationalQuadratic, Wendland, Cosine, Periodic)
 }
 
 _ALIASES = {
-    "squaredexponential": "sqexp",
-    "rationalquadratic": "rq",
+    "squaredexponential": ("sqexp", {}),
+    "rationalquadratic": ("rq", {}),
     "matern12": ("maternhi", {"m": 0}),
     "matern32": ("maternhi", {"m": 1}),
     "matern52": ("maternhi", {"m": 2}),
 }
 
-_INT_PARAMS = {"m", "k"}
-
 
 def parse_kernel(text: str) -> Kernel:
     """Parse ``family:param=value,param=value`` into a kernel instance.
 
-    Raises DomainError on unknown families or parameters, malformed or
-    non-finite numbers, and parameter values outside the family's domain.
+    The parameters are the family's dataclass fields, those without a
+    default required; ``period`` names ``T``.  Raises DomainError on unknown
+    families or parameters, repeated, malformed or non-finite values, and,
+    through the family's own checks, values outside its domain.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError("empty kernel specification")
     fam, _, rest = text.strip().partition(":")
     fam = fam.strip().lower()
-    forced = {}
-    if fam in _ALIASES:
-        target = _ALIASES[fam]
-        if isinstance(target, tuple):
-            fam, forced = target
-        else:
-            fam = target
+    fam, forced = _ALIASES.get(fam, (fam, {}))
     if fam not in _FAMILIES:
         raise DomainError(f"unknown kernel family {fam!r}")
-    cls, defaults = _FAMILIES[fam]
-    params = dict(defaults)
-    params.update(forced)
+    cls = _FAMILIES[fam]
+    names = {f.name: f.default is MISSING for f in fields(cls)}
+    params = dict(forced)
     if rest.strip():
         for item in rest.split(","):
             key, sep, val = item.partition("=")
             key = key.strip()
             if key == "period":
                 key = "T"
-            if not sep or key not in defaults:
+            if not sep or key not in names:
                 raise DomainError(
                     f"bad parameter {item!r} for family {fam!r}")
-            if key in forced:
-                raise DomainError(
-                    f"parameter {key!r} is fixed by the alias")
+            if key in params:
+                why = "fixed by the alias" if key in forced else f"given twice in {text!r}"
+                raise DomainError(f"parameter {key!r} is {why}")
             try:
-                num = float(val)
+                params[key] = float(val)
             except ValueError:
                 raise DomainError(f"bad numeric value in {item!r}") from None
-            if not math.isfinite(num):
+            if not math.isfinite(params[key]):
                 raise DomainError(f"non-finite value in {item!r}")
-            if key in _INT_PARAMS:
-                if num != int(num):
-                    raise DomainError(f"{key} must be an integer, got {val}")
-                num = int(num)
-            params[key] = num
-    missing = [k for k, v in params.items() if v is None]
+    missing = [k for k, required in names.items() if required and k not in params]
     if missing:
         raise DomainError(
             f"family {fam!r} requires parameter(s) {', '.join(missing)}")

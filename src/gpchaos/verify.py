@@ -14,6 +14,7 @@ from . import montecarlo as mc
 from .asymptotics import (
     fit_decay_exponent,
     gauss_theorem_value,
+    geometric_orders,
     hyp2f1_terminating,
     iter_integral_closed_form,
     iter_integral_quadrature,
@@ -25,10 +26,7 @@ from .chaos import (
     regularization_exponent,
 )
 from .conditions import condition_report, report_to_dict
-from .errors import (
-    DomainError, EmbeddingFailure, NoBRepresentation, NoSpectralDensity, NotDifferentiable,
-    QuadratureFailure,
-)
+from .errors import DomainError, GpchaosError, NotDifferentiable
 from .kernels import fd_derivatives_at_zero, r_derivatives_at_zero, reconstruct_r
 
 __all__ = [
@@ -36,13 +34,6 @@ __all__ = [
     "condition_verdicts", "derivative_fd", "determinism_replay", "gauss_identity",
     "hs_bound", "level_crossings", "mean_square_derivative", "regularization_slope",
 ]
-
-# Gate errors: a check that raises one of these does not apply to the
-# kernel (or its numerics failed) and is reported as a skip.
-_RUNTIME_ERRORS = (
-    DomainError, EmbeddingFailure, NoBRepresentation, NoSpectralDensity, NotDifferentiable,
-    QuadratureFailure,
-)
 
 GAUSS_TOL = 1e-11  # relative, terminating 2F1 against the Gauss sum
 CLOSED_FORM_TOL = 1e-10  # absolute, closed form against quadrature
@@ -55,7 +46,7 @@ Z_GATE = 3.0  # Monte Carlo standard errors
 LEADING_ORDER_TOL = 0.05  # relative, difference-quotient residual vs r4 h^2 / 4
 CONSTANT_GAP_TOL = 0.10  # relative, pinned-slope constant vs the Laplace constant
 
-REGULARIZATION_ORDERS = sorted(set(int(round(v)) for v in np.geomspace(20, 200, 25)))
+REGULARIZATION_ORDERS = geometric_orders(20, 200, 25)
 
 
 def gauss_identity():
@@ -77,7 +68,7 @@ def closed_form():
     )
     anchor0 = abs(iter_integral_closed_form(0) - 0.5)
     anchor1 = abs(iter_integral_closed_form(1) - 5.0 / 12.0)
-    orders = sorted(set(int(round(v)) for v in np.geomspace(50, 400, 25)))
+    orders = geometric_orders(50, 400, 25)
     series = fit_decay_exponent([(n, iter_integral_closed_form(n)) for n in orders])
     ok = (
         worst <= CLOSED_FORM_TOL
@@ -215,18 +206,21 @@ def determinism_replay(kernel, seed):
 
 
 def _run(name, fn):
-    """Run one check; map gate errors to a skip, never to a crash."""
+    """Run one check; a package error (the check does not apply to the
+    kernel, or its numerics failed) is a skip, never a crash."""
     try:
         passed, detail = fn()
-    except _RUNTIME_ERRORS as exc:
+    except GpchaosError as exc:
         return {"name": name, "status": "skip", "detail": {"reason": str(exc)}}
     return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
 
 
 def battery(kernel, paths, grid, seed):
     """The eleven checks of ``verify-all`` as (name, status, detail) entries;
-    the Monte Carlo checks draw ``paths`` paths (at most 6,000 for the
+    the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
     derivative check) on ``grid`` points."""
+    if paths < 2:
+        raise DomainError(f"the battery needs at least 2 paths, got {paths}")
     checks = (
         ("gauss-hypergeometric-identity", gauss_identity),
         ("iterated-integral-closed-form", closed_form),

@@ -93,6 +93,10 @@ class TestParseFunctional:
             Functional(kind="H", m=2, axis="t")
         with pytest.raises(DomainError):
             Functional(kind="H2", a=1, b=1, axis="xdot")
+        with pytest.raises(DomainError):
+            Functional(kind="ind", level=math.inf)
+        with pytest.raises(DomainError):
+            Functional(kind="H2", a=1, b=-2)
 
 
 class TestHermiteCoeffs1D:

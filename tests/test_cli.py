@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpchaos import __version__
+from gpchaos import __version__, cli, errors
 from gpchaos import montecarlo as mc
-from gpchaos.cli import main
+from gpchaos.cli import build_parser, main
 from gpchaos.kernels import parse_kernel
 
 
@@ -57,6 +58,13 @@ class TestConditionsCommand:
         code, _, err = run_cli(capsys, "conditions", "--kernel", "nosuch:z=1")
         assert code == 2
         assert "nosuch" in err
+
+    @pytest.mark.parametrize("kernel", ["matern:nu=1.5,nu=2.5", "periodic:T=2,period=3"])
+    def test_repeated_kernel_parameter_is_usage_error(self, capsys, kernel):
+        code, out, err = run_cli(capsys, "conditions", "--kernel", kernel)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "twice" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -121,6 +129,15 @@ class TestAsymptoticsCommand:
 
     def test_bad_window(self, capsys):
         assert run_cli(capsys, "asymptotics", "--n-min", "10", "--n-max", "5")[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_window_without_a_positive_order_is_usage_error(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--n-min", "0", "--n-max", "0", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "gpchaos: bad order window [0, 0]\n"
 
 
 class TestChaosCommand:
@@ -482,6 +499,17 @@ class TestVerifyAll:
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
 
+    @pytest.mark.parametrize("paths", ["1", "0"])
+    def test_fewer_than_two_paths_is_usage_error(self, capsys, paths):
+        # one path has no standard error to scale a z-score by
+        code, out, err = run_cli(capsys, "verify-all", "--paths", paths, "--grid", "64")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "at least 2 paths" in err
+
+    def test_single_path_simulation_still_reports(self, capsys):
+        run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "1", "--grid", "64")
+
     def test_worker_count_never_changes_the_report(self, capsys, monkeypatch):
         monkeypatch.setenv("GPCHAOS_WORKERS", "1")
         code, one, _ = run_cli(
@@ -536,6 +564,40 @@ _FUNCTIONAL_SPECS = st.one_of(
                         st.builds(":{},{}".format, _VALUES, _VALUES)),
               _AXES),
 )
+
+
+def _subcommand_parsers():
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+_CHEAP_ARGS = {
+    "conditions": ["--kernel", "sqexp"],
+    "asymptotics": ["--n-min", "1", "--n-max", "30"],
+    "chaos": ["--kernel", "sqexp", "--n-max", "6"],
+    "simulate": ["--kernel", "sqexp", "--paths", "20", "--grid", "64"],
+    "verify-all": ["--paths", "20", "--grid", "64"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHEAP_ARGS))
+def test_config_records_every_option_but_out(capsys, monkeypatch, command):
+    # the battery's checks are tested above; only the envelope matters here
+    monkeypatch.setattr(cli, "battery", lambda *args: [])
+    assert set(_subcommand_parsers()) == set(_CHEAP_ARGS)
+    parser = _subcommand_parsers()[command]
+    options = {a.dest for a in parser._actions if a.dest != "help"}
+    report = run_json(capsys, command, *_CHEAP_ARGS[command])
+    assert set(report["config"]) == options - {"out"} | {"command"}
+    assert report["config"]["command"] == command
+
+
+def test_every_package_error_is_a_gpchaos_error():
+    found = [obj for obj in vars(errors).values()
+             if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert errors.QuadratureFailure in found
+    assert all(issubclass(cls, errors.GpchaosError) for cls in found)
 
 
 class TestSpecGrammarFuzz:

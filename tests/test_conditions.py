@@ -24,7 +24,7 @@ from gpchaos.conditions import (
     condition_report,
     report_to_dict,
 )
-from gpchaos.errors import DomainError, NotDifferentiable
+from gpchaos.errors import NotDifferentiable
 from gpchaos.kernels import b_representation, parse_kernel
 
 VERDICTS = [
@@ -212,10 +212,6 @@ class TestGeman:
             check_geman(parse_kernel("matern12"))
         with pytest.raises(NotDifferentiable):
             check_geman(parse_kernel("gammaexp:gamma=1.5"))
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(DomainError):
-            check_geman(parse_kernel("sqexp"), delta=0.0)
 
     def test_report_absorbs_missing_derivative(self):
         rep = condition_report(parse_kernel("matern12"))

@@ -10,6 +10,7 @@ through int b^2 = 1 and through reconstruction of r by direct quadrature of
 the defining identity r(t) = int b(t+s) b(s) ds.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -720,10 +721,33 @@ class TestParseKernel:
         "sqexp:ell=abc",
         "rq:alpha=0,ell=1",
         "gammaexp:gamma=2.5",
+        "matern:nu=1.5,nu=2.5",   # repeated parameter
+        "periodic:T=2,period=3",  # period names T
+        "sqexp:ell=1,ell=1",
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_kernel(bad)
+
+    @pytest.mark.parametrize("k", CATALOG, ids=lambda k: k.spec_string())
+    def test_parameters_are_the_dataclass_fields(self, k):
+        # leaving one parameter out takes the field's default, or names it
+        # when the field has none
+        for left_out in dataclasses.fields(k):
+            rest = ",".join(f"{f.name}={getattr(k, f.name):g}"
+                            for f in dataclasses.fields(k) if f is not left_out)
+            spec = f"{k.family}:{rest}" if rest else k.family
+            if left_out.default is dataclasses.MISSING:
+                with pytest.raises(DomainError, match=left_out.name):
+                    parse_kernel(spec)
+            else:
+                assert parse_kernel(spec) == dataclasses.replace(
+                    k, **{left_out.name: left_out.default})
+
+    @pytest.mark.parametrize("text", ["maternhi:m=2.0", "wendland:k=3.0"])
+    def test_integer_orders_are_stored_as_int(self, text):
+        k = parse_kernel(text)
+        assert type(getattr(k, "m", getattr(k, "k", None))) is int
 
     def test_parameter_domains(self):
         with pytest.raises(DomainError):
