@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, whole
 from .quadrature import integrate
 from .specfun import gamma_ln, hyp2f1_terminating
 
@@ -43,15 +43,14 @@ def _check_domain(c, c_prime, n):
     """``int(n)``, once c, c' and n are checked."""
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = whole(n, f"n must be a nonnegative integer, got {n}")
     limit = c ** -0.5
     if not 0.0 < c_prime <= limit:
         # the boundary c' = c^{-1/2} is allowed: that is where the closed
         # form lives (the integrand touches 0 only at the endpoint)
         raise DomainError(
             f"c' must lie in (0, c^(-1/2)] = (0, {limit:g}], got {c_prime}")
-    return int(n)
+    return n
 
 
 def iter_integral_quadrature(c: float, c_prime: float, n: int) -> float:
@@ -66,17 +65,15 @@ def iter_integral_quadrature(c: float, c_prime: float, n: int) -> float:
 def iter_integral_closed_form(n: int) -> float:
     """Exact value at c = c' = 1 via the terminating hypergeometric sum:
     (1/(2(n+1))) (2F1(-1/2, -n-1; 1/2; 1) - 1)."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    f = hyp2f1_terminating(-0.5, -(int(n) + 1), 0.5, 1.0)
+    n = whole(n, f"n must be a nonnegative integer, got {n}")
+    f = hyp2f1_terminating(-0.5, -(n + 1), 0.5, 1.0)
     return (f - 1.0) / (2.0 * (n + 1))
 
 
 def gauss_theorem_value(n: int) -> float:
     """sqrt(pi) Gamma(n+2) / Gamma(n+3/2), the Gauss-summation value of the
     terminating 2F1 above."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = whole(n, f"n must be a nonnegative integer, got {n}")
     return math.sqrt(math.pi) * math.exp(
         gamma_ln(n + 2.0) - gamma_ln(n + 1.5))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .asymptotics import DecaySeries, fit_decay_exponent
 from .covstruct import _quadratic_form, a_matrix, tensor_power_quadratic_form
-from .errors import DomainError
+from .errors import DomainError, whole
 from .kernels import Kernel
 from .quadrature import integrate
 
@@ -88,8 +88,7 @@ class Functional:
         if self.kind == "H2" and self.axis != "x":
             raise DomainError("two-dimensional functionals take no axis suffix")
         for label, value in (("m", self.m), ("a", self.a), ("b", self.b)):
-            if int(value) != value or value < 0:
-                raise DomainError(f"Hermite order {label}={value} must be a nonnegative integer")
+            whole(value, f"Hermite order {label}={value} must be a nonnegative integer")
         if not math.isfinite(self.level):
             raise DomainError(f"non-finite indicator level {self.level}")
 
@@ -119,7 +118,7 @@ def parse_functional(text: str) -> Functional:
 
     An optional ``@x`` / ``@xdot`` suffix selects the coordinate (default
     ``@x``); the indicator level defaults to 0.  The values are checked by
-    ``Functional``.
+    ``Functional``, and its errors quote the spec.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError(f"empty functional spec {text!r}")
@@ -135,19 +134,25 @@ def parse_functional(text: str) -> Functional:
         except ValueError:
             raise DomainError(f"bad {what} {token!r} in {text!r}") from None
 
+    def _functional(kind, **values):
+        try:
+            return Functional(kind=kind, axis=axis, **values)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {text!r}") from None
+
     if name == "H":
         if not arg:
             raise DomainError(f"H needs an order, e.g. H:3 (got {text!r})")
-        return Functional(kind="H", m=_number(arg, int, "Hermite order"), axis=axis)
+        return _functional("H", m=_number(arg, int, "Hermite order"))
     if name == "H2":
         parts = arg.split(",")
         if len(parts) != 2:
             raise DomainError(f"H2 needs two orders, e.g. H2:1,1 (got {text!r})")
         a, b = (_number(part, int, "Hermite order") for part in parts)
-        return Functional(kind="H2", a=a, b=b, axis=axis)
+        return _functional("H2", a=a, b=b)
     if name == "ind" and arg:
-        return Functional(kind="ind", level=_number(arg, float, "indicator level"), axis=axis)
-    functional = Functional(kind=name, axis=axis)
+        return _functional("ind", level=_number(arg, float, "indicator level"))
+    functional = _functional(name)
     if arg:
         raise DomainError(f"{name} takes no argument (got {text!r})")
     return functional
@@ -231,9 +236,7 @@ def _factorial_float(*orders: int) -> float:
 
 
 def _check_n_max(n_max):
-    if int(n_max) != n_max or n_max < 0:
-        raise DomainError(f"n_max={n_max} must be a nonnegative integer")
-    return int(n_max)
+    return whole(n_max, f"n_max={n_max} must be a nonnegative integer")
 
 
 def point_chaos_norms(functional: Functional, kernel: Kernel, n_max: int) -> dict:
@@ -409,11 +412,10 @@ def regularization_rho(kernel: Kernel, family: str, n: int) -> float:
     ``family`` is "hermite1d" (H_n of X) or "hermite2d" (the balanced
     product H_ceil(n/2) H_floor(n/2) across both coordinates).
     """
-    if int(n) != n or n < 0:
-        raise DomainError(f"chaos order n={n} must be a nonnegative integer")
+    n = whole(n, f"chaos order n={n} must be a nonnegative integer")
     # the point norm cancels, so work with the contraction weight directly;
     # this keeps orders beyond 170 inside float range
-    return float(_ladder_rhos(kernel, family, [int(n)])[0])
+    return float(_ladder_rhos(kernel, family, [n])[0])
 
 
 def regularization_exponent(kernel: Kernel, family: str, orders) -> DecaySeries:

@@ -276,11 +276,10 @@ def cmd_simulate(args) -> str:
     }
     if functionals is None:
         stats = mc.crossing_statistics(
-            kernel, args.level, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
-            plan=plan,
+            kernel, args.level, args.paths, args.grid, args.seed, plan=plan
         )
         body["crossings"] = {
-            "level": stats.level,
+            "level": args.level,
             "mean": stats.mean,
             "variance": stats.variance,
             "second_moment": stats.second_moment,
@@ -289,18 +288,17 @@ def cmd_simulate(args) -> str:
         }
     else:
         outs = mc.mc_integrated_functionals(
-            functionals, kernel, n_paths=args.paths, grid_points=args.grid, seed=args.seed,
-            plan=plan,
+            functionals, kernel, args.paths, args.grid, args.seed, plan=plan
         )
         body["moments"] = [
             {
-                "functional": out.functional,
+                "functional": spec,
                 "mean": out.mean,
-                "mean_std_error": out.mean_std_error,
+                "mean_std_error": out.std_error,
                 "second_moment": out.second_moment,
-                "std_error": out.std_error,
+                "std_error": out.second_std_error,
             }
-            for out in outs
+            for spec, out in zip(config["functionals"], outs)
         ]
     return _report("simulate-report/1", config, **body)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, whole
 from .kernels import Kernel, richardson_at_zero
 
 __all__ = [
@@ -142,10 +142,8 @@ def tensor_power_quadratic_form(kernel: Kernel, t, a: int, b: int):
     Q_k follows the Jacobi three-term recurrence multiplied through by
     D^k, so nothing is divided by D and no factorial appears.  N(0) = 1.
     """
-    if int(a) != a or a < 0 or int(b) != b or b < 0:
-        raise DomainError(
-            f"Hermite orders ({a}, {b}) must be nonnegative integers")
-    out = _quadratic_form(a_matrix(kernel, t), int(a), int(b))
+    message = f"Hermite orders ({a}, {b}) must be nonnegative integers"
+    out = _quadratic_form(a_matrix(kernel, t), whole(a, message), whole(b, message))
     return out if np.ndim(t) else float(out)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a whole-number argument."""
+
+import math
 
 
 class GpchaosError(Exception):
@@ -32,3 +34,15 @@ class NonFiniteResult(GpchaosError, RuntimeError):
 
 class QuadratureFailure(GpchaosError, RuntimeError):
     """An adaptive quadrature returned a value its integrand rules out."""
+
+
+def whole(value, message: str, low=0, high=math.inf) -> int:
+    """``value`` as an int, or DomainError(message) unless it is a whole
+    number in [low, high]; NaN and the infinities are not whole numbers."""
+    try:
+        ok = int(value) == value and low <= value <= high
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(message)
+    return int(value)

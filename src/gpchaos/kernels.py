@@ -35,6 +35,7 @@ from .errors import (
     NoBRepresentation,
     NoSpectralDensity,
     NotDifferentiable,
+    whole,
 )
 from .quadrature import integrate
 from .specfun import gamma_ln
@@ -429,11 +430,10 @@ class MaternHalfInteger(Kernel):
     family = "maternhi"
 
     def __post_init__(self):
-        if int(self.m) != self.m or not 0 <= self.m <= _MAX_ORDER:
-            raise DomainError(f"maternhi: m must be an integer in [0, {_MAX_ORDER}]")
+        m = whole(self.m, f"maternhi: m must be an integer in [0, {_MAX_ORDER}]", high=_MAX_ORDER)
         if self.ell <= 0:
             raise DomainError("maternhi: ell must be positive")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
 
     @property
     def nu(self):
@@ -677,9 +677,8 @@ class Wendland(Kernel):
     family = "wendland"
 
     def __post_init__(self):
-        if int(self.k) != self.k or not 1 <= self.k <= _MAX_ORDER:
-            raise DomainError(f"wendland: k must be an integer in [1, {_MAX_ORDER}]")
-        object.__setattr__(self, "k", int(self.k))
+        k = whole(self.k, f"wendland: k must be an integer in [1, {_MAX_ORDER}]", 1, _MAX_ORDER)
+        object.__setattr__(self, "k", k)
 
     length_scale = 1.0
     fd_scale = 0.15

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .chaos import Functional
-from .errors import DomainError, EmbeddingFailure
+from .errors import DomainError, EmbeddingFailure, whole
 from .kernels import Kernel
 from .specfun import hermite
 
@@ -34,13 +34,11 @@ __all__ = [
     "PathSample",
     "sample_paths",
     "count_crossings",
-    "CrossingStats",
+    "Moments",
     "crossing_statistics",
     "rice_crossing_mean",
-    "MCMoments",
     "mc_integrated_functionals",
     "ms_derivative_residual",
-    "MSDerivativeCheck",
     "ms_derivative_check",
 ]
 
@@ -197,9 +195,7 @@ class EmbeddingPlan:
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     """Periodize r, double the embedding until the wrap-around tail of
     (r, r', r'') is negligible, and check the eigenvalues are usable."""
-    if int(grid_points) != grid_points or grid_points < 2:
-        raise DomainError(f"grid_points={grid_points} must be an integer >= 2")
-    n = int(grid_points)
+    n = whole(grid_points, f"grid_points={grid_points} must be an integer >= 2", low=2)
     dt = 1.0 / (n - 1)
     r2 = kernel.r2_zero()  # the joint law needs the derivative channel
     sigma = math.sqrt(-r2)
@@ -269,20 +265,16 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
 
 @dataclass(frozen=True)
 class PathSample:
-    grid_step: float
-    length: int
     x: np.ndarray
     xdot: np.ndarray
-    seed: int
-    path_index: int
 
 
-def _check_run_args(n_paths, seed):
-    if int(n_paths) != n_paths or n_paths < 1:
-        raise DomainError(f"n_paths={n_paths} must be a positive integer")
-    if int(seed) != seed or seed < 0:
-        raise DomainError(f"seed={seed} must be a nonnegative integer")
-    return int(n_paths), int(seed)
+def _run_plan(kernel, grid_points, n_paths, seed, plan):
+    """The checked ``(n_paths, seed)`` of a sampling run and its plan; a
+    prebuilt ``plan`` is used as is."""
+    n_paths = whole(n_paths, f"n_paths={n_paths} must be a positive integer", low=1)
+    seed = whole(seed, f"seed={seed} must be a nonnegative integer")
+    return n_paths, seed, build_embedding_plan(kernel, grid_points) if plan is None else plan
 
 
 def _pair_chunk(embedding_size: int) -> int:
@@ -377,33 +369,57 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
             yield from pool.map(run, starts)
 
 
-def _per_path_values(plan, seed, n_paths, statistic, workers=None, values_only=False):
-    """Evaluate a per-path statistic for paths 0..n_paths-1, in order.
+def _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers=None, plan=None,
+                     values_only=False):
+    """A statistic of paths 0..n_paths-1, stacked in path order.
 
-    ``statistic(x_block, xdot_block)`` maps path blocks to a 1-D array.
+    ``statistic(plan)`` returns the map from path blocks ``(x_block,
+    xdot_block)`` to an array with one row per path.
     """
-    blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only)
-    parts = [np.asarray(part, dtype=float) for part in blocks]
-    return np.concatenate(parts) if parts else np.empty(0)
+    n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
+    blocks = _blocks(plan, seed, n_paths, statistic(plan), _worker_count(workers), values_only)
+    return np.concatenate([np.asarray(part, dtype=float) for part in blocks])
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Sample moments of a per-path value over ``n_paths`` paths.
+
+    ``std_error`` is the standard error of the mean and
+    ``second_std_error`` that of the second moment; ``variance`` is the
+    unbiased sample variance (0 for one path).
+    """
+
+    n_paths: int
+    mean: float
+    second_moment: float
+    variance: float
+    std_error: float
+    second_std_error: float
+
+
+def _moments(values: np.ndarray) -> Moments:
+    n = values.size
+
+    def mean_and_variance(v):
+        mean = math.fsum(v.tolist()) / n
+        if n == 1:
+            return mean, 0.0
+        deviation = v - mean
+        return mean, math.fsum((deviation * deviation).tolist()) / (n - 1)
+
+    mean, variance = mean_and_variance(values)
+    second, second_variance = mean_and_variance(values * values)
+    return Moments(n, mean, second, variance, math.sqrt(variance / n),
+                   math.sqrt(second_variance / n))
 
 
 def sample_paths(kernel: Kernel, grid_points: int, n_paths: int, seed: int, plan=None):
-    """Yield PathSample objects for path_index = 0..n_paths-1."""
-    n_paths, seed = _check_run_args(n_paths, seed)
-    if plan is None:
-        plan = build_embedding_plan(kernel, grid_points)
-    index = 0
+    """Yield a PathSample for each of paths 0..n_paths-1, in order."""
+    n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
     for x, xdot in _blocks(plan, seed, n_paths, lambda x, xd: (x, xd)):
         for row, drow in zip(x, xdot):
-            yield PathSample(
-                grid_step=plan.grid_step,
-                length=plan.grid_points,
-                x=row.copy(),
-                xdot=drow.copy(),
-                seed=seed,
-                path_index=index,
-            )
-            index += 1
+            yield PathSample(row.copy(), drow.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -444,54 +460,16 @@ def _crossing_counts(x_block, level):
     return np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1).astype(float)
 
 
-@dataclass(frozen=True)
-class CrossingStats:
-    kernel: str
-    level: float
-    n_paths: int
-    grid_points: int
-    seed: int
-    mean: float
-    variance: float
-    std_error: float
-    second_moment: float
-
-
-def _moment_stats(values: np.ndarray):
-    n = values.size
-    mean = math.fsum(values.tolist()) / n
-    second = math.fsum((values * values).tolist()) / n
-    if n > 1:
-        deviation = values - mean
-        variance = math.fsum((deviation * deviation).tolist()) / (n - 1)
-    else:
-        variance = 0.0
-    return mean, second, variance
-
-
 def crossing_statistics(
     kernel: Kernel, level: float, n_paths: int, grid_points: int, seed: int, workers=None,
     plan=None,
-) -> CrossingStats:
-    n_paths, seed = _check_run_args(n_paths, seed)
-    if plan is None:
-        plan = build_embedding_plan(kernel, grid_points)
+) -> Moments:
+    """Moments of the number of level crossings per path on [0, 1]."""
     counts = _per_path_values(
-        plan, seed, n_paths, lambda x, xd: _crossing_counts(x, level), workers,
-        values_only=True,
+        kernel, grid_points, n_paths, seed, lambda plan: lambda x, xd: _crossing_counts(x, level),
+        workers, plan, values_only=True,
     )
-    mean, second, variance = _moment_stats(counts)
-    return CrossingStats(
-        kernel=plan.kernel,
-        level=float(level),
-        n_paths=n_paths,
-        grid_points=plan.grid_points,
-        seed=seed,
-        mean=mean,
-        variance=variance,
-        std_error=math.sqrt(variance / n_paths),
-        second_moment=second,
-    )
+    return _moments(counts)
 
 
 def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
@@ -513,35 +491,15 @@ def _scalar_functional(func: Functional, v):
     return (v > func.level).astype(float)  # ind
 
 
-@dataclass(frozen=True)
-class MCMoments:
-    functional: str
-    kernel: str
-    n_paths: int
-    grid_points: int
-    seed: int
-    mean: float
-    second_moment: float
-    std_error: float
-    mean_std_error: float
-
-
 def mc_integrated_functionals(
     functionals, kernel: Kernel, n_paths: int, grid_points: int, seed: int, workers=None,
     plan=None,
-):
-    """Monte Carlo moments of int_0^1 Lambda(X_t, dX_t/sigma) dt for each
-    functional, sharing one set of paths.
-
-    ``std_error`` is the standard error of the second moment, the quantity
-    the chaos pipeline predicts; ``mean_std_error`` goes with the mean.
-    A prebuilt ``plan`` is used as is, as in ``sample_paths``.
+) -> list:
+    """Moments of int_0^1 Lambda(X_t, dX_t/sigma) dt, one per functional in
+    the order given, from one set of paths.  The chaos pipeline predicts the
+    second moment.
     """
     functionals = list(functionals)
-    n_paths, seed = _check_run_args(n_paths, seed)
-    if plan is None:
-        plan = build_embedding_plan(kernel, grid_points)
-
     values_only = all(f.kind != "H2" and f.axis != "xdot" for f in functionals)
     orders = {"x": set(), "xdot": set()}
     for f in functionals:
@@ -550,45 +508,31 @@ def mc_integrated_functionals(
             orders["xdot"].add(f.b)
         elif f.kind == "H":
             orders[f.axis].add(f.m)
-    # trapezoid weights on [0, 1]: the integral of a row is one product
-    weights = np.full(plan.grid_points, plan.grid_step)
-    weights[[0, -1]] = 0.5 * plan.grid_step
 
-    def statistic(x, xd):
-        channels = {"x": x} if values_only else {"x": x, "xdot": xd / plan.sigma}
-        rungs = {axis: hermite(orders[axis], v) for axis, v in channels.items()}
-        columns = []
-        for f in functionals:
-            if f.kind == "H2":
-                values = rungs["x"][f.a] * rungs["xdot"][f.b]
-            elif f.kind == "H":
-                values = rungs[f.axis][f.m]
-            else:
-                values = _scalar_functional(f, channels[f.axis])
-            columns.append(values @ weights)
-        return np.column_stack(columns).ravel()  # path-major, one entry per functional
+    def statistic(plan):
+        # trapezoid weights on [0, 1]: the integral of a row is one product
+        weights = np.full(plan.grid_points, plan.grid_step)
+        weights[[0, -1]] = 0.5 * plan.grid_step
 
-    stacked = _per_path_values(plan, seed, n_paths, statistic, workers, values_only)
-    per_func = stacked.reshape(-1, len(functionals)).T
-    out = []
-    for f, values in zip(functionals, per_func):
-        mean, second, variance = _moment_stats(values)
-        squares = values * values
-        _, _, var_sq = _moment_stats(squares)
-        out.append(
-            MCMoments(
-                functional=f.spec_string(),
-                kernel=plan.kernel,
-                n_paths=n_paths,
-                grid_points=plan.grid_points,
-                seed=seed,
-                mean=mean,
-                second_moment=second,
-                std_error=math.sqrt(var_sq / n_paths),
-                mean_std_error=math.sqrt(variance / n_paths),
-            )
-        )
-    return out
+        def integrals(x, xd):  # one row per path, one column per functional
+            channels = {"x": x} if values_only else {"x": x, "xdot": xd / plan.sigma}
+            rungs = {axis: hermite(orders[axis], v) for axis, v in channels.items()}
+            columns = []
+            for f in functionals:
+                if f.kind == "H2":
+                    values = rungs["x"][f.a] * rungs["xdot"][f.b]
+                elif f.kind == "H":
+                    values = rungs[f.axis][f.m]
+                else:
+                    values = _scalar_functional(f, channels[f.axis])
+                columns.append(values @ weights)
+            return np.column_stack(columns)
+
+        return integrals
+
+    stacked = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers, plan,
+                               values_only)
+    return [_moments(values) for values in stacked.T]
 
 
 # ---------------------------------------------------------------------------
@@ -604,50 +548,29 @@ def ms_derivative_residual(kernel: Kernel, h: float) -> float:
     return (2.0 - 2.0 * kernel.r(h)) / (h * h) + 2.0 * kernel.r_prime(h) / h - r2
 
 
-@dataclass(frozen=True)
-class MSDerivativeCheck:
-    kernel: str
-    h_requested: float
-    h: float
-    n_paths: int
-    grid_points: int
-    seed: int
-    analytic: float
-    mc_estimate: float
-    std_error: float
-
-
 def ms_derivative_check(
     kernel: Kernel, h: float, n_paths: int, grid_points: int, seed: int, workers=None
-) -> MSDerivativeCheck:
-    """Compare the analytic residual with sampled difference quotients.
-
-    h is snapped to the nearest positive grid lag; both the analytic value
-    (at the snapped h) and the Monte Carlo estimate refer to that lag.
+) -> tuple:
+    """``(h, moments)`` of the squared residual of sampled difference
+    quotients, ((X_h - X_0)/h - dX_0)^2, with h snapped to the nearest
+    positive grid lag; its mean estimates ``ms_derivative_residual(kernel, h)``.
     """
     if not h > 0.0:
         raise DomainError(f"h={h} must be positive")
-    n_paths, seed = _check_run_args(n_paths, seed)
-    plan = build_embedding_plan(kernel, grid_points)
-    lag = max(1, int(round(h / plan.grid_step)))
-    if lag >= plan.grid_points:
-        raise DomainError(f"h={h} exceeds the grid span")
-    h_eff = lag * plan.grid_step
+    snapped = None
 
-    def statistic(x, xd):
-        quotient = (x[:, lag] - x[:, 0]) / h_eff
-        return (quotient - xd[:, 0]) ** 2
+    def statistic(plan):
+        nonlocal snapped
+        lag = max(1, int(round(h / plan.grid_step)))
+        if lag >= plan.grid_points:
+            raise DomainError(f"h={h} exceeds the grid span")
+        snapped = lag * plan.grid_step
 
-    values = _per_path_values(plan, seed, n_paths, statistic, workers)
-    mean, _, variance = _moment_stats(values)
-    return MSDerivativeCheck(
-        kernel=plan.kernel,
-        h_requested=float(h),
-        h=h_eff,
-        n_paths=n_paths,
-        grid_points=plan.grid_points,
-        seed=seed,
-        analytic=ms_derivative_residual(kernel, h_eff),
-        mc_estimate=mean,
-        std_error=math.sqrt(variance / n_paths),
-    )
+        def residuals(x, xd):
+            quotient = (x[:, lag] - x[:, 0]) / snapped
+            return (quotient - xd[:, 0]) ** 2
+
+        return residuals
+
+    values = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers)
+    return snapped, _moments(values)

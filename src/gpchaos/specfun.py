@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError
+from .errors import DomainError, whole
 
 __all__ = [
     "gamma_ln",
@@ -40,9 +40,7 @@ def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:
     exact integer numerators over one common integer denominator; the only
     error is the final, correctly rounded division.
     """
-    if b > 0 or b != int(b):
-        raise DomainError(f"terminating series needs b a nonpositive integer, got {b!r}")
-    n_terms = int(-b)
+    n_terms = whole(-b, f"terminating series needs b a nonpositive integer, got {b!r}")
     (pa, qa), (pc, qc), (pz, qz) = (Fraction(v).as_integer_ratio() for v in (a, c, z))
     if qc == 1 and -n_terms <= pc <= 0:
         raise DomainError(f"c = {c!r} hits a nonpositive integer before termination")
@@ -67,8 +65,7 @@ def hermite(n, x):
     ladder = isinstance(n, (set, frozenset))
     orders = n if ladder else {n}
     for k in orders:
-        if k < 0 or k != int(k):
-            raise DomainError(f"hermite requires integer n >= 0, got {k!r}")
+        whole(k, f"hermite requires integer n >= 0, got {k!r}")
     x = np.asarray(x, dtype=float)
     rungs = {0: np.ones_like(x)} if 0 in orders else {}
     h_prev, h = 1.0, x

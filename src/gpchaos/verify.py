@@ -47,6 +47,7 @@ LEADING_ORDER_TOL = 0.05  # relative, difference-quotient residual vs r4 h^2 / 4
 CONSTANT_GAP_TOL = 0.10  # relative, pinned-slope constant vs the Laplace constant
 
 REGULARIZATION_ORDERS = geometric_orders(20, 200, 25)
+REPLAY_GRID = 512  # grid points of the determinism replay
 
 
 def gauss_identity():
@@ -149,7 +150,7 @@ def chaos_vs_monte_carlo(kernel, functionals, paths, grid, seed):
         target = integrated_chaos_norms(functional, kernel, n_max=functional.degree)[
             functional.degree
         ]
-        z = (out.second_moment - target) / out.std_error
+        z = (out.second_moment - target) / out.second_std_error
         detail[functional.spec_string()] = {"target": target, "z": z}
         ok = ok and abs(z) <= Z_GATE
     return ok, detail
@@ -167,14 +168,14 @@ def mean_square_derivative(kernel, paths, grid, seed):
     """The difference-quotient residual is r''''(0) h^2 / 4 to leading order
     at h = 0.01, and matches Monte Carlo at h = 0.05."""
     analytic = mc.ms_derivative_residual(kernel, 0.01)
-    leading = r_derivatives_at_zero(kernel).r4 / 4.0 * 0.01**2
+    leading = kernel.r4_zero() / 4.0 * 0.01**2  # NotDifferentiable without r(0)
     rel = abs(analytic / leading - 1.0)
-    chk = mc.ms_derivative_check(kernel, 0.05, n_paths=paths, grid_points=grid, seed=seed)
-    z = (chk.mc_estimate - chk.analytic) / chk.std_error
+    h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed)
+    z = (residual.mean - mc.ms_derivative_residual(kernel, h)) / residual.std_error
     return rel <= LEADING_ORDER_TOL and abs(z) <= Z_GATE, {
         "leading_order_rel_error": rel,
         "mc_z": z,
-        "h": chk.h,
+        "h": h,
     }
 
 
@@ -199,10 +200,17 @@ def regularization_slope(kernel):
 
 
 def determinism_replay(kernel, seed):
-    """Crossing statistics are identical at one and two workers."""
-    one = mc.crossing_statistics(kernel, 0.0, n_paths=500, grid_points=256, seed=seed, workers=1)
-    two = mc.crossing_statistics(kernel, 0.0, n_paths=500, grid_points=256, seed=seed, workers=2)
-    return one == two, {"mean": one.mean, "second_moment": one.second_moment}
+    """Crossing statistics are identical at one and two workers.  The paths
+    fill one sampler chunk and one pair of a second, so the two-worker run
+    hands a chunk to each of its threads; a second full chunk would only
+    add time and the memory of one more block."""
+    plan = mc.build_embedding_plan(kernel, REPLAY_GRID)
+    paths = 2 * mc._pair_chunk(plan.embedding_size) + 1
+    one, two = (
+        mc.crossing_statistics(kernel, 0.0, paths, REPLAY_GRID, seed, workers=workers, plan=plan)
+        for workers in (1, 2)
+    )
+    return one == two, {"mean": one.mean, "second_moment": one.second_moment, "paths": paths}
 
 
 def _run(name, fn):

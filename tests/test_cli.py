@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpchaos import __version__, cli, errors
+from gpchaos import __version__, cli, errors, verify
 from gpchaos import montecarlo as mc
 from gpchaos.cli import build_parser, main
+from gpchaos.chaos import parse_functional
 from gpchaos.kernels import parse_kernel
 
 
@@ -200,6 +201,15 @@ class TestChaosCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spec,message", [
+        ("@x", "unknown functional kind '' in '@x'"),
+        ("H:-1", "Hermite order m=-1 must be a nonnegative integer in 'H:-1'"),
+    ])
+    def test_functional_error_quotes_the_spec(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "chaos", "--kernel", "sqexp", "--functional", spec)
+        assert (code, out) == (2, "")
+        assert err == f"gpchaos: {message}\n"
+
     def test_failed_quadrature_is_a_runtime_error(self, tmp_path, cli_env):
         # the order-1 time average of a fast cosine is exactly 0 and comes
         # out at -4e-15; a child process, so the stderr line is the CLI's own
@@ -347,6 +357,36 @@ class TestSimulateCommand:
         )
         assert report["crossings"]["mean"] == stats.mean
         assert report["crossings"]["second_moment"] == stats.second_moment
+
+    def test_report_shape(self, capsys):
+        # the benchmark's gate reads these keys
+        crossings = run_json(
+            capsys, "simulate", "--kernel", "sqexp", "--level", "0.5", "--paths", "300",
+            "--grid", "128", "--seed", "9",
+        )["crossings"]
+        assert set(crossings) == {
+            "level", "mean", "variance", "second_moment", "std_error", "rice_mean"}
+        stats = mc.crossing_statistics(parse_kernel("sqexp"), 0.5, 300, 128, 9)
+        assert crossings["level"] == 0.5
+        assert (crossings["variance"], crossings["std_error"]) == (stats.variance,
+                                                                  stats.std_error)
+        specs = ("H:2", "abs@xdot", "H2:1,1")
+        argv = [a for spec in specs for a in ("--functional", spec)]
+        moments = run_json(
+            capsys, "simulate", "--kernel", "matern52", *argv, "--paths", "200",
+            "--grid", "128", "--seed", "4",
+        )["moments"]
+        outs = mc.mc_integrated_functionals(
+            [parse_functional(spec) for spec in specs], parse_kernel("matern52"), 200, 128, 4
+        )
+        assert [m["functional"] for m in moments] == list(specs)
+        for block, out in zip(moments, outs):
+            assert set(block) == {
+                "functional", "mean", "mean_std_error", "second_moment", "std_error"}
+            assert block["mean"] == out.mean
+            assert block["mean_std_error"] == out.std_error
+            assert block["second_moment"] == out.second_moment
+            assert block["std_error"] == out.second_std_error
 
     def test_rough_kernel_is_runtime_error(self, capsys):
         code, _, _ = run_cli(
@@ -499,6 +539,15 @@ class TestVerifyAll:
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
 
+    def test_kernel_without_fourth_derivative_skips_the_residual_check(self, capsys):
+        # matern32 has r''(0) but no r''''(0), which scales the leading order
+        report = run_json(
+            capsys, "verify-all", "--kernel", "matern32", "--paths", "300", "--grid", "128"
+        )
+        check = next(c for c in report["checks"] if c["name"] == "mean-square-derivative")
+        assert check["status"] == "skip"
+        assert "r''''(0) does not exist" in check["detail"]["reason"]
+
     @pytest.mark.parametrize("paths", ["1", "0"])
     def test_fewer_than_two_paths_is_usage_error(self, capsys, paths):
         # one path has no standard error to scale a z-score by
@@ -509,6 +558,23 @@ class TestVerifyAll:
 
     def test_single_path_simulation_still_reports(self, capsys):
         run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "1", "--grid", "64")
+
+    @pytest.mark.parametrize("spec", ["sqexp", "matern52", "wendland:k=4"])
+    def test_replay_spans_two_chunks_on_two_threads(self, monkeypatch, spec):
+        pools = []
+        pool = mc.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", counting_pool)
+        kernel = parse_kernel(spec)
+        passed, detail = verify.determinism_replay(kernel, 3)
+        plan = mc.build_embedding_plan(kernel, verify.REPLAY_GRID)
+        assert passed
+        assert detail["paths"] == 2 * mc._pair_chunk(plan.embedding_size) + 1
+        assert pools == [2]
 
     def test_worker_count_never_changes_the_report(self, capsys, monkeypatch):
         monkeypatch.setenv("GPCHAOS_WORKERS", "1")

@@ -36,6 +36,11 @@ def _stack(kernel, grid_points, n_paths, seed):
     return np.array(xs), np.array(xds)
 
 
+def _chunk_count(plan, n_paths):
+    """The sampler chunks of path pairs that a run of n_paths paths spans."""
+    return len(range(0, (n_paths + 1) // 2, mc._pair_chunk(plan.embedding_size)))
+
+
 class TestEmbeddingPlan:
     def test_embedding_size_grows_until_tail_decays(self):
         assert mc.build_embedding_plan(SQEXP, 512).embedding_size == 4096
@@ -117,11 +122,8 @@ class TestEmbeddingPlan:
 class TestSamplePaths:
     def test_path_fields(self):
         paths = list(mc.sample_paths(SQEXP, 128, 3, seed=5))
-        assert [p.path_index for p in paths] == [0, 1, 2]
+        assert len(paths) == 3
         for p in paths:
-            assert p.length == 128
-            assert p.grid_step == 1.0 / 127.0
-            assert p.seed == 5
             assert p.x.shape == (128,)
             assert p.xdot.shape == (128,)
 
@@ -480,18 +482,18 @@ class TestCrossingStatistics:
 
     def test_moment_consistency(self):
         stats = mc.crossing_statistics(SQEXP, 0.0, n_paths=500, grid_points=256, seed=42)
+        assert isinstance(stats, mc.Moments)
         assert stats.second_moment >= stats.mean**2
         assert stats.variance >= 0.0
         assert_allclose(stats.std_error, math.sqrt(stats.variance / 500), rtol=1e-12)
-        assert stats.kernel == "sqexp:ell=1"
-        assert stats.level == 0.0
         assert stats.n_paths == 500
-        assert stats.grid_points == 256
-        assert stats.seed == 42
 
     def test_worker_count_is_invisible(self):
-        one = mc.crossing_statistics(SQEXP, 0.0, n_paths=300, grid_points=256, seed=43, workers=1)
-        four = mc.crossing_statistics(SQEXP, 0.0, n_paths=300, grid_points=256, seed=43, workers=4)
+        plan = mc.build_embedding_plan(SQEXP, 256)
+        n_paths = 2 * mc._pair_chunk(plan.embedding_size) + 300
+        assert _chunk_count(plan, n_paths) == 2
+        one = mc.crossing_statistics(SQEXP, 0.0, n_paths, 256, seed=43, workers=1, plan=plan)
+        four = mc.crossing_statistics(SQEXP, 0.0, n_paths, 256, seed=43, workers=4, plan=plan)
         assert one == four
 
     def test_level_damps_the_mean(self):
@@ -507,7 +509,6 @@ class TestCrossingStatistics:
             mc.crossing_statistics(SQEXP, 0.0, n_paths=3000, grid_points=g, seed=45)
             for g in (128, 256, 512)
         ]
-        assert [s.grid_points for s in ladder] == [128, 256, 512]
         rice = mc.rice_crossing_mean(SQEXP, 0.0)
         for stats in ladder:
             assert abs(stats.mean - rice) < 4 * stats.std_error
@@ -527,7 +528,7 @@ class TestIntegratedFunctionals:
         )[0]
         assert_allclose(out.mean, 1.0, rtol=1e-13)
         assert_allclose(out.second_moment, 1.0, rtol=1e-13)
-        assert out.std_error < 1e-12
+        assert out.second_std_error < 1e-12
 
     def test_hermite_second_moments_match_chaos(self):
         functionals = [parse_functional(s) for s in ("H:1", "H:2", "H2:1,1")]
@@ -536,20 +537,20 @@ class TestIntegratedFunctionals:
         )
         targets = (H1_INTEGRATED, H2_INTEGRATED, H11_INTEGRATED)
         for out, target in zip(outs, targets):
-            assert abs(out.second_moment - target) < 4 * out.std_error
+            assert abs(out.second_moment - target) < 4 * out.second_std_error
 
     def test_centered_functionals_have_zero_mean(self):
         out = mc.mc_integrated_functionals(
             [parse_functional("H:1")], SQEXP, n_paths=8000, grid_points=256, seed=53
         )[0]
-        assert abs(out.mean) < 4 * out.mean_std_error
+        assert abs(out.mean) < 4 * out.std_error
 
     def test_derivative_axis(self):
         out = mc.mc_integrated_functionals(
             [parse_functional("H:1@xdot")], SQEXP, n_paths=20000, grid_points=512, seed=54
         )[0]
         target = 1.0 - math.exp(-1.0)
-        assert abs(out.second_moment - target) < 4 * out.std_error
+        assert abs(out.second_moment - target) < 4 * out.second_std_error
 
     def test_sign_functional_brackets_chaos_sum(self):
         out = mc.mc_integrated_functionals(
@@ -559,8 +560,8 @@ class TestIntegratedFunctionals:
         partial = math.fsum(spectrum.integrated_norms.values())
         # Time averaging only shrinks per-order mass, so the dropped tail of
         # the integrated series is at most the pointwise tail bound.
-        low = partial - 4 * out.std_error
-        high = partial + spectrum.truncation_tail_bound + 4 * out.std_error
+        low = partial - 4 * out.second_std_error
+        high = partial + spectrum.truncation_tail_bound + 4 * out.second_std_error
         assert low <= out.second_moment <= high
 
     def test_plural_call_matches_singular_calls(self):
@@ -576,23 +577,40 @@ class TestIntegratedFunctionals:
 
     def test_worker_count_is_invisible(self):
         functionals = [parse_functional("H:1"), parse_functional("abs")]
-        one = mc.mc_integrated_functionals(
-            functionals, SQEXP, n_paths=300, grid_points=128, seed=57, workers=1
-        )
-        three = mc.mc_integrated_functionals(
-            functionals, SQEXP, n_paths=300, grid_points=128, seed=57, workers=3
+        plan = mc.build_embedding_plan(SQEXP, 128)
+        n_paths = 2 * mc._pair_chunk(plan.embedding_size) + 1  # the last pair has one path
+        assert _chunk_count(plan, n_paths) == 2
+        one, three = (
+            mc.mc_integrated_functionals(
+                functionals, SQEXP, n_paths, 128, seed=57, workers=workers, plan=plan
+            )
+            for workers in (1, 3)
         )
         assert one == three
 
     def test_report_fields(self):
-        out = mc.mc_integrated_functionals(
-            [parse_functional("abs")], MATERN52, n_paths=100, grid_points=128, seed=58
-        )[0]
-        assert out.functional == "abs"
-        assert out.kernel == MATERN52.spec_string()
-        assert out.n_paths == 100
-        assert out.grid_points == 128
-        assert out.seed == 58
+        outs = mc.mc_integrated_functionals(
+            [parse_functional("abs"), parse_functional("H:1")], MATERN52, n_paths=100,
+            grid_points=128, seed=58,
+        )
+        assert len(outs) == 2
+        for out in outs:
+            assert isinstance(out, mc.Moments)
+            assert out.n_paths == 100
+            assert_allclose(out.std_error, math.sqrt(out.variance / 100), rtol=1e-12)
+            assert out.second_moment >= out.mean**2
+        assert outs[0].mean > 0.0  # |X| averages to a positive number
+
+    def test_moments_of_known_values(self):
+        values = np.array([1.0, 2.0, 4.0, 5.0])
+        got = mc._moments(values)
+        # the squares 1, 4, 16, 25 have mean 11.5 and sample variance 123
+        assert got == mc.Moments(
+            n_paths=4, mean=3.0, second_moment=11.5, variance=10.0 / 3.0,
+            std_error=math.sqrt(10.0 / 12.0), second_std_error=math.sqrt(123.0 / 4.0),
+        )
+        one = mc._moments(np.array([2.5]))
+        assert (one.variance, one.std_error, one.second_std_error) == (0.0, 0.0, 0.0)
 
 
 class TestMSDerivativeResidual:
@@ -620,14 +638,17 @@ class TestMSDerivativeResidual:
             mc.ms_derivative_residual(MATERN12, 0.01)
 
     def test_mc_check_matches_analytic(self):
-        chk = mc.ms_derivative_check(SQEXP, 0.05, n_paths=6000, grid_points=512, seed=61)
-        assert abs(chk.mc_estimate - chk.analytic) < 4 * chk.std_error
+        h, chk = mc.ms_derivative_check(SQEXP, 0.05, n_paths=6000, grid_points=512, seed=61)
+        assert abs(chk.mean - mc.ms_derivative_residual(SQEXP, h)) < 4 * chk.std_error
 
     def test_mc_check_snaps_h_to_the_grid(self):
-        chk = mc.ms_derivative_check(SQEXP, 0.03, n_paths=50, grid_points=512, seed=62)
-        assert chk.h_requested == 0.03
-        assert_allclose(chk.h, 15.0 / 511.0, rtol=1e-15)
-        assert chk.analytic == mc.ms_derivative_residual(SQEXP, chk.h)
+        h, chk = mc.ms_derivative_check(SQEXP, 0.03, n_paths=50, grid_points=512, seed=62)
+        assert_allclose(h, 15.0 / 511.0, rtol=1e-15)
+        assert chk.n_paths == 50
+        # the residuals are taken at the snapped lag of 15 grid steps
+        direct = [((p.x[15] - p.x[0]) / h - p.xdot[0]) ** 2
+                  for p in mc.sample_paths(SQEXP, 512, 50, seed=62)]
+        assert_allclose(chk.mean, np.mean(direct), rtol=1e-12)
 
     def test_mc_check_h_beyond_span(self):
         with pytest.raises(DomainError):
