@@ -174,6 +174,10 @@ def _scalar_point_norms(func: Functional, n_max: int) -> np.ndarray:
     zero of h_k the square of a double recurrence keeps only ~1e-11.
     """
     u = float(func.level) if func.kind == "ind" else 0.0
+    if func.kind == "ind" and _std_normal_pdf(u) == 0.0:
+        # phi(u)^2 h_k(u)^2 <= 0.48 phi(u) (Cramer's inequality): every order
+        # above 0 is 0 in double precision, where the recurrence overflows
+        return np.array([_std_normal_sf(u) ** 2] + [0.0] * n_max)
     h = np.zeros(n_max + 1, dtype=np.longdouble)
     h[0] = 1.0
     if n_max >= 1:

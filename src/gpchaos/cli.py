@@ -40,21 +40,6 @@ from .quadrature import QuadLog
 from .verify import battery
 
 
-def _jsonable(value):
-    """Convert numpy scalars/arrays and tuples so json.dumps accepts them."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _emit(text: str, out):
     if out is None:
         sys.stdout.write(text)
@@ -63,11 +48,18 @@ def _emit(text: str, out):
             handle.write(text)
 
 
+def _numpy_value(value):
+    """``json.dumps`` hook: a numpy scalar or array as its Python value."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _strict_json(value, **kwargs) -> str:
     """JSON text with no NaN or Infinity tokens; a non-finite number is a
     runtime failure, not a report."""
     try:
-        return json.dumps(_jsonable(value), allow_nan=False, sort_keys=True, **kwargs)
+        return json.dumps(value, allow_nan=False, sort_keys=True, default=_numpy_value, **kwargs)
     except ValueError as exc:
         raise NonFiniteResult(f"report holds a non-finite number ({exc})") from None
 
@@ -199,6 +191,8 @@ def cmd_asymptotics(args) -> str:
 def cmd_chaos(args) -> str:
     kernel = parse_kernel(args.kernel)
     functional = parse_functional(args.functional)
+    if args.n_min < 0:
+        raise DomainError(f"bad fit window start n_min={args.n_min}")
     if functional.degree is not None and args.n_max < functional.degree:
         raise DomainError(
             f"n_max={args.n_max} is below the functional degree {functional.degree}"

@@ -18,7 +18,7 @@ Three verdicts per kernel:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -245,44 +245,17 @@ def condition_report(kernel: Kernel) -> ConditionReport:
 # serialization
 
 
-def _json_value(v):
-    if isinstance(v, float) and not math.isfinite(v):
+def _record(value):
+    """A report record as JSON data: its fields but ``notes``, a non-finite float as None."""
+    if is_dataclass(value):
+        return {f.name: _record(getattr(value, f.name)) for f in fields(value) if f.name != "notes"}
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    return v
-
-
-def _norm_dict(c: NormCheck):
-    return {"finite": c.finite, "value": _json_value(c.value)}
+    return value
 
 
 def report_to_dict(report: ConditionReport) -> dict:
-    a1 = report.a1
-    doc = {
-        "schema": "condition-report/1",
-        "kernel": report.kernel,
-        "a1": {
-            "b_in_L1": _norm_dict(a1.b_in_L1),
-            "b_in_L2": _norm_dict(a1.b_in_L2),
-            "b_in_Linf": _norm_dict(a1.b_in_Linf),
-            "bprime_in_L1": _norm_dict(a1.bprime_in_L1),
-            "bprime_in_L2": _norm_dict(a1.bprime_in_L2),
-            "bprime_in_Linf": _norm_dict(a1.bprime_in_Linf),
-            "b_L2_positive": a1.b_L2_positive,
-            "holds": a1.holds,
-        },
-        "a2": {
-            "r2": _json_value(report.a2.r2),
-            "r4": _json_value(report.a2.r4),
-            "discriminant": _json_value(report.a2.discriminant),
-            "holds": report.a2.holds,
-        },
-        "geman": {
-            "delta": report.geman.delta,
-            "integral": _json_value(report.geman.integral),
-            "holds": report.geman.holds,
-        },
-        "notes": list(report.a1.notes) + list(report.a2.notes)
-        + list(report.geman.notes) + list(report.notes),
-    }
-    return doc
-
+    """The report's records, with the notes of all four parts in one list."""
+    parts = (report.a1, report.a2, report.geman, report)
+    return {"schema": "condition-report/1", **_record(report),
+            "notes": [note for part in parts for note in part.notes]}

@@ -47,10 +47,6 @@ class AMatrix:
     a12: float
     a21: float
     a22: float
-    t: float
-
-    def as_array(self):
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
 
 
 def a_matrix(kernel: Kernel, t) -> AMatrix:
@@ -59,8 +55,7 @@ def a_matrix(kernel: Kernel, t) -> AMatrix:
     sig2 = -kernel.r2_zero()
     sig = math.sqrt(sig2)
     a12 = -kernel.r_prime(t) / sig
-    return AMatrix(kernel.r(t), a12, -a12, -kernel.r_second(t) / sig2,
-                   t if np.ndim(t) else float(t))
+    return AMatrix(kernel.r(t), a12, -a12, -kernel.r_second(t) / sig2)
 
 
 def _entries(a):
@@ -97,14 +92,13 @@ def operator_norm(a) -> float:
 
 
 def hs_expansion_derivatives(kernel: Kernel) -> dict:
-    """Finite-difference first/second derivatives at 0 of h(t) = sum of
-    squared entries of A(t).
+    """Finite-difference second derivative at 0 of h(t) = sum of squared
+    entries of A(t); h'(0) = 0, since r' is odd by construction.
 
-    Returns ``{"first", "second", "printed_second"}``.  ``first`` vanishes
-    by odd-function cancellation.  ``second`` is the extrapolated stencil
-    value; the widely quoted closed form (r''''(0) - r''(0)^2) / r''(0) is
-    exactly half of it and is returned under ``printed_second`` for
-    cross-reference — the stencil value is the one used downstream.
+    Returns ``{"second", "printed_second"}``: ``second`` is the extrapolated
+    stencil value; the widely quoted closed form (r''''(0) - r''(0)^2) /
+    r''(0) is exactly half of it and is returned under ``printed_second``
+    for cross-reference — the stencil value is the one used downstream.
     """
     r2, r4 = kernel.r2_zero(), kernel.r4_zero()
 
@@ -112,15 +106,11 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
         a = a_matrix(kernel, t)
         return a.a11**2 + a.a12**2 + a.a21**2 + a.a22**2
 
-    step = 0.1 * kernel.fd_scale / 2**4
-    first = (h(step) - h(-step)) / (2.0 * step)
-
     # odd |t|-powers of r at p produce |t|^{p-2} terms in h
     p = kernel._odd_taylor_power()
     second = richardson_at_zero(lambda s: (h(s) - 2.0 * h(0.0) + h(-s)) / s**2,
                                 kernel, None if p is None else p - 2.0, 2)
     return {
-        "first": first,
         "second": second,
         "printed_second": (r4 - r2 * r2) / r2,
     }
@@ -176,9 +166,7 @@ class QuadraticBoundFit:
 
     window: float
     c_hat: float
-    stderr: float
     c_hat_operator: float
-    operator_stderr: float
     limit_coefficient: float
     holds: bool
     notes: tuple = ()
@@ -186,7 +174,7 @@ class QuadraticBoundFit:
 
 def _infimum_minus_3se(y):
     se = float(np.std(y, ddof=1)) / math.sqrt(y.size)
-    return float(np.min(y) - 3.0 * se), se
+    return float(np.min(y) - 3.0 * se)
 
 
 def quadratic_bound_fit(kernel: Kernel) -> QuadraticBoundFit:
@@ -203,8 +191,8 @@ def quadratic_bound_fit(kernel: Kernel) -> QuadraticBoundFit:
     h = m.a11**2 + 2.0 * m.a12**2 + m.a22**2
     nhs_y = (1.0 - np.sqrt(h / 2.0)) / t**2
     op_y = (1.0 - _op_norm_closed(m.a11, m.a12, m.a21, m.a22)) / t**2
-    c_hat, se = _infimum_minus_3se(nhs_y)
-    c_op, se_op = _infimum_minus_3se(op_y)
+    c_hat = _infimum_minus_3se(nhs_y)
+    c_op = _infimum_minus_3se(op_y)
     limit = (r4 - r2 * r2) / (-4.0 * r2)
     notes = [
         "bound fitted on the normalized Hilbert-Schmidt norm sqrt(h/2); "
@@ -215,5 +203,5 @@ def quadratic_bound_fit(kernel: Kernel) -> QuadraticBoundFit:
             "operator-norm reading degenerates: 1 - op(A(t)) vanishes "
             "faster than t^2 near 0, so no positive quadratic coefficient "
             "exists on a window touching 0")
-    return QuadraticBoundFit(window, c_hat, se, c_op, se_op, limit,
+    return QuadraticBoundFit(window, c_hat, c_op, limit,
                              c_hat > 0.0, tuple(notes))

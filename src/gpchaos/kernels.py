@@ -98,7 +98,6 @@ class BKernel:
     integrability checks to extrapolate beyond the quadrature window.
     """
 
-    representation: str
     b: object
     b_prime: object
     b_singularity: object
@@ -273,7 +272,7 @@ class SquaredExponential(Kernel):
             return _ret(-4.0 * x / ell**2 * amp * np.exp(-2.0 * x**2 / ell**2),
                         x)
 
-        return BKernel("closed", b, b_prime, None, None,
+        return BKernel(b, b_prime, None, None,
                        ("gauss", 2.0 / ell**2), 0.0)
 
 
@@ -344,7 +343,7 @@ def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
 
     b_sing = "log" if q == 0 else 2.0 * q if q < 0 else None
     bp_sing = 2.0 * q - 1.0 if q < 0.5 else None
-    return BKernel("closed", b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0,
+    return BKernel(b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0,
                    notes=notes)
 
 
@@ -910,7 +909,7 @@ def _grid_payload(f_vals, dx, trunc, notes, bp_sing):
     if not (np.all(np.isfinite(b_vals)) and np.all(np.isfinite(bp_vals))):
         raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
     x = np.arange(lam.size) * dx
-    return BKernel("grid", None, None, None, bp_sing, ("numeric", x[-1]), trunc,
+    return BKernel(None, None, None, bp_sing, ("numeric", x[-1]), trunc,
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
 

@@ -108,7 +108,6 @@ class EmbeddingPlan:
     clipping.
     """
 
-    kernel: str
     grid_points: int
     grid_step: float
     embedding_size: int
@@ -245,7 +244,6 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     eig = np.where(eig < EIGENVALUE_FLOOR * eig_max, 0.0, eig)
     lam = 2.0 * math.pi * np.fft.fftfreq(m, d=dt)
     return EmbeddingPlan(
-        kernel=kernel.spec_string(),
         grid_points=n,
         grid_step=dt,
         embedding_size=m,

@@ -182,7 +182,7 @@ def test_criterion_08_hs_expansion_bound():
             float(np.linalg.norm(power)), covstruct.hs_sum_norm(mat) ** n,
             rel_tol=1e-10,
         )
-    _verdict(8, "HS expansion flat at 0, quadratic bound holds, "
+    _verdict(8, "HS expansion concave at 0, quadratic bound holds, "
                 "Kronecker norms multiply", ok, "6 kernels, n <= 6")
 
 

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,26 @@ class TestChaosCommand:
             capsys, "chaos", "--kernel", "sqexp", "--functional", "H:nope"
         )
         assert code == 2
+
+    def test_negative_fit_window_start_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "chaos", "--kernel", "sqexp", "--n-min", "-3")
+        assert (code, out) == (2, "")
+        assert err == "gpchaos: bad fit window start n_min=-3\n"
+
+    @pytest.mark.parametrize("level,order0", [("1e300", 0.0), ("-1e200", 1.0)])
+    def test_indicator_far_in_the_tail(self, capsys, level, order0):
+        # phi(u) underflows to 0, so every order above 0 is exactly 0 in
+        # double precision; the Hermite recurrence overflows into NaN there
+        argv = ("chaos", "--kernel", "sqexp", "--functional", f"ind:{level}")
+        report = json.loads(run_cli(capsys, *argv)[1], parse_constant=_reject_constant)
+        expected = [order0] + [0.0] * 40
+        assert report["spectrum"]["point_norms"] == expected
+        assert report["spectrum"]["integrated_norms"] == expected
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        rows = out.splitlines()[3:]
+        rho = "1.0" if order0 else ""
+        assert rows == [f"0,{order0!r},{order0!r},{rho}"] + [f"{n},0.0,0.0," for n in range(1, 41)]
 
     @pytest.mark.parametrize("spec,message", [
         ("@x", "unknown functional kind '' in '@x'"),
@@ -448,6 +469,35 @@ def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
         env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value,plain", [
+        (np.bool_(True), True),
+        (np.int64(7), 7),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.float64(0.1), 0.1),
+        ({"a": np.array([[1.5, 2.0], [3.0, 4.0]]), "b": (np.array([True, False]),)},
+         {"a": [[1.5, 2.0], [3.0, 4.0]], "b": [[True, False]]}),
+    ], ids=["bool", "int64", "float32", "float64", "nested-arrays"])
+    def test_numpy_values_serialize_as_python_values(self, value, plain):
+        assert cli._strict_json(value) == json.dumps(plain, sort_keys=True)
+
+    def test_nan_inside_an_array_is_non_finite(self):
+        with pytest.raises(errors.NonFiniteResult):
+            cli._strict_json({"x": np.array([1.0, np.nan])})
+
+    def test_nan_inside_an_array_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(mc, "rice_crossing_mean", lambda kernel, level: np.array([math.nan]))
+        code, out, err = run_cli(
+            capsys, "simulate", "--kernel", "sqexp", "--paths", "10", "--grid", "64"
+        )
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+
+    def test_other_objects_are_rejected(self):
+        with pytest.raises(TypeError):
+            cli._strict_json({"x": object()})
 
 
 class TestNonFiniteInput:

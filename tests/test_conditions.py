@@ -241,6 +241,11 @@ class TestSerialization:
         assert doc["geman"]["integral"] is None
         json.loads(json.dumps(doc))  # strictly JSON-serializable
 
+    def test_notes_gather_a1_a2_geman_then_the_report(self):
+        rep = condition_report(parse_kernel("matern12"))
+        assert report_to_dict(rep)["notes"] == [
+            *rep.a1.notes, *rep.a2.notes, *rep.geman.notes, *rep.notes]
+
     def test_json_output_is_deterministic(self):
         k = parse_kernel("matern52")
         assert json.dumps(report_to_dict(condition_report(k)), sort_keys=True, indent=2) == \

@@ -66,11 +66,16 @@ def exact_weight(p, q, r, s, a, b):
     return float(sum(terms) / scale), bound
 
 
+def _as_array(a):
+    """The entries of A(t) as a 2x2 array."""
+    return np.array([[a.a11, a.a12], [a.a21, a.a22]])
+
+
 class TestAMatrix:
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_identity_at_zero(self, spec):
         a = a_matrix(parse_kernel(spec), 0.0)
-        assert_allclose(a.as_array(), np.eye(2), atol=1e-14)
+        assert_allclose(_as_array(a), np.eye(2), atol=1e-14)
 
     def test_sqexp_half_lag_entries(self):
         # r = e^{-t^2}: r'(0.5) = -e^{-1/4}, r''(0.5) = -e^{-1/4},
@@ -94,7 +99,7 @@ class TestAMatrix:
         k = parse_kernel(spec)
         for t in np.linspace(0.0, 3.0, 31):
             a = a_matrix(k, t)
-            assert np.max(np.abs(a.as_array())) <= 1.0 + 1e-12
+            assert np.max(np.abs(_as_array(a))) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_array_lags_match_scalar_lags(self, spec):
@@ -112,7 +117,7 @@ class TestAMatrix:
             a_matrix(parse_kernel("matern12"), 0.5)
         # only r''(0) is needed: the 3/2 family works
         a = a_matrix(parse_kernel("matern32"), 0.3)
-        assert np.isfinite(a.as_array()).all()
+        assert np.isfinite(_as_array(a)).all()
 
 
 class TestNorms:
@@ -157,20 +162,17 @@ class TestNorms:
 class TestExpansionDerivatives:
     def test_sqexp_values(self):
         d = hs_expansion_derivatives(parse_kernel("sqexp:ell=1"))
-        assert abs(d["first"]) <= 1e-8
         assert_allclose(d["second"], -8.0, rtol=1e-6)
         assert_allclose(d["printed_second"], -4.0, rtol=1e-12)
 
     def test_matern52_negative_second(self):
         d = hs_expansion_derivatives(parse_kernel("matern52"))
-        assert abs(d["first"]) <= 1e-8
         assert d["second"] < 0.0
         assert_allclose(d["second"], -80.0 / 3.0, rtol=1e-5)
 
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_stencil_doubles_printed_coefficient(self, spec):
         d = hs_expansion_derivatives(parse_kernel(spec))
-        assert abs(d["first"]) <= 1e-8
         assert_allclose(d["second"], 2.0 * d["printed_second"], rtol=1e-4)
 
     def test_requires_fourth_derivative(self):
@@ -210,7 +212,7 @@ class TestTensorPower:
     def test_matches_materialized_kronecker(self, n):
         for spec in ("sqexp:ell=1", "wendland:k=4"):
             k = parse_kernel(spec)
-            K = kron_power(a_matrix(k, 0.37).as_array(), n)
+            K = kron_power(_as_array(a_matrix(k, 0.37)), n)
             for a in range(n + 1):
                 c = symmetrized_coefficients(a, n - a)
                 assert_allclose(np.dot(c, c),

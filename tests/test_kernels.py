@@ -523,7 +523,7 @@ class TestBRepresentation:
     def test_sqexp_closed_form(self):
         rep = b_representation(SquaredExponential(1.3))
         amp = math.sqrt(2.0 / (math.sqrt(math.pi) * 1.3))
-        assert rep.representation == "closed"
+        assert rep.grid is None
         assert_allclose(rep.b(0.0), amp, rtol=1e-14)
         assert_allclose(rep.b(0.4) / rep.b(0.0),
                         math.exp(-2.0 * 0.16 / 1.69), rtol=1e-13)
@@ -658,7 +658,7 @@ class TestBRepresentation:
 
     def test_gammaexp_cusp_metadata(self):
         rep = b_representation(GammaExponential(1.5, 1.0))
-        assert rep.representation == "grid"
+        assert rep.grid is not None
         assert_allclose(rep.bprime_singularity, -0.75, rtol=1e-15)
         assert any("cusp" in n for n in rep.notes)
         assert rep.truncation_error > 0.0

@@ -74,7 +74,6 @@ class TestEmbeddingPlan:
 
     def test_fields(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
-        assert plan.kernel == "sqexp:ell=1"
         assert plan.grid_points == 512
         assert plan.grid_step == 1.0 / 511.0
         assert plan.sigma == math.sqrt(2.0)

@@ -50,9 +50,15 @@ def test_tracer_wraps_every_timed_call_and_restores_it(spans):
     assert cli.parse_kernel is originals["kernels", "parse_kernel"]
 
 
-def test_sampler_probe_calls_exist():
-    for name in ("sample_paths", "count_crossings", "build_embedding_plan"):
-        assert callable(getattr(mc, name)), name
+def test_sampler_probe_calls_exist(spans):
+    # the probe calls sample_paths(plan=), count_crossings on each path and
+    # crossing_statistics(workers=); a changed signature fails here
+    metrics = spans.sampler_metrics([("sqexp", 64, 8)], seed=0)
+    plan = mc.build_embedding_plan(parse_kernel("sqexp"), 64)
+    assert metrics["montecarlo.embedding_size"] == plan.embedding_size
+    assert metrics["montecarlo.support_size"] == plan.support.size
+    assert metrics["montecarlo.sample_ms_per_path"] > 0.0
+    assert metrics["montecarlo.speedup_2w"] > 0.0
 
 
 def test_traced_h2_report_records_the_tensor_form(spans, capsys):
