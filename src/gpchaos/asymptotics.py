@@ -102,9 +102,9 @@ def fit_decay_exponent(entries) -> DecaySeries:
     entries = tuple((int(n), float(v)) for n, v in entries)
     if any(v <= 0.0 for _, v in entries):
         raise DomainError("decay fit requires strictly positive values")
-    ns = np.array([n for n, _ in entries], dtype=float)
-    if np.unique(ns).size < 2:
+    if len({n for n, _ in entries}) < 2:
         raise DomainError("decay fit requires at least two distinct n")
+    ns = np.array([n for n, _ in entries], dtype=float)
     logs = np.log(np.array([v for _, v in entries]))
     slope, intercept = np.polyfit(np.log(ns), logs, 1)
     resid = float(np.max(np.abs(

@@ -49,9 +49,10 @@ def _emit(text: str, out):
 
 
 def _numpy_value(value):
-    """``json.dumps`` hook: a numpy scalar or array as its Python value."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
+    """``json.dumps`` hook: a real numpy scalar or array as its Python value,
+    extended precision, which has no Python type, as floats."""
+    if isinstance(value, (np.generic, np.ndarray)) and value.dtype.kind != "c":
+        return (value.astype(float) if value.dtype.kind == "f" else value).tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 

@@ -52,6 +52,20 @@ class TestConditionsCommand:
         assert report["a1"]["holds"] is False
         assert report["a2"]["holds"] is False
 
+    @pytest.mark.parametrize("kernel", ["matern:nu=1000", "rq:alpha=1000"])
+    def test_bessel_order_1000(self, capsys, kernel):
+        # K_nu overflowed where z^2 >= 2 nu: Matern exited 3 with a NaN
+        # integral, and rq's grid b came out non-finite, failing A1
+        report = run_json(capsys, "conditions", "--kernel", kernel)
+        assert report["a1"]["holds"] and report["a2"]["holds"] and report["geman"]["holds"]
+        assert report["a1"]["b_in_L2"]["value"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", ["matern:nu=1000.5", "matern:nu=1e300", "rq:alpha=1e300"])
+    def test_bessel_order_above_the_cap_is_usage_error(self, capsys, kernel):
+        code, out, err = run_cli(capsys, "conditions", "--kernel", kernel)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "must be at most 1000" in err
+
     def test_oscillating_kernel_fails_a2(self, capsys):
         report = run_json(capsys, "conditions", "--kernel", "cosine:ell=1")
         assert report["a2"]["holds"] is False
@@ -460,15 +474,18 @@ class TestSimulateCommand:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
-    # the package's own integrator is the only one in the library, a grid b
-    # is kept as samples, not interpolated, and every FFT is numpy's
+    # the runtime is numpy alone: the package's own integrator, FFTs through
+    # numpy.fft, and log-gamma and K_nu from specfun; numpy.f2py came in
+    # only through scipy.special
     proc = subprocess.run(
         [sys.executable, "-c",
          "import gpchaos.cli, sys; "
-         "assert not {'scipy.integrate', 'scipy.interpolate', 'scipy.fft'} & set(sys.modules)"],
+         "print(*sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))"],
         env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 class TestStrictJson:
@@ -479,7 +496,10 @@ class TestStrictJson:
         (np.float64(0.1), 0.1),
         ({"a": np.array([[1.5, 2.0], [3.0, 4.0]]), "b": (np.array([True, False]),)},
          {"a": [[1.5, 2.0], [3.0, 4.0]], "b": [[True, False]]}),
-    ], ids=["bool", "int64", "float32", "float64", "nested-arrays"])
+        (np.longdouble(1.5), 1.5),
+        (np.array([0.25, 3.0], dtype=np.longdouble), [0.25, 3.0]),
+    ], ids=["bool", "int64", "float32", "float64", "nested-arrays", "longdouble",
+            "longdouble-array"])
     def test_numpy_values_serialize_as_python_values(self, value, plain):
         assert cli._strict_json(value) == json.dumps(plain, sort_keys=True)
 
@@ -495,9 +515,20 @@ class TestStrictJson:
         assert (code, out) == (3, "")
         assert "non-finite" in err
 
+    def test_nan_in_extended_precision_is_non_finite(self):
+        with pytest.raises(errors.NonFiniteResult):
+            cli._strict_json({"x": np.array([1.0, np.nan], dtype=np.longdouble)})
+
     def test_other_objects_are_rejected(self):
         with pytest.raises(TypeError):
             cli._strict_json({"x": object()})
+
+    @pytest.mark.parametrize("value", [
+        np.clongdouble(1.5 + 1j), np.array([1j], dtype=np.clongdouble), np.complex128(1j),
+    ], ids=["clongdouble", "clongdouble-array", "complex128"])
+    def test_complex_values_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            cli._strict_json({"x": value})
 
 
 class TestNonFiniteInput:

@@ -15,6 +15,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -128,6 +129,16 @@ class TestCovarianceValues:
         assert all(np.isfinite(v).all() for v in values)
         assert_allclose(values[2][0], k.r2_zero(), rtol=1e-13)
         assert np.all(np.diff(values[0]) <= 0) and values[0][0] == 1.0
+
+    def test_matern_at_the_largest_order_matches_mpmath(self):
+        # the log scales of z^nu K_nu and of 2^(1-nu)/Gamma(nu) reach ~6,000
+        # and cancel; measured 1.7e-12 relative down to r = 1.8e-8
+        t = np.linspace(0.05, 6.0, 41)
+        nu = mpmath.mpf(1000)
+        g = mpmath.sqrt(2 * nu)
+        ref = [2 ** (1 - nu) / mpmath.gamma(nu) * (g * x) ** nu * mpmath.besselk(nu, g * x)
+               for x in map(mpmath.mpf, t)]
+        assert_allclose(Matern(1000.0).r(t), np.array(ref, dtype=float), rtol=5e-12)
 
     @pytest.mark.parametrize("k", [4, 12, 20])
     def test_wendland_matches_exact_rationals(self, k):
@@ -302,6 +313,8 @@ class TestFiniteDifferenceOracle:
         MaternHalfInteger(2, 1.3),
         Matern(2.5, 1.3),
         Matern(3.7, 1.1),
+        Matern(4.5, 1.0),  # r rounds to a few ulp; in logarithms r4 was off 3.1e-6
+        Matern(2.7, 1.0),
         RationalQuadratic(2.0, 1.0),
         RationalQuadratic(1.5, 0.9),
         Wendland(4),
@@ -724,6 +737,8 @@ class TestParseKernel:
         "matern:nu=1.5,nu=2.5",   # repeated parameter
         "periodic:T=2,period=3",  # period names T
         "sqexp:ell=1,ell=1",
+        "matern:nu=1000.5",      # Bessel orders stop at 1000
+        "rq:alpha=1e300",
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):

@@ -2,20 +2,25 @@
 
 Expected values come from independent oracles: exact rational identities
 (gamma recursion, integer factorials), hand-checkable short hypergeometric
-sums, the series summed term by term in ``Fraction`` arithmetic, and
-Gauss-Hermite orthogonality of the Hermite polynomials.
+sums, the series summed term by term in ``Fraction`` arithmetic,
+Gauss-Hermite orthogonality of the Hermite polynomials, and scipy's and
+mpmath's modified Bessel functions.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import kve
 
 from gpchaos.errors import DomainError
 from gpchaos.specfun import (
+    _RGAMMA_TAYLOR,
+    bessel_zk,
     gamma_ln,
     hermite,
     hyp2f1_terminating,
@@ -46,6 +51,74 @@ class TestGammaLn:
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(DomainError):
             gamma_ln(bad)
+
+
+# log K_nu(z) is a sum of terms of size up to max(|log K_nu|, z) (e^-z in
+# Steed's fraction, the log ratios of the recurrence), and so is the
+# reference log kve - z; errors are measured in units of that size.  Largest
+# measured on these 4,001 points: 3.1e-14 at nu = 0.25, which is kve's own
+# error (mpmath puts log_bessel_k at 2.8e-15 and kve at 2.7e-14 near z =
+# 1.9), and at most 4.1e-15 at every other order, 400 included.
+_BESSEL_Z = np.geomspace(1e-6, 700.0, 4001)
+_BESSEL_TOL = 1e-14
+
+
+def _bessel_error(got, ref, z):
+    return np.abs(got - ref) / np.maximum(np.maximum(np.abs(ref), z), 1.0)
+
+
+def log_bessel_k(nu, z):
+    """log K_nu(z) from the scaled value z^nu K_nu(z) = y e^scale."""
+    ((y, scale),) = bessel_zk(nu, z)
+    return np.log(y) + scale - nu * np.log(z)
+
+
+class TestBesselZK:
+    @pytest.mark.parametrize("nu,tol", [
+        (0.0, _BESSEL_TOL), (0.25, 6e-14), (0.5, _BESSEL_TOL), (1.0, _BESSEL_TOL),
+        (1.5, _BESSEL_TOL), (2.5, _BESSEL_TOL), (20.5, _BESSEL_TOL), (400.0, _BESSEL_TOL),
+    ])
+    def test_matches_scipy_kve(self, nu, tol):
+        with np.errstate(over="ignore", divide="ignore"):
+            ref = np.log(kve(nu, _BESSEL_Z)) - _BESSEL_Z
+        finite = np.isfinite(ref)  # kve overflows at small z once nu is large
+        assert finite.sum() > 400
+        got = log_bessel_k(nu, _BESSEL_Z[finite])
+        assert _bessel_error(got, ref[finite], _BESSEL_Z[finite]).max() < tol
+
+    def test_order_1000_matches_mpmath(self):
+        # kve overflows here; measured 1.9e-15 (mpmath takes seconds above z = 300)
+        z = np.geomspace(1e-3, 300.0, 41)
+        ref = np.array([float(mpmath.log(mpmath.besselk(1000, mpmath.mpf(x)))) for x in z])
+        assert _bessel_error(log_bessel_k(1000.0, z), ref, z).max() < _BESSEL_TOL
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.7, 1.3, 2.5, 20.3])
+    def test_negative_order_is_symmetric(self, nu):
+        # -0.7, -1.3 and -20.3 climb the ladder at -mu from K_(1-mu)
+        assert _bessel_error(log_bessel_k(-nu, _BESSEL_Z), log_bessel_k(nu, _BESSEL_Z),
+                             _BESSEL_Z).max() < _BESSEL_TOL
+
+    @pytest.mark.parametrize("nu", [0.3, 0.7, 1.2, 2.5, 20.25, 800.25])
+    def test_one_pass_matches_separate_calls(self, nu):
+        # orders nu-2, nu-1, nu share their mu, so a separate call runs the
+        # same recurrence; below nu = 2 the lowest orders are negative, and
+        # at 800 the ladder rescales on the way
+        rows = bessel_zk(nu - 2.0, _BESSEL_Z, 3)
+        for j, (y, scale) in enumerate(rows):
+            ((y_alone, scale_alone),) = bessel_zk(nu - 2.0 + j, _BESSEL_Z)
+            assert_array_equal(y, y_alone)
+            assert_array_equal(scale, scale_alone)
+
+    def test_reciprocal_gamma_table(self):
+        # 1/Gamma(1 + x) = exp(B(x)), B(x) = gamma x - sum_k>=2 (-1)^k zeta(k) x^k / k
+        # (DLMF 5.7.3), so n a_n = sum_k k b_k a_(n-k); in 50 digits, rounded once
+        with mpmath.workdps(50):
+            b = [0, mpmath.euler] + [-(-1) ** k * mpmath.zeta(k) / k
+                                     for k in range(2, len(_RGAMMA_TAYLOR))]
+            a = [mpmath.mpf(1)]
+            for n in range(1, len(_RGAMMA_TAYLOR)):
+                a.append(sum(k * b[k] * a[n - k] for k in range(1, n + 1)) / n)
+            assert list(_RGAMMA_TAYLOR) == [float(v) for v in a]
 
 
 def _fraction_hyp2f1(a, b, c, z):
