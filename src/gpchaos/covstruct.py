@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, whole
+from .errors import whole
 from .kernels import Kernel, richardson_at_zero
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "QuadraticBoundFit",
     "a_matrix",
     "hs_expansion_derivatives",
-    "hs_sum_norm",
-    "operator_norm",
     "quadratic_bound_fit",
     "tensor_power_quadratic_form",
 ]
@@ -58,33 +56,12 @@ def a_matrix(kernel: Kernel, t) -> AMatrix:
     return AMatrix(kernel.r(t), a12, -a12, -kernel.r_second(t) / sig2)
 
 
-def _entries(a):
-    if isinstance(a, AMatrix):
-        return a.a11, a.a12, a.a21, a.a22
-    arr = np.asarray(a, dtype=float)
-    if arr.shape != (2, 2):
-        raise DomainError(
-            f"expected a 2x2 matrix or AMatrix, got shape {arr.shape}")
-    return arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1]
-
-
-def hs_sum_norm(a) -> float:
-    """sqrt of the sum of squared entries (Hilbert-Schmidt norm)."""
-    a11, a12, a21, a22 = _entries(a)
-    return math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
-
-
 def _op_norm_closed(a11, a12, a21, a22):
     # largest singular value of a 2x2 matrix, closed form
     s1 = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
     s2 = np.sqrt((a11 * a11 + a12 * a12 - a21 * a21 - a22 * a22) ** 2
                  + 4.0 * (a11 * a21 + a12 * a22) ** 2)
     return np.sqrt(0.5 * (s1 + s2))
-
-
-def operator_norm(a) -> float:
-    """Largest singular value via the closed-form 2x2 SVD."""
-    return float(_op_norm_closed(*_entries(a)))
 
 
 # --------------------------------------------------------------------------

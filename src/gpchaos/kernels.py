@@ -286,24 +286,27 @@ def _matern_log_c(nu):
 
 def _bessel_form(nu, z, order=0, log_p=None):
     """The order-th derivative (0, 1 or 2) of P z^nu K_nu(z) at z > 0, P =
-    exp(log_p), by default 2^(1-nu)/Gamma(nu): P z^k times z^o K_o(z) from
-    one bessel_zk pass over the orders o = nu - order up to nu - 1 (nu at
-    order 0).  Near 0, where its rounding would show in r - 1 and its log
+    exp(log_p), by default 2^(1-nu)/Gamma(nu), from one bessel_zk pass over
+    f_o = z^o K_o(z): f_nu at order 0, -z f_(nu-1) at order 1, and f_nu -
+    (2 nu - 1) f_(nu-1) at order 2.  That last form is z^nu K_(nu-2) -
+    z^(nu-1) K_(nu-1) with K_(nu-2) = K_nu - (2 (nu-1)/z) K_(nu-1); it is
+    exact at nu = 1/2, where the two terms of the other form cancel to
+    rounding noise.  Near 0, where its rounding would show in r - 1 and its log
     scale cancels log P at large nu, it is P Gamma(nu) 2^(nu-1) sum_{k <
     nu} (-1)^k Gamma(nu-k)/(Gamma(nu) k!) (z^2/4)^k, wherever z^2 < 2 nu (the
     terms fall) and the odd part, (z/2)^(2 nu - order) / (Gamma(nu)
     Gamma(nu+1)), is below e^-77 (rounding, with room for its 1/sin(pi nu)
     and log z factors near integer nu)."""
     log_p = _matern_log_c(nu) if log_p is None else log_p
-    rows, log_z = bessel_zk(nu - order, z, max(order, 1)), np.log(z)
+    rows, log_z = bessel_zk(nu - min(order, 1), z, max(order, 1)), np.log(z)
 
-    def part(k, j):  # P z^k z^o K_o(z) at o = nu - order + j
+    def part(k, j):  # P z^k f_o at o = nu - min(order, 1) + j
         y, scale = rows[j]
         return np.exp(log_p + scale + k * log_z) * y
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = (part(0, 0) if order == 0 else -part(1, 0) if order == 1
-               else part(2, 0) - part(0, 1))
+               else part(0, 1) - (2.0 * nu - 1.0) * part(0, 0))
     if nu <= 0:
         return out
     near = (z * z < 2.0 * nu) & ((2.0 * nu - order) * (log_z - math.log(2.0))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -62,6 +63,13 @@ SYNTHESIS_COST_RATIO = 30.0
 # this caps the basis at 64 MiB (a full-support rq:alpha=0.5 plan at grid
 # 256 would otherwise pick a 512 MiB basis).
 DIRECT_BASIS_LIMIT = 1 << 21
+
+# Bytes a block of path pairs may spend on what each pair synthesizes: its
+# band of L complex values or its two rows of n doubles, whichever is more.
+# A worker's workspace then stays near cache size, whatever the embedding
+# size m.  Fixed from a block-size sweep on a 2-core box with 2 MiB of L2
+# per core (BENCH_21.json).
+BLOCK_BYTES = 1 << 20
 
 
 def _worker_count(workers=None) -> int:
@@ -275,95 +283,140 @@ def _run_plan(kernel, grid_points, n_paths, seed, plan):
     return n_paths, seed, build_embedding_plan(kernel, grid_points) if plan is None else plan
 
 
-def _pair_chunk(embedding_size: int) -> int:
+def _pair_chunk(plan: EmbeddingPlan) -> int:
     # fixed by the plan alone so chunk boundaries (and hence array
     # stacking) never depend on the worker count
-    return max(1, (1 << 21) // embedding_size)
+    return max(1, BLOCK_BYTES // (16 * max(plan.grid_points, plan.band_length)))
 
 
-def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int):
-    """Standard normals on the eigen-support, one row [re | im] of 2K per
-    path pair, each row a function of (seed, pair) alone."""
-    k = plan.support.size
+class _Workspace:
+    """The arrays one worker refills for every block of up to ``pairs``
+    path pairs: the support draws, the synthesis route's scratch and the x
+    and dX rows.  A shorter last block uses their leading rows."""
+
+    def __init__(self, plan: EmbeddingPlan, pairs: int, values_only: bool):
+        n, k = plan.grid_points, plan.support.size
+        self.draws = np.empty((pairs, 2 * k))
+        if plan.direct_synthesis:
+            self.signed = np.empty((2 * pairs, 2 * k))
+        else:
+            self.spectral = np.empty((pairs, k), dtype=complex)
+            self.buffer = np.empty((pairs, plan.band_length), dtype=complex)
+        self.x = np.empty((2 * pairs, n))
+        self.xdot = None if values_only else np.empty((2 * pairs, n))
+
+
+def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int, out):
+    """Fill ``out`` with standard normals on the eigen-support, one row
+    [re | im] of 2K per path pair, each row a function of (seed, pair)
+    alone, and return it."""
     bits = np.random.Philox(key=[seed, pair_start])
     normals = np.random.Generator(bits)
     # a fresh stream's state; re-keying it is cheaper than a new generator
     fresh = bits.state
     key = fresh["state"]["key"]  # [seed, pair_start]; only the pair changes
-    draws = np.empty((pair_stop - pair_start, 2 * k))
-    for row, pair in zip(draws, range(pair_start, pair_stop)):
+    for row, pair in zip(out, range(pair_start, pair_stop)):
         key[1] = pair
         bits.state = fresh
         normals.standard_normal(out=row)
-    return draws
+    return out
 
 
-def _direct_paths(plan: EmbeddingPlan, draws, values_only=False):
-    """Paths of a pair block by K x n direct synthesis: the real part of
-    each pair's field is the even path, the imaginary part the odd one."""
-    count = draws.shape[0]
+def _direct_paths(plan: EmbeddingPlan, draws, signed, x, xdot):
+    """Fill x, and xdot unless it is None, with the paths of a pair block by
+    K x n direct synthesis: the real part of each pair's field is the even
+    path, the imaginary part the odd one.  ``signed`` holds 2 rows per pair."""
     k = plan.support.size
-    signed = np.empty((2 * count, 2 * k))
     signed[0::2] = draws
     signed[1::2, :k] = draws[:, k:]
-    signed[1::2, k:] = -draws[:, :k]
+    np.negative(draws[:, :k], out=signed[1::2, k:])
     x_basis, xdot_basis = plan._direct_basis
-    return signed @ x_basis, None if values_only else signed @ xdot_basis
+    np.matmul(signed, x_basis, out=x)
+    if xdot is not None:
+        np.matmul(signed, xdot_basis, out=xdot)
 
 
-def _band_paths(plan: EmbeddingPlan, draws, values_only=False):
-    """Paths of a pair block by chirp-z synthesis of the support band."""
-    count = draws.shape[0]
+def _band_paths(plan: EmbeddingPlan, draws, spectral, buffer, x, xdot):
+    """Fill x, and xdot unless it is None, with the paths of a pair block by
+    chirp-z synthesis of the support band.  ``spectral`` holds K and
+    ``buffer`` L complex values per pair."""
     k = plan.support.size
     position, x_amp, xdot_amp, kernel, post = plan._band_chirps
-    z = draws[:, :k] + 1j * draws[:, k:]
-    n = plan.grid_points
-
-    def paths(amp):  # rows 2i and 2i+1: real and imaginary part of pair i
-        buffer = np.zeros((count, kernel.size), dtype=complex)
-        for row, spectral in zip(buffer, amp * z):  # a 2-D scatter is far slower
-            row[position] = spectral
+    field = buffer[:, :plan.grid_points]
+    for amp, out in ((x_amp, x), (xdot_amp, xdot)):
+        if out is None:
+            continue
+        spectral.real = draws[:, :k]
+        spectral.imag = draws[:, k:]
+        np.multiply(amp, spectral, out=spectral)
+        buffer.fill(0.0)
+        for row, values in zip(buffer, spectral):  # a 2-D scatter is far slower
+            row[position] = values
         np.fft.fft(buffer, axis=1, out=buffer)
         buffer *= kernel
-        field = np.fft.ifft(buffer, axis=1, out=buffer)[:, :n] * post
-        return np.stack([field.real, field.imag], axis=1).reshape(2 * count, n)
-
-    return paths(x_amp), None if values_only else paths(xdot_amp)
+        np.fft.ifft(buffer, axis=1, out=buffer)
+        field *= post
+        out[0::2] = field.real  # rows 2i and 2i+1: real and imaginary part of pair i
+        out[1::2] = field.imag
 
 
 def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
-                values_only=False):
-    """Paths [2*pair_start, 2*pair_stop) as (x, xdot) blocks: one complex
-    field per pair, the real part feeding the even path and the imaginary
-    part the odd one.  ``values_only`` leaves xdot None."""
-    draws = _support_draws(plan, seed, pair_start, pair_stop)
-    synthesize = _direct_paths if plan.direct_synthesis else _band_paths
-    return synthesize(plan, draws, values_only)
+                space: _Workspace):
+    """Paths [2*pair_start, 2*pair_stop) as (x, xdot) views of the
+    workspace: one complex field per pair, the real part feeding the even
+    path and the imaginary part the odd one.  xdot is None when the
+    workspace has no dX rows."""
+    count = pair_stop - pair_start
+    draws = _support_draws(plan, seed, pair_start, pair_stop, space.draws[:count])
+    x = space.x[:2 * count]
+    xdot = None if space.xdot is None else space.xdot[:2 * count]
+    if plan.direct_synthesis:
+        _direct_paths(plan, draws, space.signed[:2 * count], x, xdot)
+    else:
+        _band_paths(plan, draws, space.spectral[:count], space.buffer[:count], x, xdot)
+    return x, xdot
 
 
 def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
-    """Yield ``statistic(x_block, xdot_block)`` for paths 0..n_paths-1 in
-    path order, one block per chunk of path pairs.
+    """Yield the statistic of paths 0..n_paths-1 in path order, one block
+    per chunk of path pairs.
 
-    Chunks are fixed by the plan, so blocks (and anything reduced from
-    them) are bit-identical at any worker count.  With several workers the
-    statistic runs in the worker threads, so only its results are held.
-    With ``values_only`` dX is never synthesized and xdot_block is None.
+    ``statistic(plan, rows)`` returns the map ``(x_block, xdot_block) ->
+    result`` for blocks of at most ``rows`` paths, and may keep scratch
+    arrays for it.  The blocks are views of a workspace that later blocks
+    overwrite, so a result that views them is only good until the caller
+    asks for the next one.  Chunks are fixed by the plan, so blocks (and
+    anything reduced from them) are bit-identical at any worker count.
+
+    Each worker takes a free workspace and statistic for every block.  All
+    of them are allocated here, on the calling thread, so the blocks never
+    land in a worker thread's malloc arena, which glibc does not trim; only
+    the results are held.  With ``values_only`` dX is never synthesized and xdot_block
+    is None.
     """
-    chunk = _pair_chunk(plan.embedding_size)
+    chunk = _pair_chunk(plan)
     n_pairs = (n_paths + 1) // 2
     starts = range(0, n_pairs, chunk)
+    pairs = min(chunk, n_pairs)
+    count = min(workers, len(starts))
+    free = queue.SimpleQueue()
+    for _ in range(count):
+        free.put((_Workspace(plan, pairs, values_only), statistic(plan, 2 * pairs)))
 
     def run(lo):
-        hi = min(lo + chunk, n_pairs)
-        x, xdot = _pair_block(plan, seed, lo, hi, values_only)
-        keep = min(2 * hi, n_paths) - 2 * lo
-        return statistic(x[:keep], None if xdot is None else xdot[:keep])
+        space, block_statistic = free.get()
+        try:
+            hi = min(lo + chunk, n_pairs)
+            x, xdot = _pair_block(plan, seed, lo, hi, space)
+            keep = min(2 * hi, n_paths) - 2 * lo
+            return block_statistic(x[:keep], None if xdot is None else xdot[:keep])
+        finally:
+            free.put((space, block_statistic))
 
-    if workers == 1 or len(starts) == 1:
+    if count == 1:
         yield from map(run, starts)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=count) as pool:
             yield from pool.map(run, starts)
 
 
@@ -371,11 +424,12 @@ def _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers=None
                      values_only=False):
     """A statistic of paths 0..n_paths-1, stacked in path order.
 
-    ``statistic(plan)`` returns the map from path blocks ``(x_block,
-    xdot_block)`` to an array with one row per path.
+    ``statistic(plan, rows)`` returns the map from path blocks ``(x_block,
+    xdot_block)`` of at most ``rows`` paths to an array with one row per
+    path (see _blocks).
     """
     n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
-    blocks = _blocks(plan, seed, n_paths, statistic(plan), _worker_count(workers), values_only)
+    blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only)
     return np.concatenate([np.asarray(part, dtype=float) for part in blocks])
 
 
@@ -415,7 +469,7 @@ def _moments(values: np.ndarray) -> Moments:
 def sample_paths(kernel: Kernel, grid_points: int, n_paths: int, seed: int, plan=None):
     """Yield a PathSample for each of paths 0..n_paths-1, in order."""
     n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
-    for x, xdot in _blocks(plan, seed, n_paths, lambda x, xd: (x, xd)):
+    for x, xdot in _blocks(plan, seed, n_paths, lambda plan, rows: lambda x, xd: (x, xd)):
         for row, drow in zip(x, xdot):
             yield PathSample(row.copy(), drow.copy())
 
@@ -441,9 +495,12 @@ def count_crossings(path, level: float = 0.0) -> int:
     return int(_crossing_counts(x[None, :], level)[0])
 
 
-def _crossing_counts(x_block, level):
-    """count_crossings for every row of a finite block, as floats."""
-    if (x_block == level).any():  # grid values exactly at the level: apply the tie rule
+def _crossing_counts(x_block, level, side=None, change=None):
+    """count_crossings for every row of a finite block, as floats.
+
+    ``side`` (shaped like the block) and ``change`` (one column fewer) are
+    boolean scratch arrays, allocated when not given."""
+    if np.equal(x_block, level, out=side).any():  # values at the level: apply the tie rule
         s = np.sign(x_block - level)
         cols = np.arange(s.shape[1])
         # leading ties take the opposite of the first excursion's sign (an
@@ -454,8 +511,8 @@ def _crossing_counts(x_block, level):
         idx = np.maximum.accumulate(np.where(s != 0.0, cols, 0), axis=1)
         s = np.take_along_axis(s, idx, axis=1)
     else:  # no ties: which side of the level is enough, at a byte a point
-        s = x_block > level
-    return np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1).astype(float)
+        s = np.greater(x_block, level, out=side)
+    return np.count_nonzero(np.not_equal(s[:, 1:], s[:, :-1], out=change), axis=1).astype(float)
 
 
 def crossing_statistics(
@@ -463,10 +520,13 @@ def crossing_statistics(
     plan=None,
 ) -> Moments:
     """Moments of the number of level crossings per path on [0, 1]."""
-    counts = _per_path_values(
-        kernel, grid_points, n_paths, seed, lambda plan: lambda x, xd: _crossing_counts(x, level),
-        workers, plan, values_only=True,
-    )
+    def statistic(plan, rows):
+        side = np.empty((rows, plan.grid_points), dtype=bool)
+        change = np.empty((rows, plan.grid_points - 1), dtype=bool)
+        return lambda x, xd: _crossing_counts(x, level, side[:len(x)], change[:len(x)])
+
+    counts = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers, plan,
+                              values_only=True)
     return _moments(counts)
 
 
@@ -481,12 +541,12 @@ def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
 # integrated functionals
 
 
-def _scalar_functional(func: Functional, v):
+def _scalar_functional(func: Functional, v, out):
     if func.kind == "sign":
-        return np.sign(v)
+        return np.sign(v, out=out)
     if func.kind == "abs":
-        return np.abs(v)
-    return (v > func.level).astype(float)  # ind
+        return np.abs(v, out=out)
+    return np.greater(v, func.level, out=out)  # ind: 1.0 above the level, else 0.0
 
 
 def mc_integrated_functionals(
@@ -507,22 +567,32 @@ def mc_integrated_functionals(
         elif f.kind == "H":
             orders[f.axis].add(f.m)
 
-    def statistic(plan):
+    def statistic(plan, rows):
         # trapezoid weights on [0, 1]: the integral of a row is one product
-        weights = np.full(plan.grid_points, plan.grid_step)
+        n = plan.grid_points
+        weights = np.full(n, plan.grid_step)
         weights[[0, -1]] = 0.5 * plan.grid_step
+        # Hermite rungs of each channel, dX / sigma, and one array for an H2
+        # product or a scalar functional
+        axes = ("x",) if values_only else ("x", "xdot")
+        ladders = {axis: np.empty((max(orders[axis], default=0) + 1, rows, n)) for axis in axes}
+        scaled, product = np.empty((2, rows, n))
 
         def integrals(x, xd):  # one row per path, one column per functional
-            channels = {"x": x} if values_only else {"x": x, "xdot": xd / plan.sigma}
-            rungs = {axis: hermite(orders[axis], v) for axis, v in channels.items()}
+            count = len(x)
+            channels = ({"x": x} if values_only else
+                        {"x": x, "xdot": np.divide(xd, plan.sigma, out=scaled[:count])})
+            rungs = {axis: hermite(orders[axis], v, out=ladders[axis][:, :count])
+                     for axis, v in channels.items()}
             columns = []
             for f in functionals:
                 if f.kind == "H2":
-                    values = rungs["x"][f.a] * rungs["xdot"][f.b]
+                    values = np.multiply(rungs["x"][f.a], rungs["xdot"][f.b],
+                                         out=product[:count])
                 elif f.kind == "H":
                     values = rungs[f.axis][f.m]
                 else:
-                    values = _scalar_functional(f, channels[f.axis])
+                    values = _scalar_functional(f, channels[f.axis], product[:count])
                 columns.append(values @ weights)
             return np.column_stack(columns)
 
@@ -557,7 +627,7 @@ def ms_derivative_check(
         raise DomainError(f"h={h} must be positive")
     snapped = None
 
-    def statistic(plan):
+    def statistic(plan, rows):
         nonlocal snapped
         lag = max(1, int(round(h / plan.grid_step)))
         if lag >= plan.grid_points:

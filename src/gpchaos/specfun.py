@@ -217,28 +217,36 @@ def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:
     return total / den
 
 
-def hermite(n, x):
+def hermite(n, x, out=None):
     """Probabilists' Hermite polynomial ``H_n(x)``, vectorized over ``x``.
 
     Three-term recurrence ``H_{k+1} = x H_k - k H_{k-1}`` with ``H_0 = 1``,
     ``H_1 = x``.  For a set of orders ``n``, one run of the recurrence
-    returns ``{k: H_k(x)}`` for each of them and holds only two rungs beside
-    the ones kept; ``H_1`` is then ``x`` itself, not a copy.
+    returns ``{k: H_k(x)}`` for each of them; ``H_1`` is then ``x`` itself,
+    not a copy.  Rung ``k`` is written to ``out[k]``, for an ``out`` of
+    shape ``(max(n) + 1,) + x.shape`` that is allocated when not given and
+    that a caller may reuse across calls; ``out[1]`` is scratch, as ``H_1``
+    needs no slot.
     """
     ladder = isinstance(n, (set, frozenset))
     orders = n if ladder else {n}
     for k in orders:
         whole(k, f"hermite requires integer n >= 0, got {k!r}")
     x = np.asarray(x, dtype=float)
-    rungs = {0: np.ones_like(x)} if 0 in orders else {}
-    h_prev, h = 1.0, x
-    for k in range(1, int(max(orders, default=0)) + 1):
-        if k > 1:
-            h, h_prev = x * h - (k - 1) * h_prev, h
-        if k in orders:
-            rungs[k] = h
+    top = int(max(orders, default=0))
+    if out is None:
+        out = np.empty((top + 1,) + x.shape)
+    rung = [out[0, ...], x] + [out[k, ...] for k in range(2, top + 1)]
+    if 0 in orders:
+        rung[0].fill(1.0)
+    for k in range(2, top + 1):
+        np.multiply(x, rung[k - 1], out=rung[k])
+        if k == 2:
+            rung[k] -= 1.0
+        else:
+            rung[k] -= np.multiply(rung[k - 2], k - 1, out=out[1, ...])
     if ladder:
-        return rungs
-    h = rungs[int(n)]
+        return {k: rung[k] for k in orders}
+    h = rung[int(n)]
     h = h.copy() if h is x else h
     return h if h.ndim else float(h)

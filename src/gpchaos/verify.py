@@ -195,7 +195,7 @@ def determinism_replay(kernel, seed):
     hands a chunk to each of its threads; a second full chunk would only
     add time and the memory of one more block."""
     plan = mc.build_embedding_plan(kernel, REPLAY_GRID)
-    paths = 2 * mc._pair_chunk(plan.embedding_size) + 1
+    paths = 2 * mc._pair_chunk(plan) + 1
     one, two = (
         mc.crossing_statistics(kernel, 0.0, paths, REPLAY_GRID, seed, workers=workers, plan=plan)
         for workers in (1, 2)

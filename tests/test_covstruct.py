@@ -1,7 +1,8 @@
 """Tests for the cross-correlation matrix layer.
 
-Entry values are pinned by hand differentiation of exp(-t^2); norms by
-exact 2x2 identities and numpy's SVD as an independent oracle; the
+Entry values are pinned by hand differentiation of exp(-t^2); the
+closed-form operator norm by exact 2x2 identities and numpy's SVD as an
+independent oracle; the
 tensor-power weight by explicitly materialized Kronecker products for
 n <= 8 and by an exact rational sum for n <= 60.  The
 expansion of the squared HS sum at 0 is checked against the closed
@@ -16,10 +17,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpchaos.covstruct import (
+    _op_norm_closed,
     a_matrix,
     hs_expansion_derivatives,
-    hs_sum_norm,
-    operator_norm,
     quadratic_bound_fit,
     tensor_power_quadratic_form,
 )
@@ -120,21 +120,12 @@ class TestAMatrix:
         assert np.isfinite(_as_array(a)).all()
 
 
+def operator_norm(m):
+    """The closed-form largest singular value of a 2x2 array."""
+    return _op_norm_closed(*m.ravel())
+
+
 class TestNorms:
-    def test_hs_identity_and_zero(self):
-        k = parse_kernel("sqexp:ell=1")
-        assert_allclose(hs_sum_norm(a_matrix(k, 0.0)), math.sqrt(2.0),
-                        rtol=1e-14)
-        assert hs_sum_norm(np.zeros((2, 2))) == 0.0
-        assert_allclose(hs_sum_norm(a_matrix(k, 0.0)) / math.sqrt(2.0), 1.0,
-                        rtol=1e-14)
-
-    def test_hs_sqexp_half_lag(self):
-        # entries e, e/sqrt2, -e/sqrt2, e/2 with e = exp(-1/4):
-        # sum of squares = e^2 (1 + 1/2 + 1/2 + 1/4) = 2.25 e^2
-        val = hs_sum_norm(a_matrix(parse_kernel("sqexp:ell=1"), 0.5))
-        assert_allclose(val, 1.5 * math.exp(-0.25), rtol=1e-14)
-
     def test_operator_norm_anchors(self):
         assert_allclose(operator_norm(np.eye(2)), 1.0, rtol=1e-15)
         assert_allclose(operator_norm(np.diag([1.0, 0.5])), 1.0, rtol=1e-15)
@@ -151,12 +142,6 @@ class TestNorms:
             assert_allclose(operator_norm(m),
                             np.linalg.svd(m, compute_uv=False)[0],
                             rtol=1e-12)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError):
-            operator_norm(np.eye(3))
-        with pytest.raises(DomainError):
-            hs_sum_norm(np.ones(4))
 
 
 class TestExpansionDerivatives:
@@ -248,7 +233,7 @@ class TestTensorPower:
     def test_bounded_by_operator_norm_power(self):
         k = parse_kernel("matern52")
         for t in (0.1, 0.4, 1.0):
-            op = operator_norm(a_matrix(k, t))
+            op = operator_norm(_as_array(a_matrix(k, t)))
             for n in (2, 5, 8, 40):
                 for a in range(n + 1):
                     qf = tensor_power_quadratic_form(k, t, a, n - a)
@@ -281,7 +266,8 @@ class TestQuadraticBound:
         # and the bound itself holds on a dense sample of the window
         k = parse_kernel(spec)
         t = np.linspace(0.0, fit.window, 97)[1:]
-        nhs = np.array([hs_sum_norm(a_matrix(k, ti)) for ti in t]) / math.sqrt(2.0)
+        nhs = np.linalg.norm(np.stack([_as_array(a_matrix(k, ti)) for ti in t]),
+                             axis=(1, 2)) / math.sqrt(2.0)
         assert np.all(nhs <= 1.0 - fit.c_hat * t**2 + 1e-12)
 
     def test_sqexp_limit_coefficient(self):

@@ -47,6 +47,7 @@ from gpchaos.kernels import (
     reconstruct_r,
     wendland_poly,
 )
+from gpchaos.specfun import bessel_zk
 
 # Shared catalog for invariant sweeps; chosen to hit every family and both
 # closed-form and sampled-grid code paths.
@@ -139,6 +140,23 @@ class TestCovarianceValues:
         ref = [2 ** (1 - nu) / mpmath.gamma(nu) * (g * x) ** nu * mpmath.besselk(nu, g * x)
                for x in map(mpmath.mpf, t)]
         assert_allclose(Matern(1000.0).r(t), np.array(ref, dtype=float), rtol=5e-12)
+
+    def test_exponential_matern_second_derivative_at_tiny_lags(self):
+        # r = e^-t at nu = 1/2, so r'' = e^-t; the form z^nu K_(nu-2) -
+        # z^(nu-1) K_(nu-1) cancels there and gave about 1e16 at t = 1e-30
+        t = np.array([1e-30, 1e-12, 1e-8, 1e-3, 0.5])
+        assert_allclose(Matern(0.5).r_second(t), np.exp(-t), rtol=1e-15)
+        assert_allclose(Matern(0.5).r_second(1e-30), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("nu", [1.5, 2.5, 4.5])
+    def test_matern_second_derivative_matches_the_k_nu_minus_2_form(self, nu):
+        # r'' = g^2 P (z^nu K_(nu-2) - z^(nu-1) K_(nu-1)), z = g t, from the
+        # ladder at nu - 2; r'' crosses zero, hence the absolute floor
+        g, t = math.sqrt(2.0 * nu), np.geomspace(1e-3, 5.0, 200)
+        z, log_p = g * t, (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+        (y2, s2), (y1, s1) = bessel_zk(nu - 2.0, z, 2)
+        old = g * g * (np.exp(log_p + s2 + 2.0 * np.log(z)) * y2 - np.exp(log_p + s1) * y1)
+        assert_allclose(Matern(nu).r_second(t), old, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("k", [4, 12, 20])
     def test_wendland_matches_exact_rationals(self, k):

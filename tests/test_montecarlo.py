@@ -38,7 +38,32 @@ def _stack(kernel, grid_points, n_paths, seed):
 
 def _chunk_count(plan, n_paths):
     """The sampler chunks of path pairs that a run of n_paths paths spans."""
-    return len(range(0, (n_paths + 1) // 2, mc._pair_chunk(plan.embedding_size)))
+    return len(range(0, (n_paths + 1) // 2, mc._pair_chunk(plan)))
+
+
+def _draws(plan, seed, pair_start, pair_stop):
+    rows = np.empty((pair_stop - pair_start, 2 * plan.support.size))
+    return mc._support_draws(plan, seed, pair_start, pair_stop, rows)
+
+
+def _direct_paths(plan, draws):
+    x, xdot = np.empty((2, 2 * draws.shape[0], plan.grid_points))
+    mc._direct_paths(plan, draws, np.empty((2 * draws.shape[0], draws.shape[1])), x, xdot)
+    return x, xdot
+
+
+def _band_paths(plan, draws):
+    count, k = draws.shape[0], plan.support.size
+    x, xdot = np.empty((2, 2 * count, plan.grid_points))
+    mc._band_paths(plan, draws, np.empty((count, k), dtype=complex),
+                   np.empty((count, plan.band_length), dtype=complex), x, xdot)
+    return x, xdot
+
+
+def _pair_block(plan, seed, pair_start, pair_stop, values_only=False):
+    """One block in a workspace of its own."""
+    space = mc._Workspace(plan, pair_stop - pair_start, values_only)
+    return mc._pair_block(plan, seed, pair_start, pair_stop, space)
 
 
 class TestEmbeddingPlan:
@@ -273,10 +298,10 @@ class TestSynthesisRoutes:
     @pytest.mark.parametrize("spec,grid", _ROUTE_PLANS)
     def test_routes_agree_on_the_same_draws(self, spec, grid):
         plan = mc.build_embedding_plan(parse_kernel(spec), grid)
-        draws = mc._support_draws(plan, 7, 3, 7)
+        draws = _draws(plan, 7, 3, 7)
         assert draws.shape == (4, 2 * plan.support.size)
         oracle_x, oracle_xdot = _support_oracle(plan, draws)
-        for route in (mc._direct_paths, mc._band_paths):
+        for route in (_direct_paths, _band_paths):
             x, xdot = route(plan, draws)
             assert x.shape == xdot.shape == (8, grid)
             assert_allclose(x, oracle_x, rtol=0.0, atol=1e-12)
@@ -298,9 +323,9 @@ class TestSynthesisRoutes:
             eigenvalues[plan.support[1::3]] = 0.0
             plan = replace(plan, eigenvalues=eigenvalues,
                            support=np.flatnonzero(eigenvalues))
-        draws = mc._support_draws(plan, 3, 0, 3)
-        direct = mc._direct_paths(plan, draws)
-        band = mc._band_paths(plan, draws)
+        draws = _draws(plan, 3, 0, 3)
+        direct = _direct_paths(plan, draws)
+        band = _band_paths(plan, draws)
         for got, want in zip(band, direct):
             assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -308,10 +333,10 @@ class TestSynthesisRoutes:
     def test_value_only_blocks_are_the_x_half(self, spec, grid):
         plan = mc.build_embedding_plan(parse_kernel(spec), grid)
         assert plan.direct_synthesis == (spec == "sqexp")
-        chunk = mc._pair_chunk(plan.embedding_size)
+        chunk = mc._pair_chunk(plan)
         for lo, hi in ((0, chunk), (3, 5)):
-            x, xdot = mc._pair_block(plan, 11, lo, hi)
-            x_only, none = mc._pair_block(plan, 11, lo, hi, values_only=True)
+            x, xdot = _pair_block(plan, 11, lo, hi)
+            x_only, none = _pair_block(plan, 11, lo, hi, values_only=True)
             assert none is None and xdot.shape == x.shape
             assert_array_equal(x_only, x)
 
@@ -326,7 +351,7 @@ class TestSynthesisRoutes:
 
     def test_draws_are_keyed_on_seed_and_pair(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
-        block = mc._support_draws(plan, 5, 2, 6)
+        block = _draws(plan, 5, 2, 6)
         for i, pair in enumerate(range(2, 6)):
             alone = np.random.Generator(np.random.Philox(key=[5, pair])).standard_normal(54)
             assert_array_equal(block[i], alone)
@@ -336,7 +361,7 @@ class TestSynthesisRoutes:
         assert plan.support.size == plan.embedding_size
         assert not plan.direct_synthesis
         for lo, hi in ((0, 3), (5, 6)):
-            x, xdot = mc._pair_block(plan, 13, lo, hi)
+            x, xdot = _pair_block(plan, 13, lo, hi)
             old_x, old_xdot = _pre_support_pair_block(plan, 13, lo, hi)
             assert_allclose(x, old_x, rtol=0.0, atol=1e-12)
             assert_allclose(xdot, old_xdot, rtol=0.0, atol=1e-12)
@@ -363,6 +388,47 @@ class TestSynthesisRoutes:
         r1 = RQ.r_prime(128 * dt)
         se = math.sqrt((1.0 + r1 * r1) / n)
         assert abs(np.mean(x[:, 0] * xd[:, 128]) - r1) < 4.5 * se
+
+
+# A direct and a band plan, each run over three blocks, the last one short
+# and ending on a single path.
+_REUSE_PLANS = [("sqexp", 128), ("matern52", 512)]
+
+
+def _three_block_run(spec, grid):
+    plan = mc.build_embedding_plan(parse_kernel(spec), grid)
+    n_paths = 2 * (2 * mc._pair_chunk(plan) + 3) + 1
+    assert _chunk_count(plan, n_paths) == 3
+    return plan, n_paths
+
+
+class TestWorkspaceReuse:
+    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
+    def test_sampled_rows_survive_later_blocks(self, spec, grid):
+        plan, n_paths = _three_block_run(spec, grid)
+        assert plan.direct_synthesis == (spec == "sqexp")
+        held = list(mc.sample_paths(parse_kernel(spec), grid, n_paths, seed=9, plan=plan))
+        chunk, n_pairs = mc._pair_chunk(plan), (n_paths + 1) // 2
+        for lo in range(0, n_pairs, chunk):
+            hi = min(lo + chunk, n_pairs)
+            x, xdot = _pair_block(plan, 9, lo, hi)  # a workspace of its own
+            for i, path in enumerate(held[2 * lo:2 * hi]):
+                assert_array_equal(path.x, x[i])
+                assert_array_equal(path.xdot, xdot[i])
+
+    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
+    def test_worker_count_is_invisible_over_three_blocks(self, spec, grid):
+        plan, n_paths = _three_block_run(spec, grid)
+        kernel = parse_kernel(spec)
+        functionals = [parse_functional(f) for f in ("H:1", "H:3", "H2:1,1", "H:2@xdot", "sign")]
+        runs = [
+            (mc.crossing_statistics(kernel, 0.3, n_paths, grid, 71, workers=w, plan=plan),
+             mc.mc_integrated_functionals(functionals, kernel, n_paths, grid, 71, workers=w,
+                                          plan=plan),
+             mc.ms_derivative_check(kernel, 0.05, n_paths, grid, 71, workers=w))
+            for w in (1, 2, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def _scalar_crossings(x, level):
@@ -489,7 +555,7 @@ class TestCrossingStatistics:
 
     def test_worker_count_is_invisible(self):
         plan = mc.build_embedding_plan(SQEXP, 256)
-        n_paths = 2 * mc._pair_chunk(plan.embedding_size) + 300
+        n_paths = 2 * mc._pair_chunk(plan) + 300
         assert _chunk_count(plan, n_paths) == 2
         one = mc.crossing_statistics(SQEXP, 0.0, n_paths, 256, seed=43, workers=1, plan=plan)
         four = mc.crossing_statistics(SQEXP, 0.0, n_paths, 256, seed=43, workers=4, plan=plan)
@@ -577,7 +643,7 @@ class TestIntegratedFunctionals:
     def test_worker_count_is_invisible(self):
         functionals = [parse_functional("H:1"), parse_functional("abs")]
         plan = mc.build_embedding_plan(SQEXP, 128)
-        n_paths = 2 * mc._pair_chunk(plan.embedding_size) + 1  # the last pair has one path
+        n_paths = 2 * mc._pair_chunk(plan) + 1  # the last pair has one path
         assert _chunk_count(plan, n_paths) == 2
         one, three = (
             mc.mc_integrated_functionals(

@@ -52,13 +52,19 @@ def test_tracer_wraps_every_timed_call_and_restores_it(spans):
 
 def test_sampler_probe_calls_exist(spans):
     # the probe calls sample_paths(plan=), count_crossings on each path and
-    # crossing_statistics(workers=); a changed signature fails here
-    metrics = spans.sampler_metrics([("sqexp", 64, 8)], seed=0)
-    plan = mc.build_embedding_plan(parse_kernel("sqexp"), 64)
-    assert metrics["montecarlo.embedding_size"] == plan.embedding_size
-    assert metrics["montecarlo.support_size"] == plan.support.size
-    assert metrics["montecarlo.sample_ms_per_path"] > 0.0
-    assert metrics["montecarlo.speedup_2w"] > 0.0
+    # crossing_statistics(workers=); a changed signature fails here.  The
+    # matern52 plan takes the band route, and the probe pulls its paths one
+    # by one through three blocks of one reused workspace
+    for spec, grid, n_paths in (("sqexp", 64, 8), ("matern52", 512, 160)):
+        metrics = spans.sampler_metrics([(spec, grid, n_paths)], seed=0)
+        plan = mc.build_embedding_plan(parse_kernel(spec), grid)
+        assert plan.direct_synthesis == (spec == "sqexp")
+        assert metrics["montecarlo.embedding_size"] == plan.embedding_size
+        assert metrics["montecarlo.support_size"] == plan.support.size
+        assert metrics["montecarlo.sample_ms_per_path"] > 0.0
+        assert metrics["montecarlo.count_crossings_us_per_path"] > 0.0
+        assert metrics["montecarlo.speedup_2w"] > 0.0
+    assert n_paths > 2 * 2 * mc._pair_chunk(plan)
 
 
 def test_traced_h2_report_records_the_tensor_form(spans, capsys):
