@@ -157,21 +157,8 @@ class Kernel:
     def r_second(self, t):
         return _even(self._r2_abs, t)
 
-    # hooks ---------------------------------------------------------------
-    def _r_abs(self, s):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _r1_abs(self, s):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _r2_abs(self, s):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _r2_at_zero(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _r4_at_zero(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    # hooks every family defines: _r_abs, _r1_abs and _r2_abs of s = |t|,
+    # and the values _r2_at_zero and _r4_at_zero
 
     # notes on printed constants behind the values at 0, attached where
     # r''''(0) exists

@@ -24,7 +24,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .chaos import Functional
 from .errors import DomainError, EmbeddingFailure, whole
 from .kernels import Kernel
 from .specfun import hermite
@@ -420,17 +419,12 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
             yield from pool.map(run, starts)
 
 
-def _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers=None, plan=None,
-                     values_only=False):
-    """A statistic of paths 0..n_paths-1, stacked in path order.
-
-    ``statistic(plan, rows)`` returns the map from path blocks ``(x_block,
-    xdot_block)`` of at most ``rows`` paths to an array with one row per
-    path (see _blocks).
-    """
-    n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
+def _path_moments(plan, seed, n_paths, statistic, workers, values_only=False) -> list:
+    """Moments of each column of a statistic's values over paths
+    0..n_paths-1; ``statistic(plan, rows)`` maps a block of at most ``rows``
+    paths to one row per path (see _blocks)."""
     blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only)
-    return np.concatenate([np.asarray(part, dtype=float) for part in blocks])
+    return [_moments(values) for values in np.concatenate(list(blocks)).T]
 
 
 @dataclass(frozen=True)
@@ -492,6 +486,8 @@ def count_crossings(path, level: float = 0.0) -> int:
     x = path.x if isinstance(path, PathSample) else np.asarray(path, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("count_crossings needs a finite path")
+    if not math.isfinite(level):
+        raise DomainError(f"level={level} must be finite")
     return int(_crossing_counts(x[None, :], level)[0])
 
 
@@ -520,19 +516,14 @@ def crossing_statistics(
     plan=None,
 ) -> Moments:
     """Moments of the number of level crossings per path on [0, 1]."""
-    def statistic(plan, rows):
-        side = np.empty((rows, plan.grid_points), dtype=bool)
-        change = np.empty((rows, plan.grid_points - 1), dtype=bool)
-        return lambda x, xd: _crossing_counts(x, level, side[:len(x)], change[:len(x)])
-
-    counts = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers, plan,
-                              values_only=True)
-    return _moments(counts)
+    return _estimate([], level, kernel, n_paths, grid_points, seed, workers, plan)[0]
 
 
 def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
     """Expected level crossings on [0,1] of a unit-variance stationary
     Gaussian path: (1/pi) sqrt(-r''(0)) exp(-level^2/2)."""
+    if not math.isfinite(level):
+        raise DomainError(f"level={level} must be finite")
     r2 = kernel.r2_zero()
     return math.sqrt(-r2) / math.pi * math.exp(-0.5 * level * level)
 
@@ -541,23 +532,27 @@ def rice_crossing_mean(kernel: Kernel, level: float = 0.0) -> float:
 # integrated functionals
 
 
-def _scalar_functional(func: Functional, v, out):
-    if func.kind == "sign":
-        return np.sign(v, out=out)
-    if func.kind == "abs":
-        return np.abs(v, out=out)
-    return np.greater(v, func.level, out=out)  # ind: 1.0 above the level, else 0.0
-
-
 def mc_integrated_functionals(
     functionals, kernel: Kernel, n_paths: int, grid_points: int, seed: int, workers=None,
-    plan=None,
+    plan=None, level=None,
 ) -> list:
     """Moments of int_0^1 Lambda(X_t, dX_t/sigma) dt, one per functional in
     the order given, from one set of paths.  The chaos pipeline predicts the
-    second moment.
+    second moment.  A ``level`` appends the Moments of each path's crossings
+    of it, counted in the same pass; they equal crossing_statistics'.
     """
-    functionals = list(functionals)
+    return _estimate(list(functionals), level, kernel, n_paths, grid_points, seed, workers, plan)
+
+
+def _estimate(functionals, level, kernel, n_paths, grid_points, seed, workers, plan):
+    """Moments of each functional's integral and then, unless ``level`` is
+    None, of the crossing count, from one sampler pass; dX and every scratch
+    array are made only when a value needs them."""
+    if level is not None and not math.isfinite(level):
+        raise DomainError(f"level={level} must be finite")
+    if not functionals and level is None:
+        raise DomainError("no functional and no crossing level to estimate")
+    n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
     values_only = all(f.kind != "H2" and f.axis != "xdot" for f in functionals)
     orders = {"x": set(), "xdot": set()}
     for f in functionals:
@@ -572,18 +567,21 @@ def mc_integrated_functionals(
         n = plan.grid_points
         weights = np.full(n, plan.grid_step)
         weights[[0, -1]] = 0.5 * plan.grid_step
-        # Hermite rungs of each channel, dX / sigma, and one array for an H2
-        # product or a scalar functional
-        axes = ("x",) if values_only else ("x", "xdot")
-        ladders = {axis: np.empty((max(orders[axis], default=0) + 1, rows, n)) for axis in axes}
-        scaled, product = np.empty((2, rows, n))
+        # Hermite rungs of each channel that has orders, dX / sigma, one
+        # array for an H2 product or a scalar functional, and the crossing
+        # counter's boolean arrays
+        ladders = {axis: np.empty((max(o) + 1, rows, n)) for axis, o in orders.items() if o}
+        scaled = None if values_only else np.empty((rows, n))
+        product = np.empty((rows, n)) if any(f.kind != "H" for f in functionals) else None
+        if level is not None:
+            side, change = np.empty((rows, n), dtype=bool), np.empty((rows, n - 1), dtype=bool)
 
-        def integrals(x, xd):  # one row per path, one column per functional
+        def per_path(x, xd):  # one row per path, one column per value
             count = len(x)
             channels = ({"x": x} if values_only else
                         {"x": x, "xdot": np.divide(xd, plan.sigma, out=scaled[:count])})
-            rungs = {axis: hermite(orders[axis], v, out=ladders[axis][:, :count])
-                     for axis, v in channels.items()}
+            rungs = {axis: hermite(orders[axis], channels[axis], out=ladder[:, :count])
+                     for axis, ladder in ladders.items()}
             columns = []
             for f in functionals:
                 if f.kind == "H2":
@@ -591,16 +589,18 @@ def mc_integrated_functionals(
                                          out=product[:count])
                 elif f.kind == "H":
                     values = rungs[f.axis][f.m]
-                else:
-                    values = _scalar_functional(f, channels[f.axis], product[:count])
+                else:  # sign, abs, or ind: 1.0 above the level, else 0.0
+                    v, out = channels[f.axis], product[:count]
+                    values = (np.sign(v, out=out) if f.kind == "sign" else np.abs(v, out=out)
+                              if f.kind == "abs" else np.greater(v, f.level, out=out))
                 columns.append(values @ weights)
+            if level is not None:
+                columns.append(_crossing_counts(x, level, side[:count], change[:count]))
             return np.column_stack(columns)
 
-        return integrals
+        return per_path
 
-    stacked = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers, plan,
-                               values_only)
-    return [_moments(values) for values in stacked.T]
+    return _path_moments(plan, seed, n_paths, statistic, workers, values_only)
 
 
 # ---------------------------------------------------------------------------
@@ -610,35 +610,29 @@ def mc_integrated_functionals(
 def ms_derivative_residual(kernel: Kernel, h: float) -> float:
     """Analytic residual E[((X_{t+h}-X_t)/h - dX_t)^2] for lag h > 0:
     (2 - 2 r(h))/h^2 + 2 r'(h)/h - r''(0)."""
-    if not h > 0.0:
-        raise DomainError(f"h={h} must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h={h} must be finite and positive")
     r2 = kernel.r2_zero()
     return (2.0 - 2.0 * kernel.r(h)) / (h * h) + 2.0 * kernel.r_prime(h) / h - r2
 
 
 def ms_derivative_check(
-    kernel: Kernel, h: float, n_paths: int, grid_points: int, seed: int, workers=None
+    kernel: Kernel, h: float, n_paths: int, grid_points: int, seed: int, workers=None,
+    plan=None,
 ) -> tuple:
     """``(h, moments)`` of the squared residual of sampled difference
     quotients, ((X_h - X_0)/h - dX_0)^2, with h snapped to the nearest
     positive grid lag; its mean estimates ``ms_derivative_residual(kernel, h)``.
     """
-    if not h > 0.0:
-        raise DomainError(f"h={h} must be positive")
-    snapped = None
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h={h} must be finite and positive")
+    n_paths, seed, plan = _run_plan(kernel, grid_points, n_paths, seed, plan)
+    lag = max(1, int(round(h / plan.grid_step)))
+    if lag >= plan.grid_points:
+        raise DomainError(f"h={h} exceeds the grid span")
+    h = lag * plan.grid_step
 
-    def statistic(plan, rows):
-        nonlocal snapped
-        lag = max(1, int(round(h / plan.grid_step)))
-        if lag >= plan.grid_points:
-            raise DomainError(f"h={h} exceeds the grid span")
-        snapped = lag * plan.grid_step
+    def residuals(plan, rows):  # one column: the lists keep the grid axis
+        return lambda x, xd: ((x[:, [lag]] - x[:, [0]]) / h - xd[:, [0]]) ** 2
 
-        def residuals(x, xd):
-            quotient = (x[:, lag] - x[:, 0]) / snapped
-            return (quotient - xd[:, 0]) ** 2
-
-        return residuals
-
-    values = _per_path_values(kernel, grid_points, n_paths, seed, statistic, workers)
-    return snapped, _moments(values)
+    return h, _path_moments(plan, seed, n_paths, residuals, workers)[0]

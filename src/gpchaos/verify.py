@@ -5,6 +5,7 @@ tests: one function per check, of the kernel and the sizes it uses, returning
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -131,9 +132,11 @@ def chaos_vs_monte_carlo(kernel, functionals, paths, grid, seed):
     """Integrated chaos norm of each Hermite functional (spec strings)
     within ``Z_GATE`` standard errors of the Monte Carlo second moment."""
     functionals = [parse_functional(s) for s in functionals]
-    outs = mc.mc_integrated_functionals(
-        functionals, kernel, n_paths=paths, grid_points=grid, seed=seed
-    )
+    return _judge_chaos(kernel, functionals, mc.mc_integrated_functionals(
+        functionals, kernel, n_paths=paths, grid_points=grid, seed=seed))
+
+
+def _judge_chaos(kernel, functionals, outs):
     detail = {}
     ok = True
     for functional, out in zip(functionals, outs):
@@ -148,19 +151,23 @@ def chaos_vs_monte_carlo(kernel, functionals, paths, grid, seed):
 
 def level_crossings(kernel, paths, grid, seed):
     """Mean zero crossings on [0, 1] at the Rice value."""
-    stats = mc.crossing_statistics(kernel, 0.0, n_paths=paths, grid_points=grid, seed=seed)
+    return _judge_crossings(
+        kernel, mc.crossing_statistics(kernel, 0.0, n_paths=paths, grid_points=grid, seed=seed))
+
+
+def _judge_crossings(kernel, stats):
     rice = mc.rice_crossing_mean(kernel, 0.0)
     z = (stats.mean - rice) / stats.std_error
     return abs(z) <= Z_GATE, {"mean": stats.mean, "rice": rice, "z": z}
 
 
-def mean_square_derivative(kernel, paths, grid, seed):
+def mean_square_derivative(kernel, paths, grid, seed, plan=None):
     """The difference-quotient residual is r''''(0) h^2 / 4 to leading order
-    at h = 0.01, and matches Monte Carlo at h = 0.05."""
+    at h = 0.01, and matches Monte Carlo at h = 0.05 (on ``plan``)."""
     analytic = mc.ms_derivative_residual(kernel, 0.01)
     leading = kernel.r4_zero() / 4.0 * 0.01**2  # NotDifferentiable without r(0)
     rel = abs(analytic / leading - 1.0)
-    h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed)
+    h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed, plan=plan)
     z = (residual.mean - mc.ms_derivative_residual(kernel, h)) / residual.std_error
     return rel <= LEADING_ORDER_TOL and abs(z) <= Z_GATE, {
         "leading_order_rel_error": rel,
@@ -189,12 +196,12 @@ def regularization_slope(kernel):
     }
 
 
-def determinism_replay(kernel, seed):
-    """Crossing statistics are identical at one and two workers.  The paths
-    fill one sampler chunk and one pair of a second, so the two-worker run
-    hands a chunk to each of its threads; a second full chunk would only
-    add time and the memory of one more block."""
-    plan = mc.build_embedding_plan(kernel, REPLAY_GRID)
+def determinism_replay(kernel, seed, plan=None):
+    """Crossing statistics are identical at one and two workers (on
+    ``plan``, a REPLAY_GRID embedding).  The paths fill one sampler chunk
+    and one pair of a second, so the two-worker run hands a chunk to each
+    of its threads; a second chunk would only add time and memory."""
+    plan = mc.build_embedding_plan(kernel, REPLAY_GRID) if plan is None else plan
     paths = 2 * mc._pair_chunk(plan) + 1
     one, two = (
         mc.crossing_statistics(kernel, 0.0, paths, REPLAY_GRID, seed, workers=workers, plan=plan)
@@ -216,9 +223,18 @@ def _run(name, fn):
 def battery(kernel, paths, grid, seed):
     """The eleven checks of ``verify-all`` as (name, status, detail) entries;
     the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
-    derivative check) on ``grid`` points."""
+    derivative check) on ``grid`` points.  They share one embedding plan,
+    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass;
+    a plan that fails is rebuilt by each check, which skips with its error."""
     if paths < 2:
         raise DomainError(f"the battery needs at least 2 paths, got {paths}")
+    try:
+        plan = mc.build_embedding_plan(kernel, grid)
+    except GpchaosError:
+        plan = None
+    functionals = [parse_functional(s) for s in ("H:1", "H:2")]
+    shared = functools.cache(lambda: mc.mc_integrated_functionals(
+        functionals, kernel, paths, grid, seed, plan=plan, level=0.0))
     checks = (
         ("gauss-hypergeometric-identity", gauss_identity),
         ("iterated-integral-closed-form", closed_form),
@@ -226,12 +242,12 @@ def battery(kernel, paths, grid, seed):
         ("derivative-finite-difference", lambda: derivative_fd(kernel)),
         ("b-reconstruction", lambda: b_reconstruction(kernel, 13)),
         ("hs-quadratic-bound", lambda: hs_bound(kernel)),
-        ("chaos-vs-monte-carlo",
-         lambda: chaos_vs_monte_carlo(kernel, ("H:1", "H:2"), paths, grid, seed)),
-        ("level-crossings", lambda: level_crossings(kernel, paths, grid, seed)),
+        ("chaos-vs-monte-carlo", lambda: _judge_chaos(kernel, functionals, shared()[:-1])),
+        ("level-crossings", lambda: _judge_crossings(kernel, shared()[-1])),
         ("mean-square-derivative",
-         lambda: mean_square_derivative(kernel, min(paths, 6000), grid, seed)),
+         lambda: mean_square_derivative(kernel, min(paths, 6000), grid, seed, plan)),
         ("regularization-slope", lambda: regularization_slope(kernel)),
-        ("determinism-replay", lambda: determinism_replay(kernel, seed)),
+        ("determinism-replay",
+         lambda: determinism_replay(kernel, seed, plan if grid == REPLAY_GRID else None)),
     )
     return [_run(name, fn) for name, fn in checks]

@@ -671,6 +671,67 @@ class TestVerifyAll:
         assert one == three
 
 
+_MC_CHECKS = ("chaos-vs-monte-carlo", "level-crossings", "mean-square-derivative",
+              "determinism-replay")
+
+
+def _standalone_checks(kernel, paths, grid, seed):
+    """The battery's Monte Carlo checks run one at a time, each on paths and
+    a plan of its own."""
+    return [verify._run(name, fn) for name, fn in zip(_MC_CHECKS, (
+        lambda: verify.chaos_vs_monte_carlo(kernel, ("H:1", "H:2"), paths, grid, seed),
+        lambda: verify.level_crossings(kernel, paths, grid, seed),
+        lambda: verify.mean_square_derivative(kernel, min(paths, 6000), grid, seed),
+        lambda: verify.determinism_replay(kernel, seed),
+    ))]
+
+
+class TestBattery:
+    """The battery draws the chaos and crossing paths in one pass, on one plan."""
+
+    @pytest.mark.parametrize("grid", [128, verify.REPLAY_GRID])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shared_pass_matches_the_standalone_checks(self, monkeypatch, grid, workers):
+        monkeypatch.setenv("GPCHAOS_WORKERS", workers)
+        kernel = parse_kernel("sqexp")
+        plan = mc.build_embedding_plan(kernel, grid)
+        paths = 4 * mc._pair_chunk(plan) + 1  # three blocks
+        checks = [c for c in verify.battery(kernel, paths, grid, 5) if c["name"] in _MC_CHECKS]
+        assert [c["status"] for c in checks] == ["pass"] * 4
+        assert checks == _standalone_checks(kernel, paths, grid, 5)
+
+    @pytest.mark.parametrize("spec", ["matern12", "matern32", "cosine", "periodic:T=2,ell=0.8",
+                                      "gammaexp:gamma=1.5"])
+    def test_skip_reasons_match_the_standalone_checks(self, spec):
+        kernel = parse_kernel(spec)
+        checks = [c for c in verify.battery(kernel, 400, 128, 0) if c["name"] in _MC_CHECKS]
+        assert "skip" in [c["status"] for c in checks]
+        assert checks == _standalone_checks(kernel, 400, 128, 0)
+
+    def test_default_sizes_draw_each_pair_once(self, monkeypatch):
+        # 10,000 pairs for the chaos and crossing checks together, 3,000 for
+        # the derivative check and 2 x 122 for the replay at 1 and 2 workers,
+        # all on one plan
+        pairs, builds = [], []
+        draws, build = mc._support_draws, mc.build_embedding_plan
+
+        def counting_draws(plan, seed, pair_start, pair_stop, out):
+            pairs.append(pair_stop - pair_start)
+            return draws(plan, seed, pair_start, pair_stop, out)
+
+        def counting_build(kernel, grid):
+            builds.append(grid)
+            return build(kernel, grid)
+
+        monkeypatch.setattr(mc, "_support_draws", counting_draws)
+        monkeypatch.setattr(mc, "build_embedding_plan", counting_build)
+        monkeypatch.setenv("GPCHAOS_WORKERS", "1")
+        checks = verify.battery(parse_kernel("sqexp"), 20000, 512, 0)
+        assert all(c["status"] == "pass" for c in checks)
+        assert sum(pairs) == 10000 + 3000 + 2 * 122
+        assert builds == [512]
+
+
 # Spec strings from the kernel and functional grammars: each family with
 # its own parameters and a foreign one, values of every float class, and
 # broken separators.

@@ -67,3 +67,22 @@ ENTRY_POINTS = {
 def test_non_whole_argument_is_a_domain_error(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "count_crossings.level": lambda v: mc.count_crossings([1.0, -1.0, 1.0], v),
+    "crossing_statistics.level": lambda v: mc.crossing_statistics(SQEXP, v, 4, 64, 0),
+    "rice_crossing_mean.level": lambda v: mc.rice_crossing_mean(SQEXP, v),
+    "mc_integrated_functionals.level": lambda v: mc.mc_integrated_functionals(
+        [H1], SQEXP, 4, 64, 0, level=v),
+    "ms_derivative_residual.h": lambda v: mc.ms_derivative_residual(SQEXP, v),
+    "ms_derivative_check.h": lambda v: mc.ms_derivative_check(SQEXP, v, 4, 64, 0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_ENTRY_POINTS.values(),
+                         ids=NON_FINITE_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_level_or_lag_is_a_domain_error(call, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        call(value)

@@ -431,6 +431,56 @@ class TestWorkspaceReuse:
         assert runs[0] == runs[1] == runs[2]
 
 
+class TestFusedPass:
+    """A ``level`` adds the crossing count to a functionals pass."""
+
+    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
+    def test_fused_pass_equals_the_separate_passes(self, spec, grid):
+        plan, n_paths = _three_block_run(spec, grid)
+        kernel = parse_kernel(spec)
+        for specs in (("H:1", "H:2"), ("H:3", "H2:1,1", "H:2@xdot", "ind:0.5")):
+            functionals = [parse_functional(f) for f in specs]
+            for workers in (1, 2):
+                fused = mc.mc_integrated_functionals(
+                    functionals, kernel, n_paths, grid, 72, workers=workers, plan=plan, level=0.4)
+                alone = mc.mc_integrated_functionals(
+                    functionals, kernel, n_paths, grid, 72, workers=workers, plan=plan)
+                crossings = mc.crossing_statistics(
+                    kernel, 0.4, n_paths, grid, 72, workers=workers, plan=plan)
+                assert fused == alone + [crossings]
+
+    def test_single_statistic_passes_do_no_extra_work(self, monkeypatch):
+        calls = {"hermite": 0, "crossings": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mc, "hermite", counting("hermite", mc.hermite))
+        monkeypatch.setattr(mc, "_crossing_counts", counting("crossings", mc._crossing_counts))
+        plan = mc.build_embedding_plan(SQEXP, 128)
+        n_paths = 2 * mc._pair_chunk(plan) + 1  # two blocks
+        mc.crossing_statistics(SQEXP, 0.0, n_paths, 128, 73, plan=plan)
+        assert calls == {"hermite": 0, "crossings": 2}
+        mc.mc_integrated_functionals([parse_functional("sign")], SQEXP, n_paths, 128, 73,
+                                     plan=plan)
+        assert calls == {"hermite": 0, "crossings": 2}
+        mc.mc_integrated_functionals([parse_functional("H:2")], SQEXP, n_paths, 128, 73,
+                                     plan=plan)
+        assert calls == {"hermite": 2, "crossings": 2}
+
+    def test_nothing_to_estimate_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no functional"):
+            mc.mc_integrated_functionals([], SQEXP, 4, 64, 0)
+
+    def test_ms_derivative_check_takes_a_plan(self):
+        plan = mc.build_embedding_plan(SQEXP, 256)
+        assert (mc.ms_derivative_check(SQEXP, 0.05, 300, 256, 74, plan=plan)
+                == mc.ms_derivative_check(SQEXP, 0.05, 300, 256, 74))
+
+
 def _scalar_crossings(x, level):
     """Oracle: the one-row counter before the block counter existed."""
     s = np.sign(np.asarray(x, dtype=float) - level)

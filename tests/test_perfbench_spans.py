@@ -96,3 +96,24 @@ def test_traced_monte_carlo_functionals_record_hermite(spans):
     finally:
         tracer.uninstall()
     assert spans.span_metrics(tracer.spans)["specfun.hermite_s"] > 0.0
+
+
+def test_traced_verify_all_reaches_every_monte_carlo_oracle(spans, capsys):
+    # montecarlo.crossings_s, msderiv_s and functionals_s are read from these
+    # spans; the shared chaos and crossing pass goes through the public
+    # mc_integrated_functionals, and no oracle's span holds another's
+    oracles = {f"montecarlo.{name}" for name in
+               ("crossing_statistics", "mc_integrated_functionals", "ms_derivative_check")}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify-all", "--paths", "400", "--grid", "128"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    names = {span[0]: span[3] for span in tracer.spans}
+    assert oracles <= set(names.values())
+    assert all(names.get(span[1]) not in oracles for span in tracer.spans if span[3] in oracles)
+    metrics = spans.span_metrics(tracer.spans)
+    for metric in ("montecarlo.crossings_s", "montecarlo.msderiv_s", "montecarlo.functionals_s"):
+        assert metrics[metric] > 0.0
