@@ -10,6 +10,7 @@ successful run (exit 0).  Exit codes: 0 success, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -105,6 +106,7 @@ def _add_common(parser, formats=("json",)):
     )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpchaos",

@@ -6,10 +6,11 @@ multiplying each spectral amplitude by i*lambda produces the derivative
 channel, so (X, dX) carry their exact joint law on the grid (up to reported
 eigenvalue clipping).  Normals are drawn only on the eigen-support (the
 modes whose floored eigenvalue is non-zero); the grid values are then
-synthesized either directly from a K x n Fourier basis or by a chirp-z
-transform of the band of signed frequencies that holds the support,
-whichever the plan's sizes make cheaper.  Every path is a deterministic
-function of (seed, path_index) no matter how work is scheduled.
+synthesized either directly from a real cosine and sine basis over the
+support's distinct |frequencies| or by a chirp-z transform of the band of
+signed frequencies that holds the support, whichever the plan's sizes make
+cheaper.  Every path is a deterministic function of (seed, path_index) no
+matter how work is scheduled.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ GROWTH_CAP = 6
 # band synthesis took equal time near this ratio.
 SYNTHESIS_COST_RATIO = 30.0
 
-# Largest K n of a direct route: its two (2K, n) maps hold 32 K n bytes, so
-# this caps the basis at 64 MiB (a full-support rq:alpha=0.5 plan at grid
-# 256 would otherwise pick a 512 MiB basis).
+# Largest K n of a direct route: its (2F, n) basis over F <= K distinct
+# |frequencies| holds 16 F n <= 16 K n bytes, so this caps it at 32 MiB (a
+# full-support rq:alpha=0.5 plan at grid 256, F = 32,769, would otherwise
+# pick a 128 MiB basis).
 DIRECT_BASIS_LIMIT = 1 << 21
 
 # Bytes a block of path pairs may spend on what each pair synthesizes: its
@@ -151,22 +153,36 @@ class EmbeddingPlan:
 
     @cached_property
     def _direct_basis(self) -> tuple:
-        """Real (2K, n) maps, one contiguous array each, from a pair's draws
-        [re | im] to the real x and to the real dX grid values; the
-        [im | -re] row gives the imaginary ones.
+        """Direct synthesis data over the F distinct frequencies f = |k| of
+        the support's signed frequencies k: the real (2F, n) basis
+        [cos; sin] of 2 pi f j / m, and the fold from a pair's draws
+        [re | im] onto its 2F coefficients in that basis.
 
-        Column j of the x map is the amplitude times the inverse-DFT entry
-        exp(2 pi i k j / m) / m of each support mode k; the dX map
-        multiplies that by i*lambda_k.
+        Mode k adds a_k z_k exp(2 pi i k j / m) / m to a pair's field, with
+        a_k = sqrt(eigenvalue * m) and z_k = re_k + i im_k.  Each f has a +f
+        slot (which also holds k = 0) and a -f slot (which also holds the
+        Nyquist mode -m/2); a slot with no support mode keeps amplitude 0.
+        Returns the draw columns [re+ | re- | im+ | im-] of the 4F slots,
+        their amplitudes a_k / m, the rates [omega | -omega] with omega =
+        |lambda_k| of each f, and the basis.
         """
-        k = self.support
+        signed = self._signed_support
         m = self.embedding_size
-        # reduce k*j mod m in integers so the phase stays exact at large m
-        phase = np.outer(k, np.arange(self.grid_points)) % m
-        rows = np.exp((2j * math.pi / m) * phase)
-        rows *= (np.sqrt(self.eigenvalues[k] * m) / m)[:, None]
-        deriv = rows * (1j * self.angular_frequencies[k])[:, None]
-        return tuple(np.concatenate([f.real, -f.imag]) for f in (rows, deriv))
+        k = self.support.size
+        freq = np.abs(signed)
+        ordered = np.sort(freq)  # np.unique would import numpy.ma, 15 ms
+        freqs = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
+        slot = np.searchsorted(freqs, freq) + np.where(signed < 0, freqs.size, 0)
+        index = np.zeros(2 * freqs.size, dtype=np.intp)
+        index[slot] = np.arange(k)
+        amp = np.zeros(2 * freqs.size)
+        amp[slot] = np.sqrt(self.eigenvalues[self.support] * m) / m
+        omega = np.zeros(freqs.size)
+        omega[slot % freqs.size] = np.abs(self.angular_frequencies[self.support])
+        # reduce f*j mod m in integers so the phase stays exact at large m
+        angle = (2.0 * math.pi / m) * (np.outer(freqs, np.arange(self.grid_points)) % m)
+        return (np.concatenate([index, index + k]), np.tile(amp, 2),
+                np.concatenate([omega, -omega]), np.concatenate([np.cos(angle), np.sin(angle)]))
 
     @cached_property
     def _band_chirps(self) -> tuple:
@@ -291,13 +307,19 @@ def _pair_chunk(plan: EmbeddingPlan) -> int:
 class _Workspace:
     """The arrays one worker refills for every block of up to ``pairs``
     path pairs: the support draws, the synthesis route's scratch and the x
-    and dX rows.  A shorter last block uses their leading rows."""
+    and dX rows, which the direct route makes only at the grid ``columns``
+    when some are given.  A shorter last block uses their leading rows."""
 
-    def __init__(self, plan: EmbeddingPlan, pairs: int, values_only: bool):
+    def __init__(self, plan: EmbeddingPlan, pairs: int, values_only: bool, columns=None):
         n, k = plan.grid_points, plan.support.size
         self.draws = np.empty((pairs, 2 * k))
+        self.columns = columns
         if plan.direct_synthesis:
-            self.signed = np.empty((2 * pairs, 2 * k))
+            rows = plan._direct_basis[3].shape[0]  # 2F
+            self.folded = np.empty((pairs, 2 * rows))
+            self.coef = np.empty((2 * pairs, rows))
+            self.dcoef = None if values_only else np.empty((2 * pairs, rows))
+            n = n if columns is None else len(columns)
         else:
             self.spectral = np.empty((pairs, k), dtype=complex)
             self.buffer = np.empty((pairs, plan.band_length), dtype=complex)
@@ -311,8 +333,11 @@ def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: i
     alone, and return it."""
     bits = np.random.Philox(key=[seed, pair_start])
     normals = np.random.Generator(bits)
-    # a fresh stream's state; re-keying it is cheaper than a new generator
-    fresh = bits.state
+    # a fresh stream's state; re-keying it is cheaper than a new generator,
+    # and cheaper still from plain ints than from the numpy arrays it holds
+    state = bits.state
+    fresh = {**state, "buffer": state["buffer"].tolist(),
+             "state": {name: value.tolist() for name, value in state["state"].items()}}
     key = fresh["state"]["key"]  # [seed, pair_start]; only the pair changes
     for row, pair in zip(out, range(pair_start, pair_stop)):
         key[1] = pair
@@ -321,18 +346,28 @@ def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: i
     return out
 
 
-def _direct_paths(plan: EmbeddingPlan, draws, signed, x, xdot):
-    """Fill x, and xdot unless it is None, with the paths of a pair block by
-    K x n direct synthesis: the real part of each pair's field is the even
-    path, the imaginary part the odd one.  ``signed`` holds 2 rows per pair."""
-    k = plan.support.size
-    signed[0::2] = draws
-    signed[1::2, :k] = draws[:, k:]
-    np.negative(draws[:, :k], out=signed[1::2, k:])
-    x_basis, xdot_basis = plan._direct_basis
-    np.matmul(signed, x_basis, out=x)
-    if xdot is not None:
-        np.matmul(signed, xdot_basis, out=xdot)
+def _direct_paths(plan: EmbeddingPlan, draws, folded, coef, dcoef, x, xdot, columns=None):
+    """Fill x, and xdot unless it is None, with the paths of a pair block at
+    the grid ``columns`` (all of them by default) by direct synthesis: the
+    real part of each pair's field is the even path, the imaginary part the
+    odd one.  ``folded`` holds 4F values per pair, ``coef`` and ``dcoef``
+    2F per path."""
+    index, amp, rates, basis = plan._direct_basis
+    f = rates.size // 2
+    np.multiply(draws[:, index], amp, out=folded)
+    re_plus, re_minus, im_plus, im_minus = (folded[:, i * f:(i + 1) * f] for i in range(4))
+    # a mode at +-f adds a (re + i im)(cos +- i sin) to a pair's field
+    np.add(re_plus, re_minus, out=coef[0::2, :f])
+    np.subtract(im_minus, im_plus, out=coef[0::2, f:])
+    np.add(im_plus, im_minus, out=coef[1::2, :f])
+    np.subtract(re_plus, re_minus, out=coef[1::2, f:])
+    if columns is not None:
+        basis = basis[:, columns]
+    np.matmul(coef, basis, out=x)
+    if xdot is not None:  # d/dt (C cos wt + S sin wt) = w S cos wt - w C sin wt
+        np.multiply(coef[:, f:], rates[:f], out=dcoef[:, :f])
+        np.multiply(coef[:, :f], rates[f:], out=dcoef[:, f:])
+        np.matmul(dcoef, basis, out=xdot)
 
 
 def _band_paths(plan: EmbeddingPlan, draws, spectral, buffer, x, xdot):
@@ -362,21 +397,25 @@ def _band_paths(plan: EmbeddingPlan, draws, spectral, buffer, x, xdot):
 def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
                 space: _Workspace):
     """Paths [2*pair_start, 2*pair_stop) as (x, xdot) views of the
-    workspace: one complex field per pair, the real part feeding the even
-    path and the imaginary part the odd one.  xdot is None when the
-    workspace has no dX rows."""
+    workspace, at the workspace's grid columns: one complex field per pair,
+    the real part feeding the even path and the imaginary part the odd one.
+    xdot is None when the workspace has no dX rows."""
     count = pair_stop - pair_start
     draws = _support_draws(plan, seed, pair_start, pair_stop, space.draws[:count])
     x = space.x[:2 * count]
     xdot = None if space.xdot is None else space.xdot[:2 * count]
     if plan.direct_synthesis:
-        _direct_paths(plan, draws, space.signed[:2 * count], x, xdot)
-    else:
-        _band_paths(plan, draws, space.spectral[:count], space.buffer[:count], x, xdot)
-    return x, xdot
+        _direct_paths(plan, draws, space.folded[:count], space.coef[:2 * count],
+                      None if xdot is None else space.dcoef[:2 * count], x, xdot, space.columns)
+        return x, xdot
+    _band_paths(plan, draws, space.spectral[:count], space.buffer[:count], x, xdot)
+    if space.columns is None:
+        return x, xdot
+    # the band route makes whole rows
+    return x[:, space.columns], None if xdot is None else xdot[:, space.columns]
 
 
-def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
+def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False, columns=None):
     """Yield the statistic of paths 0..n_paths-1 in path order, one block
     per chunk of path pairs.
 
@@ -391,7 +430,7 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
     of them are allocated here, on the calling thread, so the blocks never
     land in a worker thread's malloc arena, which glibc does not trim; only
     the results are held.  With ``values_only`` dX is never synthesized and xdot_block
-    is None.
+    is None.  With ``columns`` the blocks hold only those grid columns.
     """
     chunk = _pair_chunk(plan)
     n_pairs = (n_paths + 1) // 2
@@ -400,7 +439,7 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
     count = min(workers, len(starts))
     free = queue.SimpleQueue()
     for _ in range(count):
-        free.put((_Workspace(plan, pairs, values_only), statistic(plan, 2 * pairs)))
+        free.put((_Workspace(plan, pairs, values_only, columns), statistic(plan, 2 * pairs)))
 
     def run(lo):
         space, block_statistic = free.get()
@@ -419,11 +458,13 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False):
             yield from pool.map(run, starts)
 
 
-def _path_moments(plan, seed, n_paths, statistic, workers, values_only=False) -> list:
+def _path_moments(plan, seed, n_paths, statistic, workers, values_only=False,
+                  columns=None) -> list:
     """Moments of each column of a statistic's values over paths
     0..n_paths-1; ``statistic(plan, rows)`` maps a block of at most ``rows``
     paths to one row per path (see _blocks)."""
-    blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only)
+    blocks = _blocks(plan, seed, n_paths, statistic, _worker_count(workers), values_only,
+                     columns)
     return [_moments(values) for values in np.concatenate(list(blocks)).T]
 
 
@@ -508,7 +549,10 @@ def _crossing_counts(x_block, level, side=None, change=None):
         s = np.take_along_axis(s, idx, axis=1)
     else:  # no ties: which side of the level is enough, at a byte a point
         s = np.greater(x_block, level, out=side)
-    return np.count_nonzero(np.not_equal(s[:, 1:], s[:, :-1], out=change), axis=1).astype(float)
+    # a uint32 sum is exact for any row shorter than 2^32 points, and runs
+    # about twice as fast as count_nonzero's intp sum
+    changes = np.not_equal(s[:, 1:], s[:, :-1], out=change)
+    return changes.sum(axis=1, dtype=np.uint32).astype(float)
 
 
 def crossing_statistics(
@@ -633,6 +677,7 @@ def ms_derivative_check(
     h = lag * plan.grid_step
 
     def residuals(plan, rows):  # one column: the lists keep the grid axis
-        return lambda x, xd: ((x[:, [lag]] - x[:, [0]]) / h - xd[:, [0]]) ** 2
+        return lambda x, xd: ((x[:, [1]] - x[:, [0]]) / h - xd[:, [0]]) ** 2
 
-    return h, _path_moments(plan, seed, n_paths, residuals, workers)[0]
+    # the blocks hold grid columns 0 and lag alone
+    return h, _path_moments(plan, seed, n_paths, residuals, workers, columns=[0, lag])[0]

@@ -18,7 +18,7 @@ from .asymptotics import (
     geometric_orders,
     hyp2f1_terminating,
     iter_integral_closed_form,
-    iter_integral_quadrature,
+    iter_integral_series,
 )
 from .chaos import (
     integrated_chaos_norms,
@@ -27,7 +27,7 @@ from .chaos import (
     regularization_exponent,
 )
 from .conditions import condition_report
-from .errors import DomainError, GpchaosError
+from .errors import DomainError, GpchaosError, whole
 from .kernels import fd_derivatives_at_zero, r_derivatives_at_zero, reconstruct_r
 
 __all__ = [
@@ -61,11 +61,12 @@ def gauss_identity():
 
 
 def closed_form():
-    """Iterated-integral closed form against quadrature (n <= 30), its two
-    anchors, and its n^(-1/2) decay slope over n in [50, 400]."""
+    """Iterated-integral closed form against quadrature (n <= 30, one pass
+    on shared nodes), its two anchors, and its n^(-1/2) decay slope over n
+    in [50, 400]."""
     worst = max(
-        abs(iter_integral_closed_form(n) - iter_integral_quadrature(1.0, 1.0, n))
-        for n in range(31)
+        abs(iter_integral_closed_form(n) - value)
+        for n, value in iter_integral_series(1.0, 1.0, range(31))
     )
     anchor0 = abs(iter_integral_closed_form(0) - 0.5)
     anchor1 = abs(iter_integral_closed_form(1) - 5.0 / 12.0)
@@ -223,11 +224,13 @@ def _run(name, fn):
 def battery(kernel, paths, grid, seed):
     """The eleven checks of ``verify-all`` as (name, status, detail) entries;
     the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
-    derivative check) on ``grid`` points.  They share one embedding plan,
-    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass;
-    a plan that fails is rebuilt by each check, which skips with its error."""
+    derivative check) on ``grid`` points from a nonnegative integer
+    ``seed``.  They share one embedding plan, and ``chaos-vs-monte-carlo``
+    and ``level-crossings`` one sampler pass; a plan that fails is rebuilt
+    by each check, which skips with its error."""
     if paths < 2:
         raise DomainError(f"the battery needs at least 2 paths, got {paths}")
+    whole(seed, f"seed={seed} must be a nonnegative integer")
     try:
         plan = mc.build_embedding_plan(kernel, grid)
     except GpchaosError:

@@ -587,6 +587,23 @@ class TestNonFiniteInput:
         assert "non-finite" in err
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        assert build_parser() is build_parser()
+        # appended values of one call do not reach the next
+        first = run_json(capsys, "chaos", "--kernel", "sqexp", "--functional", "H:2",
+                         "--n-max", "4", "--alpha", "1", "--alpha", "2")
+        second = run_json(capsys, "chaos", "--kernel", "sqexp", "--n-max", "4")
+        assert first["config"]["alphas"] == [1.0, 2.0]
+        assert (second["config"]["alphas"], second["config"]["functional"]) == ([0.0], "H:1")
+        both = run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "4", "--grid", "64",
+                        "--functional", "H:1", "--functional", "H:2")
+        neither = run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "4",
+                           "--grid", "64")
+        assert [m["functional"] for m in both["moments"]] == ["H:1", "H:2"]
+        assert neither["config"]["functionals"] is None and "crossings" in neither
+
+
 class TestVerifyAll:
     def test_smooth_kernel_all_pass(self, capsys):
         report = run_json(
@@ -636,6 +653,13 @@ class TestVerifyAll:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "at least 2 paths" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # every Monte Carlo check skipped on it, and the run passed
+        code, out, err = run_cli(capsys, "verify-all", "--paths", "20", "--grid", "64",
+                                 "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "seed=-1 must be a nonnegative integer" in err
 
     def test_single_path_simulation_still_reports(self, capsys):
         run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "1", "--grid", "64")
@@ -711,9 +735,9 @@ class TestBattery:
     def test_default_sizes_draw_each_pair_once(self, monkeypatch):
         # 10,000 pairs for the chaos and crossing checks together, 3,000 for
         # the derivative check and 2 x 122 for the replay at 1 and 2 workers,
-        # all on one plan
-        pairs, builds = [], []
-        draws, build = mc._support_draws, mc.build_embedding_plan
+        # all on one plan; the derivative check synthesizes two grid columns
+        pairs, builds, widths = [], [], {}
+        draws, build, direct = mc._support_draws, mc.build_embedding_plan, mc._direct_paths
 
         def counting_draws(plan, seed, pair_start, pair_stop, out):
             pairs.append(pair_stop - pair_start)
@@ -723,13 +747,19 @@ class TestBattery:
             builds.append(grid)
             return build(kernel, grid)
 
+        def counting_direct(plan, draws, folded, coef, dcoef, x, xdot, columns=None):
+            widths[x.shape[1]] = widths.get(x.shape[1], 0) + len(draws)
+            return direct(plan, draws, folded, coef, dcoef, x, xdot, columns)
+
         monkeypatch.setattr(mc, "_support_draws", counting_draws)
         monkeypatch.setattr(mc, "build_embedding_plan", counting_build)
+        monkeypatch.setattr(mc, "_direct_paths", counting_direct)
         monkeypatch.setenv("GPCHAOS_WORKERS", "1")
         checks = verify.battery(parse_kernel("sqexp"), 20000, 512, 0)
         assert all(c["status"] == "pass" for c in checks)
         assert sum(pairs) == 10000 + 3000 + 2 * 122
         assert builds == [512]
+        assert widths == {512: 10000 + 2 * 122, 2: 3000}
 
 
 # Spec strings from the kernel and functional grammars: each family with

@@ -46,9 +46,12 @@ def _draws(plan, seed, pair_start, pair_stop):
     return mc._support_draws(plan, seed, pair_start, pair_stop, rows)
 
 
-def _direct_paths(plan, draws):
-    x, xdot = np.empty((2, 2 * draws.shape[0], plan.grid_points))
-    mc._direct_paths(plan, draws, np.empty((2 * draws.shape[0], draws.shape[1])), x, xdot)
+def _direct_paths(plan, draws, columns=None):
+    count, rows = draws.shape[0], plan._direct_basis[3].shape[0]
+    width = plan.grid_points if columns is None else len(columns)
+    x, xdot = np.empty((2, 2 * count, width))
+    mc._direct_paths(plan, draws, np.empty((count, 2 * rows)), np.empty((2 * count, rows)),
+                     np.empty((2 * count, rows)), x, xdot, columns)
     return x, xdot
 
 
@@ -60,9 +63,9 @@ def _band_paths(plan, draws):
     return x, xdot
 
 
-def _pair_block(plan, seed, pair_start, pair_stop, values_only=False):
+def _pair_block(plan, seed, pair_start, pair_stop, values_only=False, columns=None):
     """One block in a workspace of its own."""
-    space = mc._Workspace(plan, pair_stop - pair_start, values_only)
+    space = mc._Workspace(plan, pair_stop - pair_start, values_only, columns)
     return mc._pair_block(plan, seed, pair_start, pair_stop, space)
 
 
@@ -328,6 +331,46 @@ class TestSynthesisRoutes:
         band = _band_paths(plan, draws)
         for got, want in zip(band, direct):
             assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_direct_basis_spans_the_distinct_frequencies(self):
+        # sqexp at grid 512 draws 27 modes at signed frequencies -13..13
+        plan = mc.build_embedding_plan(SQEXP, 512)
+        index, amp, rates, basis = plan._direct_basis
+        assert plan.support.size == 27
+        assert basis.shape == (2 * 14, 512) and index.shape == amp.shape == (4 * 14,)
+        # the -0 slot holds no mode
+        assert amp[14] == 0.0 and rates[0] == 0.0
+
+    @pytest.mark.parametrize("case", ["asymmetric", "nyquist"])
+    def test_direct_route_on_unpaired_modes_matches_the_m_point_oracle(self, case):
+        if case == "asymmetric":
+            # modes +1 and +3 lose their partners -1 and -3
+            plan = mc.build_embedding_plan(SQEXP, 128)
+            eigenvalues = plan.eigenvalues.copy()
+            eigenvalues[[plan.embedding_size - 1, plan.embedding_size - 3]] = 0.0
+            plan = replace(plan, eigenvalues=eigenvalues, support=np.flatnonzero(eigenvalues))
+            assert {1, 3} <= set(plan.support)
+        else:  # full support: the Nyquist mode -m/2 has no +m/2 partner
+            plan = mc.build_embedding_plan(parse_kernel("matern32"), 32)
+            assert plan.support.size == plan.embedding_size
+        assert plan.direct_synthesis
+        draws = _draws(plan, 8, 0, 5)
+        for got, want in zip(_direct_paths(plan, draws), _support_oracle(plan, draws)):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 512)])
+    def test_column_blocks_are_columns_of_the_full_rows(self, spec, grid):
+        plan = mc.build_embedding_plan(parse_kernel(spec), grid)
+        assert plan.direct_synthesis == (spec == "sqexp")
+        columns = [0, 26, grid - 1]
+        full = _pair_block(plan, 6, 2, 9)
+        narrow = _pair_block(plan, 6, 2, 9, columns=columns)
+        for got, want in zip(narrow, full):
+            assert got.shape == (14, 3)
+            assert_allclose(got, want[:, columns], rtol=0.0, atol=1e-12)
+        x, xdot = _direct_paths(plan, _draws(plan, 6, 2, 9), columns)
+        assert_allclose(x, full[0][:, columns], rtol=0.0, atol=1e-12)
+        assert_allclose(xdot, full[1][:, columns], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048)])
     def test_value_only_blocks_are_the_x_half(self, spec, grid):
