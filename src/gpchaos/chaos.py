@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import DecaySeries, fit_decay_exponent
 from .covstruct import _quadratic_form, a_matrix, tensor_power_quadratic_form
 from .errors import DomainError, whole
-from .kernels import Kernel
+from .kernels import Kernel, _spec_number
 from .quadrature import integrate
 
 __all__ = [
@@ -107,7 +107,7 @@ class Functional:
         elif self.kind == "H2":
             return f"H2:{self.a},{self.b}"
         elif self.kind == "ind":
-            base = f"ind:{self.level:g}"
+            base = f"ind:{_spec_number(self.level)}"
         else:
             base = self.kind
         return base + ("@xdot" if self.axis == "xdot" else "")

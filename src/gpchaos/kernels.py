@@ -11,19 +11,19 @@ Every kernel is a frozen dataclass exposing
 
 Closed-form b representations exist for the squared-exponential and Matern
 families; the remaining integrable families get a sampled-grid b built by
-Fourier inversion of the square-root spectral density.  The generic Matern
-route deliberately evaluates modified Bessel functions through
-``specfun.bessel_zk`` rather than the half-integer finite sums, so that
-``Matern(nu=m+1/2)`` and ``MaternHalfInteger(m)`` stay independent
-implementations that can be cross-checked against each other.
+Fourier inversion of the square-root spectral density.  Every Matern order
+takes one route, ``specfun.bessel_zk``, which is a closed form at the
+half-integer orders that ``maternhi:m`` and the ``matern12``, ``matern32`` and
+``matern52`` aliases name.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "GammaExponential",
     "Kernel",
     "Matern",
-    "MaternHalfInteger",
     "Periodic",
     "RationalQuadratic",
     "SquaredExponential",
@@ -107,6 +106,12 @@ class BKernel:
     notes: tuple = ()
 
 
+def _spec_number(value):
+    """``value`` as ``:g`` writes it where that parses back equal, else in full."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _ret(out, t):
     """``out`` for an array argument ``t``; its one value as a float for a
     scalar ``t``."""
@@ -122,6 +127,8 @@ def _even(hook, t, odd=False):
 
 def _positive(z, at_zero, fn):
     """``fn(z)`` where ``z > 0``, and ``at_zero`` where ``z == 0``."""
+    if z.min(initial=math.inf) > 0.0:  # no lag to mask: fn takes z whole
+        return fn(z)
     out = np.full(z.shape, at_zero, dtype=float)
     pos = z > 0
     out[pos] = fn(z[pos])
@@ -205,7 +212,8 @@ class Kernel:
         return d.r4
 
     def spec_string(self) -> str:
-        inner = ",".join(f"{k}={getattr(self, k):g}" for k in sorted(f.name for f in fields(self)))
+        inner = ",".join(f"{k}={_spec_number(getattr(self, k))}"
+                         for k in sorted(f.name for f in fields(self)))
         return f"{self.family}:{inner}" if inner else self.family
 
 
@@ -283,21 +291,26 @@ def _bessel_form(nu, z, order=0, log_p=None):
     nu} (-1)^k Gamma(nu-k)/(Gamma(nu) k!) (z^2/4)^k, wherever z^2 < 2 nu (the
     terms fall) and the odd part, (z/2)^(2 nu - order) / (Gamma(nu)
     Gamma(nu+1)), is below e^-77 (rounding, with room for its 1/sin(pi nu)
-    and log z factors near integer nu)."""
+    and log z factors near integer nu): below one cut-off in z, and nowhere
+    unless 2 nu > order, where the odd part vanishes at 0."""
     log_p = _matern_log_c(nu) if log_p is None else log_p
-    rows, log_z = bessel_zk(nu - min(order, 1), z, max(order, 1)), np.log(z)
+    rows = bessel_zk(nu - min(order, 1), z, max(order, 1))
 
-    def part(k, j):  # P z^k f_o at o = nu - min(order, 1) + j
+    def part(j):  # P z^min(order, 1) f_o at o = nu - min(order, 1) + j
         y, scale = rows[j]
-        return np.exp(log_p + scale + k * log_z) * y
+        out = np.add(scale, log_p)
+        if order == 1:
+            out += np.log(z)
+        return np.multiply(np.exp(out, out=out), y, out=out)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (part(0, 0) if order == 0 else -part(1, 0) if order == 1
-               else part(0, 1) - (2.0 * nu - 1.0) * part(0, 0))
-    if nu <= 0:
+        out = (part(0) if order == 0 else -part(0) if order == 1
+               else part(1) - (2.0 * nu - 1.0) * part(0))
+    cut = math.exp(min(0.5 * math.log(2.0 * nu), math.log(2.0) + (gamma_ln(nu) + gamma_ln(
+        nu + 1.0) - 77.0) / (2.0 * nu - order))) if 2.0 * nu > order else 0.0
+    near = z < cut
+    if not near.any():
         return out
-    near = (z * z < 2.0 * nu) & ((2.0 * nu - order) * (log_z - math.log(2.0))
-                                 < gamma_ln(nu) + gamma_ln(nu + 1.0) - 77.0)
     zn = z[near]
     w, g = zn * zn / 4.0, np.ones(zn.shape)
     total = g if order == 0 else np.zeros(zn.shape)
@@ -312,17 +325,15 @@ def _bessel_form(nu, z, order=0, log_p=None):
 
 
 def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
-    """Closed-form moving-average kernel shared by both Matern routes.
+    """Closed-form moving-average kernel of the Matern covariance.
 
     b(x) = P (g|x|)^q K_q(g|x|) with q = (nu - 1/2)/2 and g = sqrt(2 nu)/ell;
     the prefactor is fixed by int b^2 = 1.  The derivative uses
     d/dz [z^q K_q(z)] = -z^q K_{q-1}(z).  b ~ |x|^(2q) at 0 when q < 0.
     """
     gam = math.sqrt(2.0 * nu) / ell
-    mu = nu + 0.5
     q = (nu - 0.5) / 2.0
-    log_d = gamma_ln(mu) - 0.5 * math.log(math.pi) - gamma_ln(nu) - \
-        math.log(gam)
+    log_d = gamma_ln(nu + 0.5) - 0.5 * math.log(math.pi) - gamma_ln(nu) - math.log(gam)
     log_p = 0.5 * (math.log(2.0) + log_d) + math.log(gam) \
         - q * math.log(2.0) - gamma_ln(q + 0.5)
     b0 = math.exp(log_p - _matern_log_c(q)) if q > 0 else np.inf
@@ -340,9 +351,9 @@ def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
                    notes=notes)
 
 
-# Largest integer order of the families built in exact rationals, whose cost
-# grows fast with it: a Wendland conditions report takes 1.3 s at k = 20 and
-# 35 s at k = 100.  matern:nu covers the Matern orders beyond.
+# Largest Wendland order, built in exact rationals, whose cost grows fast
+# with it: a conditions report takes 1.3 s at k = 20 and 35 s at k = 100.
+# maternhi:m keeps the same cap; matern:nu covers the orders beyond.
 _MAX_ORDER = 20
 
 # Largest Bessel order of the Matern nu and the rq alpha: the K recurrence
@@ -382,8 +393,8 @@ class Matern(Kernel):
     def _gam(self):
         return math.sqrt(2.0 * self.nu) / self.ell
 
-    def _r_abs(self, s):
-        return _positive(self._gam * s, 1.0, lambda z: _bessel_form(self.nu, z))
+    def _r_abs(self, s):  # z = g s over _even's own |t|: a plan's lags take 256 KB
+        return _positive(np.multiply(s, self._gam, out=s), 1.0, lambda z: _bessel_form(self.nu, z))
 
     def _r1_abs(self, s):
         return _positive(self._gam * s, 0.0, lambda z: self._gam * _bessel_form(self.nu, z, 1))
@@ -415,82 +426,6 @@ class Matern(Kernel):
 
     def b_representation(self):
         return _matern_b_closed(self.nu, self.ell)
-
-
-@dataclass(frozen=True)
-class MaternHalfInteger(Kernel):
-    """Matern covariance at nu = m + 1/2 via the exponential-polynomial form.
-
-    r(t) = e^{-z} m!/(2m)! sum_{i=0}^{m} (m+i)!/(i!(m-i)!) (2z)^{m-i},
-    z = sqrt(2 nu) |t| / ell, whose Taylor series at 0 is
-    1 - z^2/(2(2m-1)) + z^4/(8(2m-1)(2m-3)) + ... up to its odd term z^{2m+1}.
-    """
-
-    m: int
-    ell: float = 1.0
-    family = "maternhi"
-
-    def __post_init__(self):
-        m = whole(self.m, f"maternhi: m must be an integer in [0, {_MAX_ORDER}]", high=_MAX_ORDER)
-        if self.ell <= 0:
-            raise DomainError("maternhi: ell must be positive")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def nu(self):
-        return self.m + 0.5
-
-    # the spectral side depends on (nu, ell) alone
-    _gam = Matern._gam
-    spectral_density = Matern.spectral_density
-    b_representation = Matern.b_representation
-
-    @functools.cached_property
-    def _p_coeffs(self):
-        """Exact coefficients of p(z) with r = p(z) e^{-z}, p(0) = 1."""
-        m = self.m
-        lead = Fraction(math.factorial(m), math.factorial(2 * m))
-        coeffs = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            c = lead * Fraction(
-                math.factorial(m + i),
-                math.factorial(i) * math.factorial(m - i)) * 2 ** (m - i)
-            coeffs[m - i] += c
-        return tuple(coeffs)
-
-    @functools.cached_property
-    def _polys(self):
-        p = np.array([float(c) for c in self._p_coeffs])
-        p1 = npoly.polyder(p)
-        p2 = npoly.polyder(p, 2)
-        return p, p1, p2
-
-    def _r_abs(self, s):
-        z = self._gam * s
-        p, _, _ = self._polys
-        return npoly.polyval(z, p) * np.exp(-z)
-
-    def _r1_abs(self, s):
-        z = self._gam * s
-        p, p1, _ = self._polys
-        return self._gam * (npoly.polyval(z, p1) - npoly.polyval(z, p)) \
-            * np.exp(-z)
-
-    def _r2_abs(self, s):
-        z = self._gam * s
-        p, p1, p2 = self._polys
-        val = npoly.polyval(z, p2) - 2.0 * npoly.polyval(z, p1) \
-            + npoly.polyval(z, p)
-        return self._gam**2 * val * np.exp(-z)
-
-    def _r2_at_zero(self):
-        return -1.0 / (2 * self.m - 1) * self._gam**2
-
-    def _r4_at_zero(self):
-        return 24.0 * (1 / (8 * (2 * self.m - 1) * (2 * self.m - 3))) * self._gam**4
-
-    def _odd_taylor_power(self):
-        return 2.0 * self.nu
 
 
 # --------------------------------------------------------------------------
@@ -1055,39 +990,48 @@ def fd_derivatives_at_zero(kernel: Kernel) -> dict:
 # parsing
 
 
-_FAMILIES = {
-    cls.family: cls
-    for cls in (SquaredExponential, Matern, MaternHalfInteger, GammaExponential,
-                RationalQuadratic, Wendland, Cosine, Periodic)
+def _matern_half_integer(m, ell=1.0):
+    """Matern(nu = m + 1/2), the covariance ``maternhi:m=`` names by its whole m."""
+    m = whole(m, f"maternhi: m must be an integer in [0, {_MAX_ORDER}]", high=_MAX_ORDER)
+    return Matern(m + 0.5, ell)
+
+
+# the constructor that each family name or alias spells, whose parameters a spec names
+_FAMILIES = {cls.family: cls for cls in (SquaredExponential, Matern, GammaExponential,
+                                         RationalQuadratic, Wendland, Cosine, Periodic)} | {
+    "squaredexponential": SquaredExponential,
+    "rationalquadratic": RationalQuadratic,
+    "maternhi": _matern_half_integer,
+    "matern12": functools.partial(_matern_half_integer, 0),
+    "matern32": functools.partial(_matern_half_integer, 1),
+    "matern52": functools.partial(_matern_half_integer, 2),
 }
 
-_ALIASES = {
-    "squaredexponential": ("sqexp", {}),
-    "rationalquadratic": ("rq", {}),
-    "matern12": ("maternhi", {"m": 0}),
-    "matern32": ("maternhi", {"m": 1}),
-    "matern52": ("maternhi", {"m": 2}),
-}
+
+@functools.cache
+def _parameters(make):
+    """``{name: required}`` over the parameters of a family's constructor."""
+    return {name: p.default is p.empty for name, p in inspect.signature(make).parameters.items()}
 
 
 def parse_kernel(text: str) -> Kernel:
     """Parse ``family:param=value,param=value`` into a kernel instance.
 
-    The parameters are the family's dataclass fields, those without a
-    default required; ``period`` names ``T``.  Raises DomainError on unknown
-    families or parameters, repeated, malformed or non-finite values, and,
-    through the family's own checks, values outside its domain.
+    The parameters are those of the constructor that ``family`` spells, the
+    dataclass fields of a kernel class, those without a default required;
+    ``period`` names ``T``.  Raises DomainError on unknown families or
+    parameters, repeated, malformed or non-finite values, and, through the
+    family's own checks, values outside its domain.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError("empty kernel specification")
     fam, _, rest = text.strip().partition(":")
     fam = fam.strip().lower()
-    fam, forced = _ALIASES.get(fam, (fam, {}))
     if fam not in _FAMILIES:
         raise DomainError(f"unknown kernel family {fam!r}")
-    cls = _FAMILIES[fam]
-    names = {f.name: f.default is MISSING for f in fields(cls)}
-    params = dict(forced)
+    make = _FAMILIES[fam]
+    names = _parameters(make)
+    params = {}
     if rest.strip():
         for item in rest.split(","):
             key, sep, val = item.partition("=")
@@ -1095,11 +1039,9 @@ def parse_kernel(text: str) -> Kernel:
             if key == "period":
                 key = "T"
             if not sep or key not in names:
-                raise DomainError(
-                    f"bad parameter {item!r} for family {fam!r}")
+                raise DomainError(f"bad parameter {item!r} for family {fam!r}")
             if key in params:
-                why = "fixed by the alias" if key in forced else f"given twice in {text!r}"
-                raise DomainError(f"parameter {key!r} is {why}")
+                raise DomainError(f"parameter {key!r} is given twice in {text!r}")
             try:
                 params[key] = float(val)
             except ValueError:
@@ -1108,6 +1050,5 @@ def parse_kernel(text: str) -> Kernel:
                 raise DomainError(f"non-finite value in {item!r}")
     missing = [k for k, required in names.items() if required and k not in params]
     if missing:
-        raise DomainError(
-            f"family {fam!r} requires parameter(s) {', '.join(missing)}")
-    return cls(**params)
+        raise DomainError(f"family {fam!r} requires parameter(s) {', '.join(missing)}")
+    return make(**params)

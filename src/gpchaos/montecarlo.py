@@ -245,9 +245,10 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
 
     period = m * dt
     t_row = np.arange(m) * dt
-    row = np.zeros(m)
+    row, lags = np.zeros(m), np.empty(m)  # one buffer holds every wrap's lags
     for j in range(-PERIODIZATION_WRAPS, PERIODIZATION_WRAPS + 1):
-        row += kernel.r(np.abs(t_row + j * period))
+        row += kernel.r(np.abs(np.add(t_row, j * period, out=lags), out=lags))
+    del t_row, lags  # the FFT's buffers set the plan's peak memory
     eig = np.fft.fft(row).real
     eig_max = float(eig.max())
     eig_min = float(eig.min())

@@ -140,20 +140,24 @@ def _climb(mu, y, y_next, z, scale, lo, hi):
 
     In y_o = z^o K_o the upward recurrence K_(o+1) = K_(o-1) + (2o/z) K_o
     reads y_(o+1) = z^2 y_(o-1) + 2o y_o, a sum of positive terms for o > 0:
-    each step adds one rounding relative to the value.  y grows by less than
+    each step adds a few roundings relative to the value.  y grows by less than
     z + 2o < 2^12 a step; past 2^600 it is scaled down by an exact power of
-    two that goes into the running log scale.
+    two that goes into the running log scale.  Each step writes y_(o+1) over
+    the y_(o-1) it consumes unless that row is returned, and takes z^2 y as
+    (y z) z: each array live at once on a plan's 256 KB of lags faults anew.
     """
-    rows, z2 = [], z * z
-    for j in range(hi + 1):
-        if j >= lo:
-            rows.append((y, scale))
-        if j < hi:
-            y, y_next = y_next, z2 * y + 2.0 * (mu + j + 1) * y_next
-            if y_next.max(initial=0.0) > 2.0**600:
-                exponent = np.frexp(y_next)[1]
-                y, y_next = np.ldexp(y, -exponent), np.ldexp(y_next, -exponent)
-                scale = scale + exponent * math.log(2.0)
+    rows, term = [(y, scale), (y_next, scale)][lo:hi + 1], np.empty_like(z)
+    for j in range(hi - 1):  # step j makes row j + 2 from rows j and j + 1
+        np.multiply(y_next, 2.0 * (mu + j + 1), out=term)
+        y = np.multiply(y, z, out=None if j >= lo else y)
+        y *= z
+        y, y_next = y_next, np.add(y, term, out=y)
+        if y_next.max(initial=0.0) > 2.0**600:
+            exponent = np.frexp(y_next)[1]
+            y, y_next = np.ldexp(y, -exponent), np.ldexp(y_next, -exponent)
+            scale = scale + exponent * math.log(2.0)
+        if j + 2 >= lo:
+            rows.append((y_next, scale))
     return rows
 
 
@@ -174,15 +178,18 @@ def bessel_zk(nu: float, z, count: int = 1):
     z = np.asarray(z, dtype=float)
     low = math.floor(nu + 0.5)  # orders nu + j share one mu in [-1/2, 1/2)
     mu = nu - low
-    if mu == -0.5:  # K_(1/2)(z) = sqrt(pi/(2z)) e^-z, K_(3/2) = K_(1/2) (1 + 1/z)
-        c = np.full(z.shape, math.sqrt(0.5 * math.pi))
-        base = (c / z, c, c, c * (1.0 + z), -z)
+    if mu == -0.5:  # K_(1/2)(z) = sqrt(pi/(2z)) e^-z, K_(3/2) = K_(1/2) (1 + 1/z),
+        # whose e^-z joins the log scale after the climb, which needs none of it
+        c = math.sqrt(0.5 * math.pi)
+        y_mu, y_mu1, scale = c / z, np.full(z.shape, c), 0.0
+        if low < 0:
+            y_neg, y_neg1 = np.full(z.shape, c), c * (1.0 + z)
     else:
         small = z < 2.0
         base = np.empty((5,) + z.shape)
         base[:, small] = _temme(mu, z[small])
         base[:, ~small] = _trapezoid(mu, z[~small])
-    y_mu, y_mu1, y_neg, y_neg1, scale = base
+        y_mu, y_mu1, y_neg, y_neg1, scale = base
     high = low + count - 1
     rows = []
     if low < 0:  # o = mu + k, k < 0, is -(-mu + |k|): z^o K_o = z^(2o) z^|o| K_|o|
@@ -191,7 +198,7 @@ def bessel_zk(nu: float, z, count: int = 1):
             rows.append((y, s + 2.0 * (nu + j) * np.log(z)))
     if high >= 0:
         rows += _climb(mu, y_mu, y_mu1, z, scale, max(low, 0), high)
-    return rows
+    return [(y, s - z) for y, s in rows] if mu == -0.5 else rows
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, z: float) -> float:

@@ -55,7 +55,7 @@ class TestParseFunctional:
     @pytest.mark.parametrize(
         "text",
         ["H:0", "H:3", "H:2@xdot", "H2:0,0", "H2:1,1", "H2:3,2", "sign",
-         "sign@xdot", "abs", "abs@xdot", "ind:0", "ind:1.5", "ind:-2@xdot"],
+         "sign@xdot", "abs", "abs@xdot", "ind:0", "ind:1.5", "ind:-2@xdot", "ind:0.123456789"],
     )
     def test_round_trip(self, text):
         func = parse_functional(text)

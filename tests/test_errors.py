@@ -15,7 +15,7 @@ from gpchaos.asymptotics import gauss_theorem_value, iter_integral_closed_form
 from gpchaos.chaos import Functional, point_chaos_norms, regularization_rho
 from gpchaos.covstruct import tensor_power_quadratic_form
 from gpchaos.errors import DomainError, whole
-from gpchaos.kernels import MaternHalfInteger, Wendland, parse_kernel
+from gpchaos.kernels import Wendland, parse_kernel
 from gpchaos.specfun import hermite, hyp2f1_terminating
 
 SQEXP = parse_kernel("sqexp")
@@ -57,7 +57,7 @@ ENTRY_POINTS = {
     "hermite.ladder": lambda v: hermite({1, v}, np.zeros(3)),
     "hyp2f1_terminating": lambda v: hyp2f1_terminating(-0.5, -v, 0.5, 1.0),
     "tensor_power_quadratic_form": lambda v: tensor_power_quadratic_form(SQEXP, 0.3, 1, v),
-    "MaternHalfInteger": lambda v: MaternHalfInteger(m=v),
+    "maternhi": lambda v: parse_kernel(f"maternhi:m={v!r}"),
     "Wendland": lambda v: Wendland(k=v),
 }
 

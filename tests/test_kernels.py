@@ -32,7 +32,6 @@ from gpchaos.kernels import (
     Cosine,
     GammaExponential,
     Matern,
-    MaternHalfInteger,
     Periodic,
     RationalQuadratic,
     SquaredExponential,
@@ -49,15 +48,44 @@ from gpchaos.kernels import (
 )
 from gpchaos.specfun import bessel_zk
 
+
+def _spec(text):
+    """The kernel that ``text`` names, as a test parameter with ``text`` for id."""
+    return pytest.param(parse_kernel(text), id=text)
+
+
+def _half_integer_matern(m, ell, t, derivative=0):
+    """The ``derivative``-th t-derivative of the Matern covariance at nu = m +
+    1/2 from its closed form e^-z m!/(2m)! sum_i (m+i)!/(i!(m-i)!)
+    (2z)^(m-i), z = sqrt(2m+1) t/ell, t >= 0, in mpmath at 40 digits:
+    (d/dz)^n (e^-z p) = e^-z sum_k C(n, k) (-1)^(n-k) p^(k)."""
+    coeffs = [Fraction(math.factorial(m) * math.factorial(2 * m - k) * 2**k,  # of z^k in p, i = m - k
+                       math.factorial(2 * m) * math.factorial(m - k) * math.factorial(k))
+              for k in range(m + 1)]
+    with mpmath.workdps(40):
+        g = mpmath.sqrt(2 * m + 1) / mpmath.mpf(ell)
+
+        def value(x):
+            z = g * mpmath.mpf(x)
+            total = 0
+            for k in range(derivative + 1):
+                p_k = sum(mpmath.mpf(a.numerator) / a.denominator * math.perm(j, k) * z ** (j - k)
+                          for j, a in enumerate(coeffs) if j >= k)
+                total += math.comb(derivative, k) * (-1) ** (derivative - k) * p_k
+            return float(g**derivative * mpmath.exp(-z) * total)
+
+        return np.array([value(x) for x in np.atleast_1d(t)])
+
+
 # Shared catalog for invariant sweeps; chosen to hit every family and both
 # closed-form and sampled-grid code paths.
 CATALOG = [
     SquaredExponential(1.0),
     SquaredExponential(0.7),
     Matern(2.5, 1.3),
-    MaternHalfInteger(0, 1.0),
-    MaternHalfInteger(1, 1.0),
-    MaternHalfInteger(2, 1.3),
+    _spec("maternhi:ell=1,m=0"),
+    _spec("maternhi:ell=1,m=1"),
+    _spec("maternhi:ell=1.3,m=2"),
     GammaExponential(1.5, 1.0),
     GammaExponential(1.0, 0.8),
     RationalQuadratic(2.0, 1.0),
@@ -76,7 +104,7 @@ class TestCovarianceValues:
 
     def test_exponential_anchor(self):
         # nu = 1/2 degenerates to exp(-|t|/ell)
-        k = MaternHalfInteger(0, 2.0)
+        k = parse_kernel("matern12:ell=2")
         t = np.linspace(0.0, 5.0, 11)
         assert_allclose(k.r(t), np.exp(-t / 2.0), rtol=1e-13)
 
@@ -102,25 +130,25 @@ class TestCovarianceValues:
         assert_allclose(ge.r(t), se.r(t), rtol=1e-14)
 
     def test_matern_routes_agree(self):
-        # Bessel-function route vs exponential-polynomial route at nu = 3/2,
-        # 5/2; independent implementations of the same covariance.
+        # the Bessel-function route vs the exponential-polynomial closed form
+        # at nu = 3/2, 5/2
         for m, ell in [(1, 1.0), (2, 1.3)]:
-            hi = MaternHalfInteger(m, ell)
             ge = Matern(m + 0.5, ell)
             t = np.linspace(0.01, 5.0, 40)
-            assert_allclose(ge.r(t), hi.r(t), rtol=1e-12)
-            assert_allclose(ge.r_prime(t), hi.r_prime(t),
+            assert_allclose(ge.r(t), _half_integer_matern(m, ell, t), rtol=1e-12)
+            assert_allclose(ge.r_prime(t), _half_integer_matern(m, ell, t, 1),
                             rtol=1e-11, atol=1e-13)
-            assert_allclose(ge.r_second(t), hi.r_second(t),
+            assert_allclose(ge.r_second(t), _half_integer_matern(m, ell, t, 2),
                             rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-3, 0.5])
     def test_matern_routes_agree_at_small_lags(self, t):
         # z^nu K_nu(z) overflows below these lags at nu = 20.5; the Bessel
         # route switches to its even series there
-        hi, ge = MaternHalfInteger(20), Matern(20.5)
-        for name in ("r", "r_prime", "r_second"):
-            assert_allclose(getattr(ge, name)(t), getattr(hi, name)(t), rtol=0, atol=1e-13)
+        ge = Matern(20.5)
+        for order, name in enumerate(("r", "r_prime", "r_second")):
+            assert_allclose(getattr(ge, name)(t), _half_integer_matern(20, 1.0, t, order)[0],
+                            rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nu", [1.5, 35.0, 100.0, 205.79])
     def test_matern_finite_at_small_lags_and_large_nu(self, nu):
@@ -227,7 +255,7 @@ class TestDerivativesAtZero:
             assert d.r2_available and d.r4_available
 
     def test_matern_five_half(self):
-        d = r_derivatives_at_zero(MaternHalfInteger(2, 1.0))
+        d = r_derivatives_at_zero(parse_kernel("matern52"))
         assert_allclose(d.r2, -5.0 / 3.0, rtol=1e-15)
         assert_allclose(d.r4, 25.0, rtol=1e-15)
         assert_allclose(d.discriminant, 200.0 / 9.0, rtol=1e-14)
@@ -240,19 +268,20 @@ class TestDerivativesAtZero:
                         rtol=1e-14)
 
     def test_matern_routes_agree_at_zero(self):
+        # r = e^-z (1 + z + z^2/3) at nu = 5/2 is C^4 at 0, so the one-sided
+        # derivatives of its closed form there are r''(0) and r''''(0)
         dg = r_derivatives_at_zero(Matern(2.5, 1.3))
-        dh = r_derivatives_at_zero(MaternHalfInteger(2, 1.3))
-        assert_allclose(dg.r2, dh.r2, rtol=1e-14)
-        assert_allclose(dg.r4, dh.r4, rtol=1e-14)
+        assert_allclose(dg.r2, _half_integer_matern(2, 1.3, 0.0, 2)[0], rtol=1e-14)
+        assert_allclose(dg.r4, _half_integer_matern(2, 1.3, 0.0, 4)[0], rtol=1e-14)
 
     def test_matern_three_half_has_no_fourth(self):
-        d = r_derivatives_at_zero(MaternHalfInteger(1, 1.0))
+        d = r_derivatives_at_zero(parse_kernel("matern32"))
         assert d.r2_available and not d.r4_available
         assert_allclose(d.r2, -3.0, rtol=1e-15)
         assert math.isnan(d.r4) and math.isnan(d.discriminant)
 
     def test_matern_one_half_has_no_second(self):
-        d = r_derivatives_at_zero(MaternHalfInteger(0, 1.0))
+        d = r_derivatives_at_zero(parse_kernel("matern12"))
         assert not d.r2_available and not d.r4_available
 
     def test_rq(self):
@@ -310,14 +339,14 @@ class TestDerivativesAtZero:
 
     def test_strict_accessors_raise(self):
         with pytest.raises(NotDifferentiable):
-            MaternHalfInteger(0, 1.0).r2_zero()
+            parse_kernel("matern12").r2_zero()
         with pytest.raises(NotDifferentiable):
-            MaternHalfInteger(1, 1.0).r4_zero()
+            parse_kernel("matern32").r4_zero()
         with pytest.raises(NotDifferentiable):
             GammaExponential(1.5, 1.0).r2_zero()
         with pytest.raises(NotDifferentiable):
             Wendland(1).r4_zero()
-        assert_allclose(MaternHalfInteger(1, 1.0).r2_zero(), -3.0,
+        assert_allclose(parse_kernel("matern32").r2_zero(), -3.0,
                         rtol=1e-15)
 
 
@@ -327,8 +356,8 @@ class TestFiniteDifferenceOracle:
     FULL = [
         SquaredExponential(1.0),
         SquaredExponential(2.0),
-        MaternHalfInteger(2, 1.0),
-        MaternHalfInteger(2, 1.3),
+        _spec("maternhi:ell=1,m=2"),
+        _spec("maternhi:ell=1.3,m=2"),
         Matern(2.5, 1.3),
         Matern(3.7, 1.1),
         Matern(4.5, 1.0),  # r rounds to a few ulp; in logarithms r4 was off 3.1e-6
@@ -349,16 +378,16 @@ class TestFiniteDifferenceOracle:
         assert_allclose(fd["r4"], d.r4, rtol=1e-6)
 
     def test_second_derivative_only(self):
-        k = MaternHalfInteger(1, 1.0)
+        k = parse_kernel("matern32")
         assert_allclose(fd_derivatives_at_zero(k)["r2"], -3.0, rtol=1e-6)
 
 
 class TestSpectralDensity:
     def test_exponential_lorentzian(self):
         # nu = 1/2: F'(lam) = (ell/pi) / (1 + ell^2 lam^2)
-        k = MaternHalfInteger(0, 1.0)
+        k = parse_kernel("matern12")
         assert_allclose(k.spectral_density(0.0), 1.0 / math.pi, rtol=1e-14)
-        k2 = MaternHalfInteger(0, 2.0)
+        k2 = parse_kernel("matern12:ell=2")
         lam = np.array([0.0, 0.5, 2.0])
         assert_allclose(k2.spectral_density(lam),
                         (2.0 / math.pi) / (1.0 + 4.0 * lam**2), rtol=1e-13)
@@ -384,7 +413,7 @@ class TestSpectralDensity:
             GammaExponential(1.5, 1.0).spectral_density(0.0)
 
     @pytest.mark.parametrize("k", [
-        MaternHalfInteger(0, 1.0),
+        _spec("maternhi:ell=1,m=0"),
         Matern(2.5, 1.0),
         SquaredExponential(1.3),
         RationalQuadratic(2.0, 1.0),
@@ -563,7 +592,7 @@ class TestBRepresentation:
         assert_allclose(rep.tail[1], 2.0 / 1.69, rtol=1e-15)
 
     def test_exponential_b_is_bessel_k0(self):
-        rep = b_representation(MaternHalfInteger(0, 1.0))
+        rep = b_representation(parse_kernel("matern12"))
         assert rep.b_singularity == "log"
         assert rep.bprime_singularity == -1.0
         assert_allclose(rep.b(0.3) / rep.b(0.7), kv(0, 0.3) / kv(0, 0.7),
@@ -572,14 +601,14 @@ class TestBRepresentation:
 
     def test_matern_three_half_b_is_pure_exponential(self):
         # q = 1/2: z^q K_q(z) is proportional to e^{-z}
-        rep = b_representation(MaternHalfInteger(1, 1.0))
+        rep = b_representation(parse_kernel("matern32"))
         gam = math.sqrt(3.0)
         assert_allclose(rep.b(1.4) / rep.b(0.4), math.exp(-gam), rtol=1e-12)
         assert rep.b_singularity is None
         assert np.isfinite(rep.b(0.0))
 
     def test_b_evenness_and_bprime_oddness(self):
-        for k in (SquaredExponential(1.0), MaternHalfInteger(2, 1.0)):
+        for k in (SquaredExponential(1.0), parse_kernel("matern52")):
             rep = b_representation(k)
             x = np.linspace(0.1, 2.0, 7)
             assert_allclose(rep.b(-x), rep.b(x), rtol=1e-13)
@@ -587,9 +616,9 @@ class TestBRepresentation:
 
     @pytest.mark.parametrize("k", [
         SquaredExponential(1.3),
-        MaternHalfInteger(0, 1.0),
-        MaternHalfInteger(1, 1.0),
-        MaternHalfInteger(2, 1.0),
+        _spec("maternhi:ell=1,m=0"),
+        _spec("maternhi:ell=1,m=1"),
+        _spec("maternhi:ell=1,m=2"),
         Matern(2.5, 1.0),
         GammaExponential(1.0, 1.0),
     ], ids=lambda k: k.spec_string())
@@ -611,10 +640,10 @@ class TestBRepresentation:
 
     @pytest.mark.parametrize("k", [
         SquaredExponential(1.0),
-        MaternHalfInteger(0, 1.0),
-        MaternHalfInteger(1, 1.0),
-        MaternHalfInteger(2, 1.0),
-        MaternHalfInteger(3, 1.0),
+        _spec("maternhi:ell=1,m=0"),
+        _spec("maternhi:ell=1,m=1"),
+        _spec("maternhi:ell=1,m=2"),
+        _spec("maternhi:ell=1,m=3"),
         Matern(2.5, 1.0),
         RationalQuadratic(2.0, 1.0),
         Wendland(4),
@@ -630,8 +659,8 @@ class TestBRepresentation:
     def test_reconstruction_anchors(self):
         assert_allclose(reconstruct_r(SquaredExponential(1.0), 1.0),
                         math.exp(-1.0), atol=1e-7)
-        assert_allclose(reconstruct_r(MaternHalfInteger(2, 1.0), 0.5),
-                        MaternHalfInteger(2, 1.0).r(0.5), atol=1e-4)
+        assert_allclose(reconstruct_r(parse_kernel("matern52"), 0.5),
+                        parse_kernel("matern52").r(0.5), atol=1e-4)
 
     def test_reconstruction_beyond_grid_window(self):
         # the rq grid tabulates b on [0, 327.68], half its FFT period
@@ -719,10 +748,10 @@ class TestParseKernel:
         ("sqexp:ell=2", SquaredExponential(2.0)),
         ("squaredexponential:ell=0.5", SquaredExponential(0.5)),
         ("matern:nu=2.5,ell=1.3", Matern(2.5, 1.3)),
-        ("matern12", MaternHalfInteger(0, 1.0)),
-        ("matern32:ell=0.7", MaternHalfInteger(1, 0.7)),
-        ("matern52:ell=2", MaternHalfInteger(2, 2.0)),
-        ("maternhi:m=3", MaternHalfInteger(3, 1.0)),
+        ("matern12", Matern(0.5, 1.0)),
+        ("matern32:ell=0.7", Matern(1.5, 0.7)),
+        ("matern52:ell=2", Matern(2.5, 2.0)),
+        ("maternhi:m=3", Matern(3.5, 1.0)),
         ("gammaexp:gamma=1.5", GammaExponential(1.5, 1.0)),
         ("rq:alpha=2", RationalQuadratic(2.0, 1.0)),
         ("rationalquadratic:alpha=1.5,ell=2", RationalQuadratic(1.5, 2.0)),
@@ -731,11 +760,15 @@ class TestParseKernel:
         ("periodic:T=2,ell=0.5", Periodic(2.0, 0.5)),
         ("periodic:period=3", Periodic(3.0, 1.0)),
         (" SQEXP : ell=1 ", SquaredExponential(1.0)),
+        ("maternhi:m=3,ell=2", Matern(3.5, 2.0)),
+        ("matern52", parse_kernel("matern:nu=2.5")),
     ])
     def test_grammar(self, text, expected):
         assert parse_kernel(text) == expected
 
-    @pytest.mark.parametrize("k", CATALOG, ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("k", CATALOG + [_spec("sqexp:ell=0.123456789"),
+                                             _spec("rq:alpha=2.0000001")],
+                             ids=lambda k: k.spec_string())
     def test_spec_string_round_trip(self, k):
         assert parse_kernel(k.spec_string()) == k
 
@@ -748,6 +781,9 @@ class TestParseKernel:
         "maternhi",              # required m missing
         "wendland:k=2.5",        # non-integer shape
         "matern52:m=3",          # alias fixes m
+        "matern52:nu=3",         # the alias takes ell alone
+        "maternhi:m=21",         # whole orders stop at 20
+        "maternhi:m=2.5",        # m is a whole number
         "sqexp:ell=-1",
         "sqexp:ell=abc",
         "rq:alpha=0,ell=1",
@@ -779,8 +815,8 @@ class TestParseKernel:
 
     @pytest.mark.parametrize("text", ["maternhi:m=2.0", "wendland:k=3.0"])
     def test_integer_orders_are_stored_as_int(self, text):
-        k = parse_kernel(text)
-        assert type(getattr(k, "m", getattr(k, "k", None))) is int
+        # a whole order written as a float makes the same kernel as the int
+        assert repr(parse_kernel(text)) == repr(parse_kernel(text.removesuffix(".0")))
 
     def test_parameter_domains(self):
         with pytest.raises(DomainError):
@@ -788,13 +824,13 @@ class TestParseKernel:
         with pytest.raises(DomainError):
             Matern(-1.0, 1.0)
         with pytest.raises(DomainError):
-            MaternHalfInteger(-1, 1.0)
+            parse_kernel("maternhi:m=-1")
         with pytest.raises(DomainError):
             Wendland(0)
         with pytest.raises(DomainError):
             Wendland(21)
         with pytest.raises(DomainError):
-            MaternHalfInteger(21, 1.0)
+            parse_kernel("maternhi:m=21")
         with pytest.raises(DomainError):
             GammaExponential(0.0, 1.0)
         with pytest.raises(DomainError):
