@@ -235,10 +235,14 @@ class SquaredExponential(Kernel):
     def _r_abs(self, s):
         return np.exp(-((s / self.ell) ** 2))
 
+    # past 40 ell both values are an exact 0 (e^-1600 underflows); capping the
+    # lag there keeps s and s^2 finite, so they never meet that 0 as inf * 0
     def _r1_abs(self, s):
+        s = np.minimum(s, 40.0 * self.ell)
         return -2.0 * s / self.ell**2 * self._r_abs(s)
 
     def _r2_abs(self, s):
+        s = np.minimum(s, 40.0 * self.ell)
         return (4.0 * s**2 / self.ell**4 - 2.0 / self.ell**2) * self._r_abs(s)
 
     def _r2_at_zero(self):
@@ -279,6 +283,13 @@ def _matern_log_c(nu):
     return (1.0 - nu) * math.log(2.0) - gamma_ln(nu)
 
 
+# Past this z, P z^nu K_nu(z) and its derivatives are below e^-80000 at any
+# order up to 1001 (they fall like z^(nu+1/2) e^-z), an exact 0; beyond it the
+# ladder's z^2 y overflows before its log scale -z cancels it, so every larger
+# z, up to inf, takes the value there.
+_BESSEL_FAR = 1e5
+
+
 def _bessel_form(nu, z, order=0, log_p=None):
     """The order-th derivative (0, 1 or 2) of P z^nu K_nu(z) at z > 0, P =
     exp(log_p), by default 2^(1-nu)/Gamma(nu), from one bessel_zk pass over
@@ -294,6 +305,8 @@ def _bessel_form(nu, z, order=0, log_p=None):
     and log z factors near integer nu): below one cut-off in z, and nowhere
     unless 2 nu > order, where the odd part vanishes at 0."""
     log_p = _matern_log_c(nu) if log_p is None else log_p
+    if z.max(initial=0.0) > _BESSEL_FAR:
+        z = np.minimum(z, _BESSEL_FAR)
     rows = bessel_zk(nu - min(order, 1), z, max(order, 1))
 
     def part(j):  # P z^min(order, 1) f_o at o = nu - min(order, 1) + j
@@ -449,11 +462,13 @@ class GammaExponential(Kernel):
     def _r_abs(self, s):
         return np.exp(-((s / self.ell) ** self.gamma))
 
+    # u = (s/ell)^gamma is capped at 1000, past which e^-u is an exact 0
+    # already, so that u/s and u/s^2 never meet that 0 as inf * 0
     def _r1_abs(self, s):
         g = self.gamma
 
         def at(sp):
-            u = (sp / self.ell) ** g
+            u = np.minimum((sp / self.ell) ** g, 1000.0)
             return -(g / sp) * u * np.exp(-u)
 
         return _positive(s, 0.0, at)
@@ -462,7 +477,7 @@ class GammaExponential(Kernel):
         g = self.gamma
 
         def at(sp):
-            u = (sp / self.ell) ** g
+            u = np.minimum((sp / self.ell) ** g, 1000.0)
             return ((g * u / sp) ** 2 - g * (g - 1.0) * u / sp**2) * np.exp(-u)
 
         return _positive(s, -2.0 / self.ell**2 if g == 2.0 else np.nan, at)
@@ -539,14 +554,19 @@ class RationalQuadratic(Kernel):
     def _r_abs(self, s):
         return self._u(s) ** (-self.alpha)
 
+    # where u overflows, both values are an s-power times u^-alpha = 0, which
+    # an infinite s or s^2 makes inf * 0; they are taken as their limit, 0
     def _r1_abs(self, s):
-        return -(s / self.ell**2) * self._u(s) ** (-self.alpha - 1.0)
+        u = self._u(s)
+        with np.errstate(invalid="ignore"):
+            return np.where(u < math.inf, -(s / self.ell**2) * u ** (-self.alpha - 1.0), -0.0)
 
     def _r2_abs(self, s):
         a = self.alpha
         u = self._u(s)
-        return (-u ** (-a - 1.0) / self.ell**2
-                + (a + 1.0) * s**2 / (a * self.ell**4) * u ** (-a - 2.0))
+        with np.errstate(invalid="ignore"):
+            return np.where(u < math.inf, -u ** (-a - 1.0) / self.ell**2
+                            + (a + 1.0) * s**2 / (a * self.ell**4) * u ** (-a - 2.0), 0.0)
 
     def _r2_at_zero(self):
         return -1.0 / self.ell**2

@@ -19,6 +19,7 @@ import bisect
 import math
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -54,9 +55,12 @@ EIGENVALUE_FLOOR = 1e-12
 # Doublings of the embedding size allowed while chasing covariance tails.
 GROWTH_CAP = 6
 
-# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L.  In a
-# timing sweep over 40 plans on a 2-core box, the K x n basis product and
-# band synthesis took equal time near this ratio.
+# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L.  The
+# value is the break-even of a timing sweep over 40 plans on a 2-core box,
+# made when the direct route multiplied by a (2K, n) basis.  With the (2F, n)
+# basis on one OpenBLAS thread (_OneBlasThread), two sweeps of 35 plans put
+# the break-even at 21.0 and 22.9 (33.6 on two threads).  The value is kept
+# so that every plan keeps its route, and every report its bits.
 SYNTHESIS_COST_RATIO = 30.0
 
 # Largest K n of a direct route: its (2F, n) basis over F <= K distinct
@@ -85,6 +89,72 @@ def _worker_count(workers=None) -> int:
     if count < 1:
         raise DomainError(f"worker count {count} must be at least 1")
     return count
+
+
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy calls,
+    or ``()`` when none is found.
+
+    The symbols are looked up through numpy's own extension module, whose
+    dependencies hold the BLAS it was linked against, so another OpenBLAS
+    in the process (scipy's, say) is never the one found.  numpy's wheels
+    ship scipy-openblas with 64-bit integers (``scipy_openblas_*64_``); a
+    plain OpenBLAS exports ``openblas_*``.
+    """
+    import ctypes  # on first use, like the lookup itself
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return ()
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return ()
+
+
+class _OneBlasThread:
+    """Holds numpy's OpenBLAS at one thread while any sampler pass runs.
+
+    A pass's only parallelism is its worker pool.  Left at its default,
+    OpenBLAS would also spread each small block product over every core,
+    which costs about as much CPU again for little wall time, sometimes
+    stalls, and makes two workers slower than one.  The count is
+    process-wide, so passes that overlap (from several user threads) share
+    one hold: the first to enter saves the count and sets 1, the last to
+    leave restores it.  The library is looked up on first entry; where numpy
+    calls another BLAS, entering does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._controls = None
+        self._holders = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._controls is None:
+                self._controls = _openblas_thread_controls()
+            if self._controls and not self._holders:
+                get, put = self._controls
+                self._saved = get()
+                put(1)
+            self._holders += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._controls and not self._holders:
+                self._controls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @cache
@@ -432,6 +502,11 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False, column
     land in a worker thread's malloc arena, which glibc does not trim; only
     the results are held.  With ``values_only`` dX is never synthesized and xdot_block
     is None.  With ``columns`` the blocks hold only those grid columns.
+
+    OpenBLAS runs on one thread while a block is made (see _OneBlasThread).
+    A single worker lets go of that hold between blocks, as its caller may
+    run user code there (sample_paths); a pool holds it from before its first
+    block until it has shut down, so its blocks are for callers that run none.
     """
     chunk = _pair_chunk(plan)
     n_pairs = (n_paths + 1) // 2
@@ -453,9 +528,12 @@ def _blocks(plan, seed, n_paths, statistic, workers=1, values_only=False, column
             free.put((space, block_statistic))
 
     if count == 1:
-        yield from map(run, starts)
+        for lo in starts:
+            with _ONE_BLAS_THREAD:
+                result = run(lo)
+            yield result
     else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
+        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=count) as pool:
             yield from pool.map(run, starts)
 
 

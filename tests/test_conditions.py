@@ -12,6 +12,7 @@ Norm values for the squared exponential are closed-form Gaussian moments.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,11 +73,26 @@ class TestVerdictTable:
         assert rep.notes == ()  # no invariant violations on the catalog
 
     def test_generic_and_half_integer_matern_agree(self):
-        rg = condition_report(parse_kernel("matern:nu=2.5"))
-        rh = condition_report(parse_kernel("matern52"))
-        assert (rg.a1.holds, rg.a2.holds, rg.geman.holds) == \
-            (rh.a1.holds, rh.a2.holds, rh.geman.holds)
-        assert_allclose(rg.a2.discriminant, rh.a2.discriminant, rtol=1e-12)
+        # the report runs the generic Bessel route; the nu = 5/2 closed form
+        # r = (1 + z + z^2/3) e^-z, z = sqrt(5) t, gives its values in mpmath.
+        # The odd part of r starts at t^5, so the closed form's derivatives
+        # at 0 are r''(0) and r''''(0), and r'' = -(5/3)(1 + z - z^2) e^-z
+        rep = condition_report(parse_kernel("matern52"))
+        assert (rep.a1.holds, rep.a2.holds, rep.geman.holds) == (True, True, True)
+        with mpmath.workdps(40):
+            def r(t):
+                z = mpmath.sqrt(5) * t
+                return (1 + z + z * z / 3) * mpmath.exp(-z)
+
+            def geman(t):  # |r''(t) - r''(0)| / t
+                z = mpmath.sqrt(5) * t
+                return mpmath.mpf(5) / 3 * (1 - (1 + z - z * z) * mpmath.exp(-z)) / t
+
+            r2, r4 = (float(mpmath.diff(r, 0, n)) for n in (2, 4))
+            integral = float(mpmath.quad(geman, [0, 1]))
+        assert_allclose([rep.a2.r2, rep.a2.r4, rep.a2.discriminant], [r2, r4, r4 - r2 * r2],
+                        rtol=1e-12)
+        assert_allclose(rep.geman.integral, integral, rtol=1e-12)
 
 
 class TestA1:

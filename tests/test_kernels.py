@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import dblquad, quad
 from scipy.special import kv
 
@@ -217,6 +217,24 @@ class TestCovarianceValues:
         assert_allclose(k.r_prime(-t), -k.r_prime(t), rtol=1e-13, atol=1e-15)
         assert_allclose(k.r_second(-t), k.r_second(t),
                         rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [k for k in CATALOG if not isinstance(k, (Cosine, Periodic))]
+                             + [_spec(s) for s in ("matern:nu=2.7", "matern:nu=1000",
+                                                   "maternhi:m=3", "rq:alpha=0.5",
+                                                   "gammaexp:gamma=0.5")],
+                             ids=lambda k: k.spec_string())
+    def test_decaying_covariance_vanishes_at_huge_lags(self, k):
+        # r, r' and r'' tend to 0 from above, below and above; where they
+        # underflow they read 0, never the NaN of inf * 0 or inf - inf.
+        # cosine and periodic have no limit at inf.
+        t = np.array([1e150, 1e300, math.inf])
+        with np.errstate(all="ignore"):  # the lags' squares may overflow on the way
+            r, r1, r2 = k.r(t), k.r_prime(t), k.r_second(t)
+            assert_array_equal(k.r_prime(-t), -r1)
+        assert np.isfinite([r, r1, r2]).all()
+        assert (r >= 0).all() and (r1 <= 0).all() and (r2 >= 0).all()
+        assert (np.abs([r, r1, r2]) <= 1e-149).all()
+        assert_array_equal([r[-1], r1[-1], r2[-1]], 0.0)
 
     @pytest.mark.parametrize("k", CATALOG, ids=lambda k: k.spec_string())
     def test_strict_maximum_at_zero(self, k):

@@ -1,6 +1,9 @@
 """Tests for circulant-embedding simulation and its Monte Carlo checks."""
 
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -459,7 +462,9 @@ class TestWorkspaceReuse:
                 assert_array_equal(path.x, x[i])
                 assert_array_equal(path.xdot, xdot[i])
 
-    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
+    # rq at grid 256 is a wide direct plan: its 2F = 1,274 row basis makes
+    # block products large enough for OpenBLAS to thread if let
+    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS + [("rq:alpha=2,ell=1", 256)])
     def test_worker_count_is_invisible_over_three_blocks(self, spec, grid):
         plan, n_paths = _three_block_run(spec, grid)
         kernel = parse_kernel(spec)
@@ -830,3 +835,121 @@ class TestWorkerCount:
         monkeypatch.setenv("GPCHAOS_WORKERS", "0")
         with pytest.raises(DomainError):
             mc._worker_count(None)
+
+
+@pytest.fixture
+def blas_count():
+    """The getter of numpy's OpenBLAS thread count, set to 2 for the test
+    so that a hold left in place would show, and restored afterwards."""
+    controls = mc._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy calls no OpenBLAS with a settable thread count")
+    get, put = controls
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("this OpenBLAS runs on one thread only")
+        yield get
+    finally:
+        put(before)
+
+
+def _count_probe(get, seen, fail_at=None):
+    """A path statistic that records the BLAS thread count at each block,
+    and raises at block ``fail_at``."""
+    def statistic(plan, rows):
+        def per_path(x, xd):
+            seen.append(get())
+            if len(seen) == fail_at:
+                raise ArithmeticError("probe")
+            return x[:, :1]
+        return per_path
+    return statistic
+
+
+class TestOneBlasThread:
+    """Every pass runs OpenBLAS on one thread and leaves the count as it
+    found it."""
+
+    PLAN = mc.build_embedding_plan(SQEXP, 128)
+
+    def _paths(self, blocks):
+        return 2 * blocks * mc._pair_chunk(self.PLAN)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pass_holds_one_thread_and_restores_the_count(self, blas_count, workers):
+        seen = []
+        mc._path_moments(self.PLAN, 3, self._paths(4), _count_probe(blas_count, seen), workers)
+        assert seen == [1, 1, 1, 1]
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pass_that_raises_restores_the_count(self, blas_count, workers):
+        seen = []
+        with pytest.raises(ArithmeticError):
+            mc._path_moments(self.PLAN, 3, self._paths(4),
+                             _count_probe(blas_count, seen, fail_at=2), workers)
+        assert blas_count() == 2
+
+    def test_sample_paths_consumer_sees_the_count_it_set(self, blas_count):
+        paths = mc.sample_paths(SQEXP, 128, self._paths(3), 5, plan=self.PLAN)
+        for i, _ in enumerate(paths):  # user code between yields, over two blocks
+            assert blas_count() == 2
+            if i == self._paths(1) + 2:
+                break
+        paths.close()
+        assert blas_count() == 2
+
+    def test_overlapping_passes_from_user_threads_restore_the_count(self, blas_count):
+        kernel, grid, n_paths = SQEXP, 128, self._paths(6) + 1
+        functionals = [parse_functional("H:2"), parse_functional("H2:1,1")]
+        expected = mc.mc_integrated_functionals(functionals, kernel, n_paths, grid, 8,
+                                                workers=1, plan=self.PLAN)
+        start, results = threading.Barrier(4), []
+
+        def user():
+            start.wait(timeout=30)
+            for workers in (2, 1, 2):
+                results.append(mc.mc_integrated_functionals(
+                    functionals, kernel, n_paths, grid, 8, workers=workers, plan=self.PLAN))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=user) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 12
+        assert blas_count() == 2
+
+    def test_a_pass_sets_no_environment_variable(self, blas_count, monkeypatch):
+        # a fresh hold, so the library lookup itself runs inside the check
+        monkeypatch.setattr(mc, "_ONE_BLAS_THREAD", mc._OneBlasThread())
+        before = dict(os.environ)
+        mc.crossing_statistics(SQEXP, 0.0, self._paths(2), 128, 4, workers=2, plan=self.PLAN)
+        assert dict(os.environ) == before  # no OPENBLAS_* or OMP_* variable among them
+
+    def test_overlapping_holds_save_once_and_restore_last(self, monkeypatch):
+        count, calls = [3], []
+
+        def put(n):
+            calls.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(mc, "_openblas_thread_controls", lambda: (lambda: count[0], put))
+        hold = mc._OneBlasThread()
+        with hold:
+            with hold:  # a second pass entering while the first runs
+                assert count == [1]
+            assert count == [1]
+        assert count == [3] and calls == [1, 3]
+        monkeypatch.setattr(mc, "_openblas_thread_controls", lambda: ())
+        with mc._OneBlasThread():  # no OpenBLAS found: nothing to hold
+            pass
+        assert calls == [1, 3]
