@@ -561,12 +561,14 @@ class RationalQuadratic(Kernel):
         with np.errstate(invalid="ignore"):
             return np.where(u < math.inf, -(s / self.ell**2) * u ** (-self.alpha - 1.0), -0.0)
 
+    # u^(-alpha-1) is factored out of both terms, so that the second's
+    # u^(-alpha-2) cannot underflow to 0 while the first is still nonzero
     def _r2_abs(self, s):
         a = self.alpha
         u = self._u(s)
         with np.errstate(invalid="ignore"):
-            return np.where(u < math.inf, -u ** (-a - 1.0) / self.ell**2
-                            + (a + 1.0) * s**2 / (a * self.ell**4) * u ** (-a - 2.0), 0.0)
+            bracket = (a + 1.0) * (s**2 / (a * self.ell**2)) / u - 1.0
+            return np.where(u < math.inf, u ** (-a - 1.0) / self.ell**2 * bracket, 0.0)
 
     def _r2_at_zero(self):
         return -1.0 / self.ell**2
@@ -849,25 +851,41 @@ class Periodic(Kernel):
 # sampled-grid b construction
 
 
-def _grid_payload(f_vals, dx, trunc, notes, bp_sing):
-    """Grid b, samples of b and b' on the half line, by real FFT inversion of
-    the even sqrt(2 pi F') sampled at the n/2 + 1 non-negative frequencies of
-    an n-point grid of step dx."""
-    n = 2 * (f_vals.size - 1)
-    neg = np.minimum(f_vals, 0.0)
-    if neg.any():
+def _grid_payload(spec, dx, trunc, notes, bp_sing):
+    """Grid b, samples of b and b' at x = 0, dx, ..., n dx / 2, from F' at the
+    n/2 + 1 non-negative frequencies lam of an n-point grid of step dx, given
+    as the real part of ``spec``: a complex ``spec`` is overwritten, and its
+    buffer then holds b and b'; a real one is copied.  With g = sqrt(2 pi F')
+    in the real part and lam g in the imaginary, one inverse real FFT gives
+    s = b + b' over the period, and b is its even part (s[k] + s[n-k]) / 2,
+    b' its odd part (s[k] - s[n-k]) / 2, exactly 0 at k = 0 and k = n/2."""
+    spec = np.asarray(spec, dtype=complex)
+    f, lam_g = spec.real, spec.imag
+    m = f.size
+    n = 2 * (m - 1)
+    if f.min() < 0.0:
         # the full spectrum holds each interior bin twice, 0 and Nyquist once
-        mass = (neg[0] + neg[-1] - 2.0 * neg.sum()) * (2.0 * math.pi / (n * dx))
+        neg = min(f[0], 0.0) + min(f[-1], 0.0) - 2.0 * np.minimum(f, 0.0).sum()
+        mass = neg * (2.0 * math.pi / (n * dx))
         notes.append(f"clipped negative spectral noise, mass {mass:.2e}")
-        f_vals = np.clip(f_vals, 0.0, None)
-    lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+        np.maximum(f, 0.0, out=f)
     with np.errstate(all="ignore"):
-        g = np.sqrt(2.0 * math.pi * f_vals)
-        b_vals = np.fft.irfft(g, n)[:lam.size] / dx
-        bp_vals = np.fft.irfft(1j * (lam * g), n)[:lam.size] / dx
-    if not (np.all(np.isfinite(b_vals)) and np.all(np.isfinite(bp_vals))):
+        f *= 2.0 * math.pi
+        np.sqrt(f, out=f)
+        np.multiply(np.fft.rfftfreq(n, d=dx), 2.0 * math.pi, out=lam_g)
+        lam_g *= f
+        s = np.fft.irfft(spec, n)
+        s *= 0.5
+        b_vals, bp_vals = both = spec.view(float).reshape(2, m)
+        mirror = s[:n // 2 - 1:-1]  # s[n - k] for k = 1, ..., n/2
+        np.add(s[1:m], mirror, out=b_vals[1:])
+        np.subtract(s[1:m], mirror, out=bp_vals[1:])
+        b_vals[0], bp_vals[0] = 2.0 * s[0], 0.0
+        del s, mirror  # freed before x is made: the spectrum and s set the peak
+        both /= dx
+    if not np.isfinite(both).all():
         raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
-    x = np.arange(lam.size) * dx
+    x = np.arange(m) * dx
     return BKernel(None, None, None, bp_sing, ("numeric", x[-1]), trunc,
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
@@ -891,7 +909,7 @@ def _grid_b_from_spectral(density, scale, decay_scale, bp_sing):
             f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
             f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
     lam = 2.0 * math.pi * np.fft.rfftfreq(1 << 16, d=dx)
-    return _grid_payload(np.asarray(density(lam), dtype=float), dx, trunc, notes, bp_sing)
+    return _grid_payload(density(lam), dx, trunc, notes, bp_sing)
 
 
 def _grid_b_from_covariance(kernel, bp_sing, note):
@@ -901,14 +919,20 @@ def _grid_b_from_covariance(kernel, bp_sing, note):
     x_len = 64.0 * scale
     dt = x_len / n
     # the even row r(min(t, L - t)) on the period [0, L), mirrored from its half
-    f_vals = np.fft.rfft(np.pad(kernel.r(np.arange(n // 2 + 1) * dt), (0, n // 2 - 1),
-                                mode="reflect")).real * dt / (2.0 * math.pi)
+    # (each full-length array is freed as soon as the next one exists)
+    half = kernel.r(np.arange(n // 2 + 1) * dt)
+    row = np.concatenate([half, half[-2:0:-1]])
+    del half
+    spec = np.fft.rfft(row)
+    del row
+    spec.real *= dt  # F' in the real part, which _grid_payload takes over
+    spec.real /= 2.0 * math.pi
     lam_max = math.pi / dt
-    tail_amp = math.sqrt(max(f_vals[-1], 0.0)) * lam_max
+    tail_amp = math.sqrt(max(spec[-1].real, 0.0)) * lam_max
     notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})",
              f"square-root spectral tail beyond {lam_max:.3g} "
              f"contributes at most ~{tail_amp:.2e} near the origin", note]
-    return _grid_payload(f_vals, dt, tail_amp, notes, bp_sing)
+    return _grid_payload(spec, dt, tail_amp, notes, bp_sing)
 
 
 # --------------------------------------------------------------------------

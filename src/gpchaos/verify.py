@@ -31,9 +31,9 @@ from .errors import DomainError, GpchaosError, whole
 from .kernels import fd_derivatives_at_zero, r_derivatives_at_zero, reconstruct_r
 
 __all__ = [
-    "battery", "b_reconstruction", "chaos_vs_monte_carlo", "closed_form",
-    "condition_verdicts", "derivative_fd", "determinism_replay", "gauss_identity",
-    "hs_bound", "level_crossings", "mean_square_derivative", "regularization_slope",
+    "battery", "b_reconstruction", "closed_form", "condition_verdicts", "derivative_fd",
+    "determinism_replay", "gauss_identity", "hs_bound", "mean_square_derivative",
+    "regularization_slope",
 ]
 
 GAUSS_TOL = 1e-11  # relative, terminating 2F1 against the Gauss sum
@@ -129,15 +129,9 @@ def hs_bound(kernel):
     }
 
 
-def chaos_vs_monte_carlo(kernel, functionals, paths, grid, seed):
-    """Integrated chaos norm of each Hermite functional (spec strings)
-    within ``Z_GATE`` standard errors of the Monte Carlo second moment."""
-    functionals = [parse_functional(s) for s in functionals]
-    return _judge_chaos(kernel, functionals, mc.mc_integrated_functionals(
-        functionals, kernel, n_paths=paths, grid_points=grid, seed=seed))
-
-
 def _judge_chaos(kernel, functionals, outs):
+    """Integrated chaos norm of each Hermite functional within ``Z_GATE``
+    standard errors of its Monte Carlo second moment in ``outs``."""
     detail = {}
     ok = True
     for functional, out in zip(functionals, outs):
@@ -150,13 +144,8 @@ def _judge_chaos(kernel, functionals, outs):
     return ok, detail
 
 
-def level_crossings(kernel, paths, grid, seed):
-    """Mean zero crossings on [0, 1] at the Rice value."""
-    return _judge_crossings(
-        kernel, mc.crossing_statistics(kernel, 0.0, n_paths=paths, grid_points=grid, seed=seed))
-
-
 def _judge_crossings(kernel, stats):
+    """Mean zero crossings on [0, 1] of ``stats`` at the Rice value."""
     rice = mc.rice_crossing_mean(kernel, 0.0)
     z = (stats.mean - rice) / stats.std_error
     return abs(z) <= Z_GATE, {"mean": stats.mean, "rice": rice, "z": z}

@@ -702,9 +702,12 @@ _MC_CHECKS = ("chaos-vs-monte-carlo", "level-crossings", "mean-square-derivative
 def _standalone_checks(kernel, paths, grid, seed):
     """The battery's Monte Carlo checks run one at a time, each on paths and
     a plan of its own."""
+    functionals = [parse_functional(s) for s in ("H:1", "H:2")]
     return [verify._run(name, fn) for name, fn in zip(_MC_CHECKS, (
-        lambda: verify.chaos_vs_monte_carlo(kernel, ("H:1", "H:2"), paths, grid, seed),
-        lambda: verify.level_crossings(kernel, paths, grid, seed),
+        lambda: verify._judge_chaos(kernel, functionals, mc.mc_integrated_functionals(
+            functionals, kernel, paths, grid, seed)),
+        lambda: verify._judge_crossings(
+            kernel, mc.crossing_statistics(kernel, 0.0, paths, grid, seed)),
         lambda: verify.mean_square_derivative(kernel, min(paths, 6000), grid, seed),
         lambda: verify.determinism_replay(kernel, seed),
     ))]

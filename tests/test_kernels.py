@@ -236,6 +236,24 @@ class TestCovarianceValues:
         assert (np.abs([r, r1, r2]) <= 1e-149).all()
         assert_array_equal([r[-1], r1[-1], r2[-1]], 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 2.0])
+    def test_rq_second_derivative_keeps_its_sign_at_huge_lags(self, alpha):
+        # r'' = -u^(-a-1) + (a+1)/a t^2 u^(-a-2), u = 1 + t^2/(2a), in
+        # mpmath: far out the second term's u^(-a-2) underflows in doubles
+        # long before the first term's u^(-a-1), which flipped the sign
+        k = RationalQuadratic(alpha, 1.0)
+        t = np.geomspace(1e-3, 1e150, 60)
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            exact = []
+            for s in t:
+                u = 1 + mpmath.mpf(s) ** 2 / (2 * a)
+                exact.append(float(-u ** (-a - 1) + (a + 1) / a * mpmath.mpf(s) ** 2
+                                   * u ** (-a - 2)))
+        got = k.r_second(t)
+        assert_allclose(got, exact, rtol=1e-13, atol=1e-320)
+        assert (got * np.array(exact) >= 0.0).all()
+
     @pytest.mark.parametrize("k", CATALOG, ids=lambda k: k.spec_string())
     def test_strict_maximum_at_zero(self, k):
         # strict on (0, half period] for the periodic families, (0, 3] else
@@ -597,6 +615,17 @@ def _full_spectrum_grid_b(kernel, n, dx):
     return b, bp, notes
 
 
+def _half_line_spectrum(kernel, n, dx):
+    """F' at the n/2 + 1 non-negative frequencies of an n-point grid of step
+    dx: from the density, or, for gammaexp, from a real FFT of the mirrored
+    covariance row, as the grid build samples it."""
+    if isinstance(kernel, GammaExponential):
+        half = kernel.r(np.arange(n // 2 + 1) * dx)
+        row = np.concatenate([half, half[-2:0:-1]])
+        return np.fft.rfft(row).real * dx / (2.0 * math.pi)
+    return kernel.spectral_density(2.0 * math.pi * np.fft.rfftfreq(n, d=dx))
+
+
 class TestBRepresentation:
     def test_sqexp_closed_form(self):
         rep = b_representation(SquaredExponential(1.3))
@@ -723,8 +752,10 @@ class TestBRepresentation:
         assert np.all(np.isfinite(rep.grid[1])) and np.all(np.isfinite(rep.grid[2]))
 
     def test_gammaexp_grid_build_peak_memory(self):
-        # the half-line build of a 2^20-point grid peaked near 36 MiB; the
-        # full complex construction it replaced peaked near 81 MiB
+        # the one-transform build of a 2^20-point grid peaks near 16 MiB, at
+        # its complex spectrum and the inverse transform's output; two inverse
+        # transforms with full-length temporaries peaked near 36 MiB, and the
+        # full complex construction before them near 81 MiB
         kernel = GammaExponential(1.5, 1.0)
         tracemalloc.start()
         try:
@@ -732,7 +763,39 @@ class TestBRepresentation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * 2**20
+        assert peak <= 20 * 2**20
+
+    @pytest.mark.parametrize("k", [
+        RationalQuadratic(2.0, 1.0),
+        Wendland(4),
+        GammaExponential(1.5, 1.0),
+    ], ids=["rq", "wendland", "gammaexp"])
+    def test_grid_b_is_the_even_part_of_one_transform(self, k):
+        # s = irfft(g + i lam g) holds b + b' over the period; b is its even
+        # part and b' its odd part, and b' is exactly 0 at lags 0 and n/2
+        x, b_vals, bp_vals, dx = k.b_representation().grid
+        n = 2 * (x.size - 1)
+        assert bp_vals[0] == 0.0 and bp_vals[-1] == 0.0
+        lam = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+        g = np.sqrt(2.0 * math.pi * np.clip(_half_line_spectrum(k, n, dx), 0.0, None))
+        s = np.fft.irfft(g + 1j * lam * g, n) / dx
+        mirror = s[-np.arange(x.size) % n]
+        even, odd = (s[:x.size] + mirror) / 2.0, (s[:x.size] - mirror) / 2.0
+        assert np.abs(b_vals - even).max() <= 1e-15 * np.abs(even).max()
+        assert np.abs(bp_vals - odd).max() <= 1e-15 * np.abs(odd).max()
+
+    def test_grid_payload_takes_the_spectrum_in_a_complex_real_part(self):
+        # the imaginary part of a complex spectrum is never read: it gives
+        # the notes, b and b' of its real part passed alone
+        n, dx = 32, 0.25
+        f_half = np.exp(-0.1 * (2.0 * math.pi * np.fft.rfftfreq(n, d=dx)) ** 2)
+        f_half[[0, 5]] = [-1.25e-3, -3.5e-4]
+        spec = f_half + 1j * np.linspace(-1.0, 1.0, f_half.size)
+        from_real = _grid_payload(f_half.copy(), dx, 0.0, [], None)
+        from_complex = _grid_payload(spec, dx, 0.0, [], None)
+        assert from_complex.notes == from_real.notes
+        for got, want in zip(from_complex.grid, from_real.grid):
+            assert_array_equal(got, want)
 
     def test_gammaexp_cusp_metadata(self):
         rep = b_representation(GammaExponential(1.5, 1.0))
