@@ -11,7 +11,7 @@ Monte Carlo oracles (:mod:`gpchaos.montecarlo`).  ``gpchaos.cli`` exposes all
 of it as a command line tool.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     DomainError,

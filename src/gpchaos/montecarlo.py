@@ -9,8 +9,11 @@ modes whose floored eigenvalue is non-zero); the grid values are then
 synthesized either directly from a real cosine and sine basis over the
 support's distinct |frequencies| or by a chirp-z transform of the band of
 signed frequencies that holds the support, whichever the plan's sizes make
-cheaper.  Every path is a deterministic function of (seed, path_index) no
-matter how work is scheduled.
+cheaper.  Paths are made in blocks of path pairs whose bounds the plan
+alone fixes, and a block's normals come from one Philox stream keyed on
+(seed, the block's first pair), so every path is a deterministic function
+of (seed, path_index) on a given plan, however many paths are asked for
+and however work is scheduled.
 """
 
 from __future__ import annotations
@@ -55,13 +58,11 @@ EIGENVALUE_FLOOR = 1e-12
 # Doublings of the embedding size allowed while chasing covariance tails.
 GROWTH_CAP = 6
 
-# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L.  The
-# value is the break-even of a timing sweep over 40 plans on a 2-core box,
-# made when the direct route multiplied by a (2K, n) basis.  With the (2F, n)
-# basis on one OpenBLAS thread (_OneBlasThread), two sweeps of 35 plans put
-# the break-even at 21.0 and 22.9 (33.6 on two threads).  The value is kept
-# so that every plan keeps its route, and every report its bits.
-SYNTHESIS_COST_RATIO = 30.0
+# Direct synthesis runs when K n < SYNTHESIS_COST_RATIO * L log2 L: the
+# one-thread break-even of the (2F, n) basis product (_OneBlasThread), which
+# two timing sweeps of 35 plans on a 2-core box put at 21.0 and 22.9
+# (BENCH_25.json).
+SYNTHESIS_COST_RATIO = 22.0
 
 # Largest K n of a direct route: its (2F, n) basis over F <= K distinct
 # |frequencies| holds 16 F n <= 16 K n bytes, so this caps it at 32 MiB (a
@@ -73,7 +74,8 @@ DIRECT_BASIS_LIMIT = 1 << 21
 # band of L complex values or its two rows of n doubles, whichever is more.
 # A worker's workspace then stays near cache size, whatever the embedding
 # size m.  Fixed from a block-size sweep on a 2-core box with 2 MiB of L2
-# per core (BENCH_21.json).
+# per core (BENCH_21.json).  Blocks are also the unit of the normals'
+# stream (_support_draws), so changing this changes every sampled path.
 BLOCK_BYTES = 1 << 20
 
 
@@ -319,7 +321,10 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     for j in range(-PERIODIZATION_WRAPS, PERIODIZATION_WRAPS + 1):
         row += kernel.r(np.abs(np.add(t_row, j * period, out=lags), out=lags))
     del t_row, lags  # the FFT's buffers set the plan's peak memory
-    eig = np.fft.fft(row).real
+    # the real part of a real row's FFT is even, so the m/2 + 1 bins of its
+    # real FFT, mirrored, are all of it
+    eig = np.fft.rfft(row).real
+    eig = np.concatenate([eig, eig[-2:0:-1]])
     eig_max = float(eig.max())
     eig_min = float(eig.min())
     if eig_max <= 0.0:
@@ -370,8 +375,8 @@ def _run_plan(kernel, grid_points, n_paths, seed, plan):
 
 
 def _pair_chunk(plan: EmbeddingPlan) -> int:
-    # fixed by the plan alone so chunk boundaries (and hence array
-    # stacking) never depend on the worker count
+    # fixed by the plan alone so chunk boundaries (and hence the normals'
+    # streams and array stacking) never depend on the worker count
     return max(1, BLOCK_BYTES // (16 * max(plan.grid_points, plan.band_length)))
 
 
@@ -400,21 +405,11 @@ class _Workspace:
 
 def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int, out):
     """Fill ``out`` with standard normals on the eigen-support, one row
-    [re | im] of 2K per path pair, each row a function of (seed, pair)
-    alone, and return it."""
-    bits = np.random.Philox(key=[seed, pair_start])
-    normals = np.random.Generator(bits)
-    # a fresh stream's state; re-keying it is cheaper than a new generator,
-    # and cheaper still from plain ints than from the numpy arrays it holds
-    state = bits.state
-    fresh = {**state, "buffer": state["buffer"].tolist(),
-             "state": {name: value.tolist() for name, value in state["state"].items()}}
-    key = fresh["state"]["key"]  # [seed, pair_start]; only the pair changes
-    for row, pair in zip(out, range(pair_start, pair_stop)):
-        key[1] = pair
-        bits.state = fresh
-        normals.standard_normal(out=row)
-    return out
+    [re | im] of 2K per path pair from pair_start to pair_stop, and return
+    it.  The rows are read in order from one Philox stream keyed on (seed,
+    pair_start), so a block that stops early draws a prefix of the rows of
+    one that starts at the same pair."""
+    return np.random.Generator(np.random.Philox(key=[seed, pair_start])).standard_normal(out=out)
 
 
 def _direct_paths(plan: EmbeddingPlan, draws, folded, coef, dcoef, x, xdot, columns=None):
@@ -565,14 +560,16 @@ class Moments:
 
 
 def _moments(values: np.ndarray) -> Moments:
+    # numpy's pairwise sums, in path order, so the same values at any worker
+    # count; kept off BLAS (np.dot), whose threads _OneBlasThread does not hold here
     n = values.size
 
     def mean_and_variance(v):
-        mean = math.fsum(v.tolist()) / n
+        mean = float(v.sum()) / n
         if n == 1:
             return mean, 0.0
         deviation = v - mean
-        return mean, math.fsum((deviation * deviation).tolist()) / (n - 1)
+        return mean, float(np.square(deviation, out=deviation).sum()) / (n - 1)
 
     mean, variance = mean_and_variance(values)
     second, second_variance = mean_and_variance(values * values)

@@ -138,6 +138,23 @@ class TestEmbeddingPlan:
         with pytest.raises(NotDifferentiable):
             mc.build_embedding_plan(MATERN12, 512)
 
+    @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048),
+                                           ("rq:alpha=2,ell=1", 512)])
+    def test_eigenvalues_are_the_even_real_part_of_the_row_fft(self, spec, grid):
+        # the real FFT's m/2 + 1 bins, mirrored: exactly even, and the
+        # complex FFT's real part to rounding
+        kernel = parse_kernel(spec)
+        plan = mc.build_embedding_plan(kernel, grid)
+        m, dt = plan.embedding_size, plan.grid_step
+        t = np.arange(m) * dt
+        row = sum(kernel.r(np.abs(t + j * m * dt))
+                  for j in range(-mc.PERIODIZATION_WRAPS, mc.PERIODIZATION_WRAPS + 1))
+        full = np.fft.fft(row).real
+        assert_array_equal(plan.eigenvalues[1:], plan.eigenvalues[:0:-1])
+        kept = plan.eigenvalues > 0.0
+        assert_allclose(plan.eigenvalues[kept], full[kept], rtol=0.0, atol=1e-12 * full.max())
+        assert plan.min_eigenvalue == pytest.approx(full.min(), abs=1e-12 * full.max())
+
     def test_support_lists_the_nonzero_eigenvalues(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
         assert_array_equal(plan.support, np.flatnonzero(plan.eigenvalues))
@@ -221,16 +238,14 @@ class TestSamplePaths:
 
 
 def _pre_support_pair_block(plan, seed, pair_start, pair_stop):
-    """The sampler before support-only draws: 2m normals and two m-point
-    inverse FFTs per path pair."""
+    """The sampler before support-only draws: 2m normals per path pair from
+    the block's stream, keyed on (seed, pair_start), and two m-point
+    inverse FFTs."""
     m = plan.embedding_size
-    z = np.empty((pair_stop - pair_start, m), dtype=complex)
-    for i, pair in enumerate(range(pair_start, pair_stop)):
-        draws = np.random.Generator(
-            np.random.Philox(key=[seed, pair])
-        ).standard_normal(2 * m)
-        z[i] = draws[:m] + 1j * draws[m:]
-    return _m_point_paths(plan, z)
+    draws = np.random.Generator(
+        np.random.Philox(key=[seed, pair_start])
+    ).standard_normal((pair_stop - pair_start, 2 * m))
+    return _m_point_paths(plan, draws[:, :m] + 1j * draws[:, m:])
 
 
 def _m_point_paths(plan, z):
@@ -395,12 +410,14 @@ class TestSynthesisRoutes:
         )[0]
         assert alone == full
 
-    def test_draws_are_keyed_on_seed_and_pair(self):
+    def test_draws_are_keyed_on_seed_and_block_start(self):
+        # a block's rows are read in order from the stream of (seed, its
+        # first pair), so a shorter block draws their prefix
         plan = mc.build_embedding_plan(SQEXP, 512)
-        block = _draws(plan, 5, 2, 6)
-        for i, pair in enumerate(range(2, 6)):
-            alone = np.random.Generator(np.random.Philox(key=[5, pair])).standard_normal(54)
-            assert_array_equal(block[i], alone)
+        stream = np.random.Generator(np.random.Philox(key=[5, 2])).standard_normal(4 * 54)
+        assert_array_equal(_draws(plan, 5, 2, 6), stream.reshape(4, 54))
+        assert_array_equal(_draws(plan, 5, 2, 3), stream[None, :54])
+        assert not np.array_equal(_draws(plan, 5, 3, 4), _draws(plan, 5, 2, 4)[1:])
 
     def test_full_support_reproduces_the_pre_support_sampler(self):
         plan = mc.build_embedding_plan(parse_kernel("matern32"), 512)
@@ -448,7 +465,32 @@ def _three_block_run(spec, grid):
     return plan, n_paths
 
 
+def _block_paths(plan, seed, n_paths, workers):
+    """Every path of a run, as the sampler's blocks hand them over at
+    ``workers`` workers."""
+    def copies(plan, rows):
+        return lambda x, xdot: (x.copy(), xdot.copy())
+
+    blocks = mc._blocks(plan, seed, n_paths, copies, workers)
+    return [np.concatenate(rows) for rows in zip(*blocks)]
+
+
 class TestWorkspaceReuse:
+    @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
+    def test_path_depends_on_seed_and_index_alone(self, spec, grid):
+        # a block's draws are keyed on its first pair, so a run that stops
+        # inside a block, or on one path of a pair, draws a prefix of it
+        plan, n_paths = _three_block_run(spec, grid)
+        assert plan.direct_synthesis == (spec == "sqexp")
+        chunk = mc._pair_chunk(plan)
+        x, xdot = _block_paths(plan, 8, n_paths, 1)
+        assert x.shape == (n_paths, grid)
+        for count in (1, 2, 2 * chunk - 1, 2 * chunk + 1, 4 * chunk + 2, n_paths):
+            for workers in (1, 2):
+                got_x, got_xdot = _block_paths(plan, 8, count, workers)
+                assert_array_equal(got_x, x[:count])
+                assert_array_equal(got_xdot, xdot[:count])
+
     @pytest.mark.parametrize("spec,grid", _REUSE_PLANS)
     def test_sampled_rows_survive_later_blocks(self, spec, grid):
         plan, n_paths = _three_block_run(spec, grid)
