@@ -406,7 +406,7 @@ class Matern(Kernel):
     def _gam(self):
         return math.sqrt(2.0 * self.nu) / self.ell
 
-    def _r_abs(self, s):  # z = g s over _even's own |t|: a plan's lags take 256 KB
+    def _r_abs(self, s):  # z = g s in place, over _even's own |t|
         return _positive(np.multiply(s, self._gam, out=s), 1.0, lambda z: _bessel_form(self.nu, z))
 
     def _r1_abs(self, s):

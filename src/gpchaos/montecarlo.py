@@ -78,6 +78,13 @@ DIRECT_BASIS_LIMIT = 1 << 21
 # stream (_support_draws), so changing this changes every sampled path.
 BLOCK_BYTES = 1 << 20
 
+# Bytes of a plan's (2 PERIODIZATION_WRAPS + 1, T) lag tile: below glibc's 128 KiB
+# mmap threshold, so kernel.r's temporaries are reused, not faulted in anew.  A
+# statistic's row tile takes 2 TILE_BYTES per (rows, n) array, 64 rows at n = 512:
+# 32-row tiles cost more in per-call overhead than they save (BENCH_28.json).  Tiles
+# change no value, so this is not part of the stream layout.
+TILE_BYTES = 1 << 17
+
 
 def _worker_count(workers=None) -> int:
     if workers is not None:
@@ -206,14 +213,14 @@ class EmbeddingPlan:
         m = self.embedding_size
         return (self.support + m // 2) % m - m // 2
 
-    @property
+    @cached_property
     def band_length(self) -> int:
         """L, the FFT length of band synthesis: enough for a linear
         convolution of the support's band with n grid values, never above m."""
         band = int(self._signed_support.max() - self._signed_support.min()) + 1
         return min(self.embedding_size, _next_fast_len(self.grid_points + band - 1))
 
-    @property
+    @cached_property
     def direct_synthesis(self) -> bool:
         """True when K x n direct synthesis is cheaper than band synthesis,
         whose FFTs of length L cost about SYNTHESIS_COST_RATIO * L log2 L,
@@ -288,7 +295,9 @@ class EmbeddingPlan:
 
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     """Periodize r, double the embedding until the wrap-around tail of
-    (r, r', r'') is negligible, and check the eigenvalues are usable."""
+    (r, r', r'') is negligible, and check the eigenvalues are usable.  The row
+    is built on lag tiles of TILE_BYTES with its wraps added in order r_-W +
+    ... + r_W: to the bit the row a wrap-by-wrap pass over all m lags makes."""
     n = whole(grid_points, f"grid_points={grid_points} must be an integer >= 2", low=2)
     dt = 1.0 / (n - 1)
     r2 = kernel.r2_zero()  # the joint law needs the derivative channel
@@ -315,16 +324,19 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
             f"at the size cap; periodization bias is not controlled"
         )
 
-    period = m * dt
-    t_row = np.arange(m) * dt
-    row, lags = np.zeros(m), np.empty(m)  # one buffer holds every wrap's lags
-    for j in range(-PERIODIZATION_WRAPS, PERIODIZATION_WRAPS + 1):
-        row += kernel.r(np.abs(np.add(t_row, j * period, out=lags), out=lags))
-    del t_row, lags  # the FFT's buffers set the plan's peak memory
+    wraps = np.arange(-PERIODIZATION_WRAPS, PERIODIZATION_WRAPS + 1)[:, None] * (m * dt)
+    width = max(1, TILE_BYTES // (8 * wraps.size))
+    row = np.empty(m)
+    for lo in range(0, m, width):
+        lags = np.abs(np.add(wraps, np.arange(lo, min(lo + width, m)) * dt))
+        np.add.reduce(kernel.r(lags), axis=0, out=row[lo:lo + lags.shape[1]])
     # the real part of a real row's FFT is even, so the m/2 + 1 bins of its
     # real FFT, mirrored, are all of it
-    eig = np.fft.rfft(row).real
-    eig = np.concatenate([eig, eig[-2:0:-1]])
+    half = np.fft.rfft(row).real
+    del row  # the FFT's buffers set the plan's peak memory
+    eig = np.empty(m)
+    eig[:half.size], eig[half.size:] = half, half[-2:0:-1]
+    del half
     eig_max = float(eig.max())
     eig_min = float(eig.min())
     if eig_max <= 0.0:
@@ -340,8 +352,9 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
             f"clipped {clipped} negative eigenvalues (worst {eig_min:.3e} "
             f"against max {eig_max:.3e})"
         )
-    eig = np.where(eig < EIGENVALUE_FLOOR * eig_max, 0.0, eig)
-    lam = 2.0 * math.pi * np.fft.fftfreq(m, d=dt)
+    eig[eig < EIGENVALUE_FLOOR * eig_max] = 0.0
+    lam = np.fft.fftfreq(m, d=dt)
+    lam *= 2.0 * math.pi
     return EmbeddingPlan(
         grid_points=n,
         grid_step=dt,
@@ -609,7 +622,7 @@ def count_crossings(path, level: float = 0.0) -> int:
 
 
 def _crossing_counts(x_block, level, side=None, change=None):
-    """count_crossings for every row of a finite block, as floats.
+    """count_crossings for every row of a finite block, as uint32.
 
     ``side`` (shaped like the block) and ``change`` (one column fewer) are
     boolean scratch arrays, allocated when not given."""
@@ -628,7 +641,7 @@ def _crossing_counts(x_block, level, side=None, change=None):
     # a uint32 sum is exact for any row shorter than 2^32 points, and runs
     # about twice as fast as count_nonzero's intp sum
     changes = np.not_equal(s[:, 1:], s[:, :-1], out=change)
-    return changes.sum(axis=1, dtype=np.uint32).astype(float)
+    return changes.sum(axis=1, dtype=np.uint32)
 
 
 def crossing_statistics(
@@ -687,36 +700,43 @@ def _estimate(functionals, level, kernel, n_paths, grid_points, seed, workers, p
         n = plan.grid_points
         weights = np.full(n, plan.grid_step)
         weights[[0, -1]] = 0.5 * plan.grid_step
-        # Hermite rungs of each channel that has orders, dX / sigma, one
-        # array for an H2 product or a scalar functional, and the crossing
-        # counter's boolean arrays
-        ladders = {axis: np.empty((max(o) + 1, rows, n)) for axis, o in orders.items() if o}
-        scaled = None if values_only else np.empty((rows, n))
-        product = np.empty((rows, n)) if any(f.kind != "H" for f in functionals) else None
+        # tiles of a multiple of 4 rows, as OpenBLAS's gemv sums rows in fours, give
+        # each row a whole-block product's bits; a lone last row joins the tile
+        # before it, as numpy sends a one-row product to dot (so scratch has one more)
+        tile = 4 * max(1, TILE_BYTES // (16 * n))
+        size = min(rows, tile + 1)
+        # a tile's Hermite rungs of each channel with orders, dX / sigma, an H2
+        # product or scalar functional, and the crossing counter's boolean arrays
+        ladders = {axis: np.empty((max(o) + 1, size, n)) for axis, o in orders.items() if o}
+        scaled = None if values_only else np.empty((size, n))
+        product = np.empty((size, n)) if any(f.kind != "H" for f in functionals) else None
         if level is not None:
-            side, change = np.empty((rows, n), dtype=bool), np.empty((rows, n - 1), dtype=bool)
+            side, change = np.empty((size, n), dtype=bool), np.empty((size, n - 1), dtype=bool)
 
-        def per_path(x, xd):  # one row per path, one column per value
-            count = len(x)
-            channels = ({"x": x} if values_only else
-                        {"x": x, "xdot": np.divide(xd, plan.sigma, out=scaled[:count])})
-            rungs = {axis: hermite(orders[axis], channels[axis], out=ladder[:, :count])
-                     for axis, ladder in ladders.items()}
-            columns = []
-            for f in functionals:
-                if f.kind == "H2":
-                    values = np.multiply(rungs["x"][f.a], rungs["xdot"][f.b],
-                                         out=product[:count])
-                elif f.kind == "H":
-                    values = rungs[f.axis][f.m]
-                else:  # sign, abs, or ind: 1.0 above the level, else 0.0
-                    v, out = channels[f.axis], product[:count]
-                    values = (np.sign(v, out=out) if f.kind == "sign" else np.abs(v, out=out)
-                              if f.kind == "abs" else np.greater(v, f.level, out=out))
-                columns.append(values @ weights)
-            if level is not None:
-                columns.append(_crossing_counts(x, level, side[:count], change[:count]))
-            return np.column_stack(columns)
+        def per_path(x, xd):  # a fresh row per path (_path_moments keeps them), a column per value
+            out = np.empty((len(x), len(functionals) + (level is not None)))
+            bounds = [*range(0, max(len(x) - 1, 1), tile), len(x)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                count = hi - lo
+                channels = {"x": x[lo:hi]}
+                if not values_only:
+                    channels["xdot"] = np.divide(xd[lo:hi], plan.sigma, out=scaled[:count])
+                rungs = {axis: hermite(orders[axis], channels[axis], out=ladder[:, :count])
+                         for axis, ladder in ladders.items()}
+                for column, f in enumerate(functionals):
+                    if f.kind == "H2":
+                        values = np.multiply(rungs["x"][f.a], rungs["xdot"][f.b],
+                                             out=product[:count])
+                    elif f.kind == "H":
+                        values = rungs[f.axis][f.m]
+                    else:  # sign, abs, or ind: 1.0 above the level, else 0.0
+                        v, buf = channels[f.axis], product[:count]
+                        values = (np.sign(v, out=buf) if f.kind == "sign" else np.abs(v, out=buf)
+                                  if f.kind == "abs" else np.greater(v, f.level, out=buf))
+                    np.matmul(values, weights, out=out[lo:hi, column])
+                if level is not None:
+                    out[lo:hi, -1] = _crossing_counts(x[lo:hi], level, side[:count], change[:count])
+            return out
 
         return per_path
 

@@ -138,8 +138,10 @@ class TestEmbeddingPlan:
         with pytest.raises(NotDifferentiable):
             mc.build_embedding_plan(MATERN12, 512)
 
+    # the benchmark plans, and sqexp at grid 16, whose m = 128 lags are less
+    # than one lag tile
     @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048),
-                                           ("rq:alpha=2,ell=1", 512)])
+                                           ("rq:alpha=2,ell=1", 512), ("sqexp", 16)])
     def test_eigenvalues_are_the_even_real_part_of_the_row_fft(self, spec, grid):
         # the real FFT's m/2 + 1 bins, mirrored: exactly even, and the
         # complex FFT's real part to rounding
@@ -147,13 +149,22 @@ class TestEmbeddingPlan:
         plan = mc.build_embedding_plan(kernel, grid)
         m, dt = plan.embedding_size, plan.grid_step
         t = np.arange(m) * dt
-        row = sum(kernel.r(np.abs(t + j * m * dt))
-                  for j in range(-mc.PERIODIZATION_WRAPS, mc.PERIODIZATION_WRAPS + 1))
+        row = np.zeros(m)  # the whole row at once, wrap by wrap
+        for j in range(-mc.PERIODIZATION_WRAPS, mc.PERIODIZATION_WRAPS + 1):
+            row += kernel.r(np.abs(t + j * (m * dt)))
         full = np.fft.fft(row).real
         assert_array_equal(plan.eigenvalues[1:], plan.eigenvalues[:0:-1])
         kept = plan.eigenvalues > 0.0
         assert_allclose(plan.eigenvalues[kept], full[kept], rtol=0.0, atol=1e-12 * full.max())
         assert plan.min_eigenvalue == pytest.approx(full.min(), abs=1e-12 * full.max())
+        # the row built in lag tiles is that row to the bit
+        half = np.fft.rfft(row).real
+        mirrored = np.concatenate([half, half[-2:0:-1]])
+        assert plan.min_eigenvalue == mirrored.min()
+        assert plan.clipped == np.count_nonzero(mirrored < 0.0)
+        floored = np.where(mirrored < mc.EIGENVALUE_FLOOR * mirrored.max(), 0.0, mirrored)
+        assert_array_equal(plan.eigenvalues, floored)
+        assert_array_equal(plan.angular_frequencies, 2.0 * np.pi * np.fft.fftfreq(m, dt))
 
     def test_support_lists_the_nonzero_eigenvalues(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
@@ -551,15 +562,49 @@ class TestFusedPass:
         monkeypatch.setattr(mc, "hermite", counting("hermite", mc.hermite))
         monkeypatch.setattr(mc, "_crossing_counts", counting("crossings", mc._crossing_counts))
         plan = mc.build_embedding_plan(SQEXP, 128)
-        n_paths = 2 * mc._pair_chunk(plan) + 1  # two blocks
+        chunk = mc._pair_chunk(plan)
+        n_paths = 2 * chunk + 1  # two blocks: 2 * chunk rows, then one
+        # a row tile holds 4 * (TILE_BYTES // (16 n)) rows: 256 at n = 128,
+        # so the first block of 850 rows runs in 4 tiles and the second in 1
+        tile = 4 * (mc.TILE_BYTES // (16 * 128))
+        tiles = math.ceil(2 * chunk / tile) + 1
+        assert (2 * chunk, tile, tiles) == (850, 256, 5)
         mc.crossing_statistics(SQEXP, 0.0, n_paths, 128, 73, plan=plan)
-        assert calls == {"hermite": 0, "crossings": 2}
+        assert calls == {"hermite": 0, "crossings": tiles}
         mc.mc_integrated_functionals([parse_functional("sign")], SQEXP, n_paths, 128, 73,
                                      plan=plan)
-        assert calls == {"hermite": 0, "crossings": 2}
+        assert calls == {"hermite": 0, "crossings": tiles}
         mc.mc_integrated_functionals([parse_functional("H:2")], SQEXP, n_paths, 128, 73,
                                      plan=plan)
-        assert calls == {"hermite": 2, "crossings": 2}
+        assert calls == {"hermite": tiles, "crossings": tiles}
+
+    @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048)])
+    def test_tiles_change_no_value(self, spec, grid, monkeypatch):
+        # tiles of one row's bytes (the smallest row tile, 4 rows, and lag
+        # tiles of a few lags) against tiles that hold a whole block and a
+        # whole row; the last block is short, odd and ends in a lone row
+        # after its last 4-row tile
+        kernel = parse_kernel(spec)
+        chunk = mc._pair_chunk(mc.build_embedding_plan(kernel, grid))
+        n_paths = 2 * chunk + 4 * (chunk // 4) + 1
+        functionals = [parse_functional(f) for f in ("H:1", "H:3", "sign", "H2:1,1")]
+        columns, moments = [], mc._moments
+
+        def recording(values):  # each path's values too, as a sum can hide a changed bit
+            columns.append(values.copy())
+            return moments(values)
+
+        monkeypatch.setattr(mc, "_moments", recording)
+        runs = []
+        for tile_bytes in (8 * grid, 16 * mc.BLOCK_BYTES):
+            monkeypatch.setattr(mc, "TILE_BYTES", tile_bytes)
+            for workers in (1, 2):
+                runs.append(mc.mc_integrated_functionals(functionals, kernel, n_paths, grid, 75,
+                                                         workers=workers, level=0.0))
+        assert len(runs[0]) == 5
+        assert all(run == runs[0] for run in runs[1:])
+        for i in range(5, len(columns)):
+            assert_array_equal(columns[i], columns[i % 5])
 
     def test_nothing_to_estimate_is_a_domain_error(self):
         with pytest.raises(DomainError, match="no functional"):
