@@ -91,9 +91,10 @@ class BKernel:
     0, dx, ... up to half the period of its FFT grid.
     ``b_singularity``/``bprime_singularity`` describe local behavior at the
     origin: ``None`` means bounded, ``"log"`` a logarithmic divergence, and a
-    float p means growth like \\|x\\|^p with p < 0.  ``tail`` is a decay model
-    ("gauss", a), ("exp", a), ("power", p) or ("numeric", X) used by
-    integrability checks to extrapolate beyond the quadrature window.
+    float p means growth like \\|x\\|^p with p < 0.  ``tail`` names how b
+    decays at large \\|x\\|: ("gauss", a) like exp(-a x^2), ("exp", a) like
+    exp(-a \\|x\\|), or ("numeric", X) for a grid b tabulated up to X.  It is
+    descriptive: check_a1 prints it as a note, and nothing computes with it.
     """
 
     b: object
@@ -165,14 +166,11 @@ class Kernel:
         return _even(self._r2_abs, t)
 
     # hooks every family defines: _r_abs, _r1_abs and _r2_abs of s = |t|,
-    # and the values _r2_at_zero and _r4_at_zero
+    # and, where they exist, the values _r2_at_zero and _r4_at_zero
 
     # notes on printed constants behind the values at 0, attached where
     # r''''(0) exists
     _printed_notes = ()
-
-    def _missing_note(self, p, derivative):
-        return f"|t|^{p:g} term in the expansion at 0; no {derivative}"
 
     def _odd_taylor_power(self):
         """Lowest non-even |t|-exponent of r at 0, or None if even-smooth."""
@@ -186,11 +184,12 @@ class Kernel:
         r2_ok, r4_ok = (p is None or p > order for order in (2.0, 4.0))
         r2 = self._r2_at_zero() if r2_ok else math.nan
         r4 = self._r4_at_zero() if r4_ok else math.nan
+        missing = "r''''(0)" if r2_ok else "r''(0)"
         notes = self._printed_notes if r4_ok else (
-            self._missing_note(p, "r''''(0)" if r2_ok else "r''(0)"),)
+            f"|t|^{p:g} term in the expansion at 0; no {missing}",)
         return DerivativesAtZero(r2, r4, r4 - r2 * r2, r2_ok, r4_ok, notes)
 
-    def spectral_density(self, lam):  # pragma: no cover - abstract
+    def spectral_density(self, lam):
         raise NoSpectralDensity(f"{self.family}: no spectral density")
 
     def b_representation(self) -> BKernel:  # pragma: no cover - abstract
@@ -337,33 +336,6 @@ def _bessel_form(nu, z, order=0, log_p=None):
     return out
 
 
-def _matern_b_closed(nu: float, ell: float, notes=()) -> BKernel:
-    """Closed-form moving-average kernel of the Matern covariance.
-
-    b(x) = P (g|x|)^q K_q(g|x|) with q = (nu - 1/2)/2 and g = sqrt(2 nu)/ell;
-    the prefactor is fixed by int b^2 = 1.  The derivative uses
-    d/dz [z^q K_q(z)] = -z^q K_{q-1}(z).  b ~ |x|^(2q) at 0 when q < 0.
-    """
-    gam = math.sqrt(2.0 * nu) / ell
-    q = (nu - 0.5) / 2.0
-    log_d = gamma_ln(nu + 0.5) - 0.5 * math.log(math.pi) - gamma_ln(nu) - math.log(gam)
-    log_p = 0.5 * (math.log(2.0) + log_d) + math.log(gam) \
-        - q * math.log(2.0) - gamma_ln(q + 0.5)
-    b0 = math.exp(log_p - _matern_log_c(q)) if q > 0 else np.inf
-
-    def b(x):
-        return _even(lambda s: _positive(gam * s, b0, lambda z: _bessel_form(q, z, 0, log_p)), x)
-
-    def b_prime(x):
-        return _even(lambda s: _positive(
-            gam * s, 0.0, lambda z: gam * _bessel_form(q, z, 1, log_p)), x, odd=True)
-
-    b_sing = "log" if q == 0 else 2.0 * q if q < 0 else None
-    bp_sing = 2.0 * q - 1.0 if q < 0.5 else None
-    return BKernel(b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0,
-                   notes=notes)
-
-
 # Largest Wendland order, built in exact rationals, whose cost grows fast
 # with it: a conditions report takes 1.3 s at k = 20 and 35 s at k = 100.
 # maternhi:m keeps the same cap; matern:nu covers the orders beyond.
@@ -438,16 +410,46 @@ class Matern(Kernel):
         return _ret(out, lam)
 
     def b_representation(self):
-        return _matern_b_closed(self.nu, self.ell)
+        """Closed-form moving-average kernel b(x) = P (g|x|)^q K_q(g|x|) with q =
+        (nu - 1/2)/2 and g = sqrt(2 nu)/ell; the prefactor is fixed by int b^2
+        = 1.  The derivative uses d/dz [z^q K_q(z)] = -z^q K_{q-1}(z).  b ~
+        |x|^(2q) at 0 when q < 0.
+        """
+        nu, gam = self.nu, self._gam
+        q = (nu - 0.5) / 2.0
+        log_d = gamma_ln(nu + 0.5) - 0.5 * math.log(math.pi) - gamma_ln(nu) - math.log(gam)
+        log_p = 0.5 * (math.log(2.0) + log_d) + math.log(gam) \
+            - q * math.log(2.0) - gamma_ln(q + 0.5)
+        b0 = math.exp(log_p - _matern_log_c(q)) if q > 0 else np.inf
+
+        def b(x):
+            return _even(lambda s: _positive(gam * s, b0, lambda z: _bessel_form(q, z, 0, log_p)), x)
+
+        def b_prime(x):
+            return _even(lambda s: _positive(
+                gam * s, 0.0, lambda z: gam * _bessel_form(q, z, 1, log_p)), x, odd=True)
+
+        b_sing = "log" if q == 0 else 2.0 * q if q < 0 else None
+        bp_sing = 2.0 * q - 1.0 if q < 0.5 else None
+        # F' falls like |lam|^-(2 nu + 1), so its square root is integrable iff nu > 1/2
+        notes = ("square-root spectral density is not absolutely integrable; "
+                 "b is an L2 limit",) if nu <= 0.5 else ()
+        return BKernel(b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0, notes=notes)
 
 
 # --------------------------------------------------------------------------
 # gamma-exponential
 
 
+# the gamma at which gammaexp is another family, and that family's constructor of ell
+_GAMMAEXP_EQUALS = {1.0: functools.partial(Matern, 0.5), 2.0: SquaredExponential}
+
+
 @dataclass(frozen=True)
 class GammaExponential(Kernel):
-    """r(t) = exp(-(|t|/ell)^gamma) for gamma in (0, 2]."""
+    """r(t) = exp(-(|t|/ell)^gamma) for gamma in (0, 1) or (1, 2); at gamma = 1
+    and 2 it is Matern(1/2, ell) and SquaredExponential(ell), which
+    ``gammaexp:`` parses to."""
 
     gamma: float
     ell: float = 1.0
@@ -458,6 +460,9 @@ class GammaExponential(Kernel):
             raise DomainError("gammaexp: gamma must lie in (0, 2]")
         if self.ell <= 0:
             raise DomainError("gammaexp: ell must be positive")
+        if self.gamma in _GAMMAEXP_EQUALS:
+            raise DomainError(f"gammaexp: gamma={self.gamma:g} is "
+                              f"{_GAMMAEXP_EQUALS[self.gamma](self.ell).spec_string()}")
 
     def _r_abs(self, s):
         return np.exp(-((s / self.ell) ** self.gamma))
@@ -480,39 +485,12 @@ class GammaExponential(Kernel):
             u = np.minimum((sp / self.ell) ** g, 1000.0)
             return ((g * u / sp) ** 2 - g * (g - 1.0) * u / sp**2) * np.exp(-u)
 
-        return _positive(s, -2.0 / self.ell**2 if g == 2.0 else np.nan, at)
-
-    # r''(0) exists at gamma = 2 alone, where r is the squared exponential
-    _r2_at_zero = SquaredExponential._r2_at_zero
-    _r4_at_zero = SquaredExponential._r4_at_zero
-
-    def _missing_note(self, p, derivative):
-        if p == 1.0:
-            return ("one-sided r''(0+) = 1/ell^2 exists but the two-sided "
-                    "second derivative does not (cusp at 0)")
-        return super()._missing_note(p, derivative)
+        return _positive(s, np.nan, at)
 
     def _odd_taylor_power(self):
-        return None if self.gamma == 2.0 else self.gamma
-
-    def spectral_density(self, lam):
-        if self.gamma == 2.0:
-            return SquaredExponential(self.ell).spectral_density(lam)
-        if self.gamma == 1.0:
-            lam = np.asarray(lam, dtype=float)
-            out = (self.ell / math.pi) / (1.0 + (self.ell * lam) ** 2)
-            return _ret(out, lam)
-
-        raise NoSpectralDensity(
-            f"gammaexp: no closed-form spectral density at gamma={self.gamma:g}")
+        return self.gamma
 
     def b_representation(self):
-        if self.gamma == 2.0:
-            return SquaredExponential(self.ell).b_representation()
-        if self.gamma == 1.0:
-            return _matern_b_closed(0.5, self.ell, notes=(
-                "square-root spectral density is not absolutely integrable; "
-                "b is the L2 limit K_0 form",))
         if self.gamma < 1.0:
             raise NoBRepresentation(
                 "gammaexp: square-root spectral density decays like "
@@ -726,8 +704,7 @@ class Wendland(Kernel):
         scaled = np.array([[float(a / seam**i) for i, a in enumerate(row)] for row in tab])
         nodes, weights = np.polynomial.legendre.leggauss((deg + 3 * seam) // 2 + 32)
         nodes = 0.5 * (nodes + 1.0)
-        p_vals = [float(sum(a * Fraction(t) ** j for j, a in enumerate(c))) for t in nodes]
-        return seam, scaled.T, nodes, 0.5 * weights * np.array(p_vals)
+        return seam, scaled.T, nodes, 0.5 * weights * self.r(nodes)
 
     def spectral_density(self, lam):
         return _even(self._spectral_abs, lam)
@@ -1040,9 +1017,15 @@ def _matern_half_integer(m, ell=1.0):
     return Matern(m + 0.5, ell)
 
 
+def _gamma_exponential(gamma, ell=1.0):
+    """GammaExponential(gamma, ell), or at gamma = 1 and 2 the family it equals."""
+    return _GAMMAEXP_EQUALS.get(gamma, functools.partial(GammaExponential, gamma))(ell)
+
+
 # the constructor that each family name or alias spells, whose parameters a spec names
-_FAMILIES = {cls.family: cls for cls in (SquaredExponential, Matern, GammaExponential,
-                                         RationalQuadratic, Wendland, Cosine, Periodic)} | {
+_FAMILIES = {cls.family: cls for cls in (SquaredExponential, Matern, RationalQuadratic,
+                                         Wendland, Cosine, Periodic)} | {
+    "gammaexp": _gamma_exponential,
     "squaredexponential": SquaredExponential,
     "rationalquadratic": RationalQuadratic,
     "maternhi": _matern_half_integer,

@@ -18,14 +18,14 @@ and however work is scheduled.
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -81,8 +81,9 @@ BLOCK_BYTES = 1 << 20
 # Bytes of a plan's (2 PERIODIZATION_WRAPS + 1, T) lag tile: below glibc's 128 KiB
 # mmap threshold, so kernel.r's temporaries are reused, not faulted in anew.  A
 # statistic's row tile takes 2 TILE_BYTES per (rows, n) array, 64 rows at n = 512:
-# 32-row tiles cost more in per-call overhead than they save (BENCH_28.json).  Tiles
-# change no value, so this is not part of the stream layout.
+# 32-row tiles cost more in per-call overhead than they save (BENCH_28.json).  Each
+# row's values are its own, whatever rows share its tile, so tiles change no value
+# and this is not part of the stream layout.
 TILE_BYTES = 1 << 17
 
 
@@ -166,19 +167,16 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-@cache
-def _fast_lengths(bits: int) -> list:
-    """The sorted 2^a 3^b 5^c 7^d 11^e up to 2^bits: lengths pocketfft transforms fast."""
-    lengths = [1]
-    for p in (2, 3, 5, 7, 11):
-        lengths += [q * p**e for q in lengths for e in range(1, bits + 1) if q * p**e <= 1 << bits]
-    return sorted(lengths)
-
-
 def _next_fast_len(target: int) -> int:
-    """The least 11-smooth number >= target, at most the power of two at or above it."""
-    lengths = _fast_lengths((target - 1).bit_length())
-    return lengths[bisect.bisect_left(lengths, target)]
+    """The least 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft transforms
+    fast, by trial division of target, target + 1, ..."""
+    for n in itertools.count(target):
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
 
 
 # ---------------------------------------------------------------------------
@@ -696,15 +694,13 @@ def _estimate(functionals, level, kernel, n_paths, grid_points, seed, workers, p
             orders[f.axis].add(f.m)
 
     def statistic(plan, rows):
-        # trapezoid weights on [0, 1]: the integral of a row is one product
+        # trapezoid weights on [0, 1]: the integral of a row is its own dot
+        # product, whatever rows share its tile
         n = plan.grid_points
         weights = np.full(n, plan.grid_step)
         weights[[0, -1]] = 0.5 * plan.grid_step
-        # tiles of a multiple of 4 rows, as OpenBLAS's gemv sums rows in fours, give
-        # each row a whole-block product's bits; a lone last row joins the tile
-        # before it, as numpy sends a one-row product to dot (so scratch has one more)
-        tile = 4 * max(1, TILE_BYTES // (16 * n))
-        size = min(rows, tile + 1)
+        tile = max(1, TILE_BYTES // (4 * n))
+        size = min(rows, tile)
         # a tile's Hermite rungs of each channel with orders, dX / sigma, an H2
         # product or scalar functional, and the crossing counter's boolean arrays
         ladders = {axis: np.empty((max(o) + 1, size, n)) for axis, o in orders.items() if o}
@@ -715,7 +711,7 @@ def _estimate(functionals, level, kernel, n_paths, grid_points, seed, workers, p
 
         def per_path(x, xd):  # a fresh row per path (_path_moments keeps them), a column per value
             out = np.empty((len(x), len(functionals) + (level is not None)))
-            bounds = [*range(0, max(len(x) - 1, 1), tile), len(x)]
+            bounds = [*range(0, len(x), tile), len(x)]
             for lo, hi in zip(bounds, bounds[1:]):
                 count = hi - lo
                 channels = {"x": x[lo:hi]}
@@ -733,7 +729,7 @@ def _estimate(functionals, level, kernel, n_paths, grid_points, seed, workers, p
                         v, buf = channels[f.axis], product[:count]
                         values = (np.sign(v, out=buf) if f.kind == "sign" else np.abs(v, out=buf)
                                   if f.kind == "abs" else np.greater(v, f.level, out=buf))
-                    np.matmul(values, weights, out=out[lo:hi, column])
+                    np.vecdot(values, weights, out=out[lo:hi, column])
                 if level is not None:
                     out[lo:hi, -1] = _crossing_counts(x[lo:hi], level, side[:count], change[:count])
             return out

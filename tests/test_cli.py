@@ -82,6 +82,19 @@ class TestConditionsCommand:
         assert out == ""
         assert err.count("\n") == 1 and "twice" in err
 
+    @pytest.mark.parametrize("spelling,family", [("gammaexp:gamma=1", "matern:nu=0.5"),
+                                                 ("gammaexp:gamma=2", "sqexp")])
+    def test_gammaexp_reports_as_the_family_it_equals(self, capsys, spelling, family):
+        assert run_cli(capsys, "conditions", "--kernel", spelling) \
+            == run_cli(capsys, "conditions", "--kernel", family)
+
+    @pytest.mark.parametrize("gamma", ["0", "2.5", "-1", "nan"])
+    def test_gammaexp_outside_its_domain_is_usage_error(self, capsys, gamma):
+        message = ("non-finite value in 'gamma=nan'" if gamma == "nan"
+                   else "gammaexp: gamma must lie in (0, 2]")
+        assert run_cli(capsys, "conditions", "--kernel", f"gammaexp:gamma={gamma}") \
+            == (2, "", f"gpchaos: {message}\n")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

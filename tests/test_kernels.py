@@ -87,7 +87,7 @@ CATALOG = [
     _spec("maternhi:ell=1,m=1"),
     _spec("maternhi:ell=1.3,m=2"),
     GammaExponential(1.5, 1.0),
-    GammaExponential(1.0, 0.8),
+    _spec("gammaexp:ell=0.8,gamma=1"),
     RationalQuadratic(2.0, 1.0),
     Wendland(4),
     Cosine(1.0),
@@ -124,10 +124,10 @@ class TestCovarianceValues:
         assert k.r(0.0) == 1.0
 
     def test_gammaexp_two_is_squared_exponential(self):
-        ge = GammaExponential(2.0, 1.2)
-        se = SquaredExponential(1.2)
+        ge = parse_kernel("gammaexp:gamma=2,ell=1.2")
         t = np.linspace(0.0, 4.0, 17)
-        assert_allclose(ge.r(t), se.r(t), rtol=1e-14)
+        assert ge == SquaredExponential(1.2)
+        assert_allclose(ge.r(t), np.exp(-((t / 1.2) ** 2)), rtol=1e-14)
 
     def test_matern_routes_agree(self):
         # the Bessel-function route vs the exponential-polynomial closed form
@@ -356,10 +356,11 @@ class TestDerivativesAtZero:
     def test_gammaexp_availability(self):
         assert not r_derivatives_at_zero(
             GammaExponential(1.5, 1.0)).r2_available
-        d1 = r_derivatives_at_zero(GammaExponential(1.0, 1.0))
+        d1 = r_derivatives_at_zero(parse_kernel("gammaexp:gamma=1"))
         assert not d1.r2_available
-        assert any("one-sided" in n for n in d1.notes)
-        d2 = r_derivatives_at_zero(GammaExponential(2.0, 1.0))
+        assert d1.notes == ("|t|^1 term in the expansion at 0; no r''(0)",)
+        assert d1.notes == r_derivatives_at_zero(Matern(0.5, 1.0)).notes
+        d2 = r_derivatives_at_zero(parse_kernel("gammaexp:gamma=2"))
         assert_allclose((d2.r2, d2.r4), (-2.0, 12.0), rtol=1e-15)
 
     @pytest.mark.parametrize("k", CATALOG + [Matern(1.5), Matern(2.0), Wendland(1)],
@@ -403,7 +404,7 @@ class TestFiniteDifferenceOracle:
         Wendland(4),
         Cosine(1.2),
         Periodic(math.pi, 1.0),
-        GammaExponential(2.0, 1.1),
+        _spec("gammaexp:ell=1.1,gamma=2"),
     ]
 
     @pytest.mark.parametrize("k", FULL, ids=lambda k: k.spec_string())
@@ -441,9 +442,11 @@ class TestSpectralDensity:
                         0.5, rtol=1e-12)
 
     def test_gammaexp_origin_gamma_integral(self):
-        # F'(0) = (1/pi) int_0^inf exp(-t/ell) dt = ell/pi at gamma = 1; other
-        # gammas below 2 have no closed form, and no caller needs one
-        k1 = GammaExponential(1.0, 1.3)
+        # F'(0) = (1/pi) int_0^inf exp(-t/ell) dt = ell/pi at gamma = 1, where
+        # Matern(1/2) gives it; other gammas below 2 have no closed form, and
+        # no caller needs one
+        k1 = parse_kernel("gammaexp:gamma=1,ell=1.3")
+        assert k1 == Matern(0.5, 1.3)
         assert_allclose(k1.spectral_density(0.0), 1.3 / math.pi, rtol=1e-14)
         with pytest.raises(NoSpectralDensity):
             GammaExponential(1.5, 1.0).spectral_density(0.0)
@@ -667,7 +670,7 @@ class TestBRepresentation:
         _spec("maternhi:ell=1,m=1"),
         _spec("maternhi:ell=1,m=2"),
         Matern(2.5, 1.0),
-        GammaExponential(1.0, 1.0),
+        _spec("gammaexp:ell=1,gamma=1"),
     ], ids=lambda k: k.spec_string())
     def test_unit_l2_norm_closed(self, k):
         rep = b_representation(k)
@@ -805,9 +808,15 @@ class TestBRepresentation:
         assert rep.truncation_error > 0.0
 
     def test_gammaexp_one_is_l2_limit(self):
-        rep = b_representation(GammaExponential(1.0, 1.0))
+        rep = b_representation(parse_kernel("gammaexp:gamma=1"))
         assert rep.b_singularity == "log"
         assert any("L2 limit" in n for n in rep.notes)
+
+    def test_l2_limit_note_is_every_rough_matern(self):
+        # sqrt(F') falls like |lam|^-(nu + 1/2): integrable iff nu > 1/2
+        for nu in (0.2, 0.5, 0.51, 1.5):
+            notes = b_representation(Matern(nu, 1.0)).notes
+            assert any("L2 limit" in n for n in notes) == (nu <= 0.5)
 
     def test_no_b_for_nonintegrable_and_heavy_tails(self):
         with pytest.raises(NoBRepresentation):
@@ -843,6 +852,10 @@ class TestParseKernel:
         (" SQEXP : ell=1 ", SquaredExponential(1.0)),
         ("maternhi:m=3,ell=2", Matern(3.5, 2.0)),
         ("matern52", parse_kernel("matern:nu=2.5")),
+        ("gammaexp:gamma=1", Matern(0.5, 1.0)),
+        ("gammaexp:gamma=1,ell=0.8", parse_kernel("matern:nu=0.5,ell=0.8")),
+        ("gammaexp:gamma=2", SquaredExponential(1.0)),
+        ("gammaexp:gamma=2,ell=1.2", parse_kernel("sqexp:ell=1.2")),
     ])
     def test_grammar(self, text, expected):
         assert parse_kernel(text) == expected
@@ -869,6 +882,11 @@ class TestParseKernel:
         "sqexp:ell=abc",
         "rq:alpha=0,ell=1",
         "gammaexp:gamma=2.5",
+        "gammaexp:gamma=0",
+        "gammaexp:gamma=-1",
+        "gammaexp:gamma=nan",
+        "gammaexp:gamma=1,ell=0",
+        "gammaexp:gamma=2,ell=-1",
         "matern:nu=1.5,nu=2.5",   # repeated parameter
         "periodic:T=2,period=3",  # period names T
         "sqexp:ell=1,ell=1",
@@ -914,5 +932,10 @@ class TestParseKernel:
             parse_kernel("maternhi:m=21")
         with pytest.raises(DomainError):
             GammaExponential(0.0, 1.0)
+        # gammaexp:gamma=1 and 2 parse to the family they equal, never to these
+        with pytest.raises(DomainError, match="is matern:ell=0.8,nu=0.5"):
+            GammaExponential(1.0, 0.8)
+        with pytest.raises(DomainError, match="is sqexp:ell=1$"):
+            GammaExponential(2.0)
         with pytest.raises(DomainError):
             Periodic(0.0, 1.0)

@@ -564,9 +564,9 @@ class TestFusedPass:
         plan = mc.build_embedding_plan(SQEXP, 128)
         chunk = mc._pair_chunk(plan)
         n_paths = 2 * chunk + 1  # two blocks: 2 * chunk rows, then one
-        # a row tile holds 4 * (TILE_BYTES // (16 n)) rows: 256 at n = 128,
-        # so the first block of 850 rows runs in 4 tiles and the second in 1
-        tile = 4 * (mc.TILE_BYTES // (16 * 128))
+        # a row tile holds TILE_BYTES // (4 n) rows: 256 at n = 128, so the
+        # first block of 850 rows runs in 4 tiles and the second in 1
+        tile = mc.TILE_BYTES // (4 * 128)
         tiles = math.ceil(2 * chunk / tile) + 1
         assert (2 * chunk, tile, tiles) == (850, 256, 5)
         mc.crossing_statistics(SQEXP, 0.0, n_paths, 128, 73, plan=plan)
@@ -580,10 +580,9 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048)])
     def test_tiles_change_no_value(self, spec, grid, monkeypatch):
-        # tiles of one row's bytes (the smallest row tile, 4 rows, and lag
-        # tiles of a few lags) against tiles that hold a whole block and a
-        # whole row; the last block is short, odd and ends in a lone row
-        # after its last 4-row tile
+        # row tiles of 1, 2, 3 and 5 rows (and lag tiles of a few lags)
+        # against tiles that hold a whole block and a whole row; the last
+        # block is short and odd, so most tile sizes leave a short last tile
         kernel = parse_kernel(spec)
         chunk = mc._pair_chunk(mc.build_embedding_plan(kernel, grid))
         n_paths = 2 * chunk + 4 * (chunk // 4) + 1
@@ -596,7 +595,7 @@ class TestFusedPass:
 
         monkeypatch.setattr(mc, "_moments", recording)
         runs = []
-        for tile_bytes in (8 * grid, 16 * mc.BLOCK_BYTES):
+        for tile_bytes in (4 * grid, 8 * grid, 12 * grid, 20 * grid, 16 * mc.BLOCK_BYTES):
             monkeypatch.setattr(mc, "TILE_BYTES", tile_bytes)
             for workers in (1, 2):
                 runs.append(mc.mc_integrated_functionals(functionals, kernel, n_paths, grid, 75,
