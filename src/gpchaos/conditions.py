@@ -7,12 +7,12 @@ Three verdicts per kernel:
   from the local-singularity metadata carried by the b representation; the
   numeric norm values come from the package's integrator (closed forms) or
   the sampled grid (numeric inversions).
-* A2 -- the fourth derivative of r exists near 0 and the discriminant
-  r''''(0) - r''(0)^2 is strictly positive.
-* G  -- (r''(t) - r''(0))/t is absolutely integrable on (0, delta]; decided
-  from the lowest non-even exponent p of r at 0, since the integrand
-  behaves like t^(p - 3): it holds when r''(0) exists and p > 2 or r has
-  no such term.  The integral's value is reported alongside.
+* A2 -- r''''(0) exists and the discriminant r''''(0) - r''(0)^2 is
+  strictly positive.
+* G  -- (r''(t) - r''(0))/t is absolutely integrable on (0, delta]; with p
+  the lowest non-even exponent of r at 0, the integrand behaves like
+  t^(p - 3), so it holds exactly when r''(0) exists (p > 2 or r has no such
+  term).  The integral's value is reported alongside.
 
 ``condition_report`` bundles the three into one serializable document.
 """
@@ -83,30 +83,10 @@ class ConditionReport:
     a1: A1Report
     a2: A2Report
     geman: GemanReport
-    notes: tuple = ()
 
 
 # --------------------------------------------------------------------------
 # numeric norms
-#
-# The b representation describes behavior at 0 as one of: None (bounded),
-# "log" (logarithmic divergence), or a float p < 0 (growth like |x|^p).
-
-
-def _closed_integral(f, sing, k, scale):
-    """Integral of |f|^k over (0, inf), where f behaves like ``sing`` at 0;
-    returns (value, quadrature error estimate).  A power singularity x^p
-    sets the endpoint map to 1 / (k p + 1), which leaves the integrand
-    constant at 0; a logarithm takes the cube."""
-    if sing is None:
-        power = 1.0
-    elif sing == "log":
-        power = 3.0
-    else:
-        power = 1.0 / (k * sing + 1.0)
-    (value,), (error,) = integrate(
-        lambda x, _: np.abs(f(x))[None] ** k, [k], 0.0, math.inf, power, scale)
-    return value, error
 
 
 def _closed_sup(f, scale):
@@ -116,7 +96,8 @@ def _closed_sup(f, scale):
 
 
 def _norm_checks(fun, vals_grid, x_grid, sing, scale, errs):
-    """L1/L2/Linf checks for one function (b or b'). ``vals_grid`` is None
+    """L1/L2/Linf checks for one function (b or b'), which behaves like
+    ``sing`` at 0 (as ``BKernel.b_singularity`` says). ``vals_grid`` is None
     for closed-form representations.  A logarithm lies in every Lk, |x|^p
     in Lk when k p > -1, and only a bounded function in Linf."""
     checks = []
@@ -125,7 +106,8 @@ def _norm_checks(fun, vals_grid, x_grid, sing, scale, errs):
             checks.append(NormCheck(False, math.inf))
             continue
         if vals_grid is None:
-            v, e = _closed_integral(fun, sing, k, scale)
+            (v,), (e,) = integrate(lambda x, _: np.abs(fun(x))[None] ** k, [k], 0.0, math.inf,
+                                   sing if sing in (None, "log") else k * sing, scale)
             errs.append(e)
         else:
             v = np.trapezoid(np.abs(vals_grid) ** k, x_grid)
@@ -178,21 +160,11 @@ def check_a1(kernel: Kernel) -> A1Report:
 def check_a2(kernel: Kernel) -> A2Report:
     """Existence of r''''(0) and positivity of r''''(0) - r''(0)^2."""
     d = r_derivatives_at_zero(kernel)
-    notes = list(d.notes)
-    if not d.r4_available:
-        if d.r2_available:
-            notes.append("fourth derivative does not exist near 0")
-        else:
-            notes.append("second derivative does not exist at 0")
-        return A2Report(d.r2, d.r4, d.discriminant, False, tuple(notes))
-    holds = d.discriminant > 0.0
-    if not holds:
-        notes.append("discriminant is not strictly positive")
-    return A2Report(d.r2, d.r4, d.discriminant, holds, tuple(notes))
-
-
-def _geman_delta(kernel: Kernel) -> float:
-    return float(min(1.0, kernel.length_scale))
+    holds = d.r4_available and d.discriminant > 0.0
+    notes = d.notes
+    if d.r4_available and not holds:
+        notes += ("discriminant is not strictly positive",)
+    return A2Report(d.r2, d.r4, d.discriminant, holds, notes)
 
 
 def check_geman(kernel: Kernel) -> GemanReport:
@@ -200,45 +172,29 @@ def check_geman(kernel: Kernel) -> GemanReport:
     min(1, length scale), from the Taylor exponent of r at 0.
 
     With p the lowest non-even exponent of r at 0 (``_odd_taylor_power``),
-    the integrand behaves like t^(p - 3), so the condition holds when p > 2
-    or r has no such term.  The integral is reported as well, from one
-    adaptive pass; for 2 < p < 3 the map t = delta u^(1/(p - 2)) leaves its
-    leading term constant.  Raises NotDifferentiable when r''(0) does not
-    exist.
+    the integrand behaves like t^(p - 3), so the condition holds exactly
+    when r''(0) exists: p > 2, or r has no such term.  The integral is
+    reported as well, from one adaptive pass.  A kernel without r''(0)
+    fails, with the NotDifferentiable message as its note.
     """
-    delta = _geman_delta(kernel)
-    r2_0 = kernel.r2_zero()  # NotDifferentiable propagates
+    delta = float(min(1.0, kernel.length_scale))
+    try:
+        r2_0 = kernel.r2_zero()
+    except NotDifferentiable as exc:
+        return GemanReport(delta, math.nan, False, (str(exc),))
     p = kernel._odd_taylor_power()
-    term = "no non-even term" if p is None else f"lowest non-even term |t|^{p:g}"
-    if p is not None and p <= 2.0:
-        return GemanReport(delta, math.inf, False, (f"r has {term} at 0",))
-    power = 1.0 / (p - 2.0) if p is not None and p < 3.0 else 1.0
     (value,), (error,) = integrate(
-        lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], 0.0, delta, power)
+        lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], 0.0, delta,
+        None if p is None else p - 3.0)
+    term = "no non-even term" if p is None else f"lowest non-even term |t|^{p:g}"
     notes = (f"r has {term} at 0; integral quadrature error estimate {error:.2e}",)
     return GemanReport(delta, float(value), True, notes)
 
 
 def condition_report(kernel: Kernel) -> ConditionReport:
-    """Full verdict document for one kernel.
-
-    ``check_geman``'s NotDifferentiable is absorbed here: a kernel whose
-    second derivative fails to exist cannot satisfy the crossing condition,
-    and the aggregate report should say so rather than raise.
-    """
-    a1 = check_a1(kernel)
-    a2 = check_a2(kernel)
-    try:
-        geman = check_geman(kernel)
-    except NotDifferentiable as exc:
-        geman = GemanReport(_geman_delta(kernel), math.nan, False, (str(exc),))
-    notes = []
-    if a2.holds and not geman.holds:
-        notes.append(
-            "invariant violation: nondegeneracy holds but the crossing "
-            "integrability test failed")
-    return ConditionReport(kernel.spec_string(), a1, a2, geman,
-                           tuple(notes))
+    """Full verdict document for one kernel."""
+    return ConditionReport(kernel.spec_string(), check_a1(kernel), check_a2(kernel),
+                           check_geman(kernel))
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +211,7 @@ def _record(value):
 
 
 def report_to_dict(report: ConditionReport) -> dict:
-    """The report's records, with the notes of all four parts in one list."""
-    parts = (report.a1, report.a2, report.geman, report)
+    """The report's records, with the notes of its three parts in one list."""
+    parts = (report.a1, report.a2, report.geman)
     return {"schema": "condition-report/1", **_record(report),
             "notes": [note for part in parts for note in part.notes]}

@@ -60,15 +60,18 @@ _SUBINTERVAL_LIMIT = 200
 _SLICE_ROWS = 64
 
 
-def integrate(f, keys, lo=0.0, hi=1.0, power=1.0, scale=1.0):
+def integrate(f, keys, lo=0.0, hi=1.0, singular=None, scale=1.0):
     """int_lo^hi f(x, k) dx for every k in ``keys``; returns the values and
     their error estimates as two arrays.
 
     ``f(x, ks)`` returns the ``(len(ks), len(x))`` integrands, so each pass
-    evaluates every key on one shared set of nodes.  The rule runs in u on
-    [0, 1], with s = u^power and x = lo + (hi - lo) s, or x = lo + scale
-    s / (1 - s) when ``hi`` is infinite.  An integrand like (x - lo)^e at lo
-    becomes u^(power (e + 1) - 1), which power = 1 / (e + 1) makes constant.
+    evaluates every key on one shared set of nodes.  ``singular`` is how
+    they behave at ``lo``: None (bounded), "log", or an exponent e > -1 of
+    (x - lo)^e.  The rule runs in u on [0, 1], with s = u^power and x = lo +
+    (hi - lo) s, or x = lo + scale s / (1 - s) when ``hi`` is infinite.
+    (x - lo)^e becomes u^(power (e + 1) - 1), so e < 0 takes power
+    1 / (e + 1), which makes it constant; a logarithm takes power 3, and
+    anything else power 1.
 
     A subinterval is bisected while any key's error estimate misses its
     share, by length in u, of max(epsabs, epsrel |value|), up to the
@@ -78,6 +81,10 @@ def integrate(f, keys, lo=0.0, hi=1.0, power=1.0, scale=1.0):
     QuadratureFailure with the rule's own diagnosis.
     """
     nodes, weights = _gauss_legendre_pair()
+    if singular == "log":
+        power = 3.0
+    else:
+        power = 1.0 / (singular + 1.0) if singular is not None and singular < 0.0 else 1.0
     keys = np.asarray(keys)
     out, out_error = np.empty(keys.size), np.empty(keys.size)
     for start in range(0, keys.size, _SLICE_ROWS):

@@ -647,6 +647,14 @@ class TestVerifyAll:
         verdicts = next(c for c in report["checks"] if c["name"] == "condition-verdicts")
         assert verdicts["detail"]["a1_holds"] is False
 
+    def test_rough_matern_reconstructs_r(self, capsys):
+        # b ~ x^-0.4 at 0, so the reconstruction integrals are singular like x^-0.8
+        report = run_json(capsys, "verify-all", "--kernel", "matern:nu=0.1",
+                          "--paths", "200", "--grid", "64")
+        check = next(c for c in report["checks"] if c["name"] == "b-reconstruction")
+        assert check["status"] == "pass"
+        assert report["all_pass"] is True
+
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
 

@@ -70,7 +70,6 @@ class TestVerdictTable:
         rep = condition_report(parse_kernel(spec))
         if rep.a2.holds:
             assert rep.geman.holds
-        assert rep.notes == ()  # no invariant violations on the catalog
 
     def test_generic_and_half_integer_matern_agree(self):
         # the report runs the generic Bessel route; the nu = 5/2 closed form
@@ -186,9 +185,9 @@ class TestA2:
         a2 = check_a2(parse_kernel("matern32"))
         assert not a2.holds and math.isnan(a2.r4)
         assert_allclose(a2.r2, -3.0, rtol=1e-15)
-        assert any("fourth derivative" in n for n in a2.notes)
+        assert a2.notes == ("|t|^3 term in the expansion at 0; no r''''(0)",)
         a2lo = check_a2(parse_kernel("matern12"))
-        assert any("second derivative" in n for n in a2lo.notes)
+        assert a2lo.notes == ("|t|^1 term in the expansion at 0; no r''(0)",)
 
     def test_discrepancy_flags_surface_in_notes(self):
         assert any("printed" in n
@@ -223,11 +222,14 @@ class TestGeman:
         assert_allclose(val, 6.0 * math.sqrt(3.0), rtol=1e-6)
         assert check_geman(k).holds
 
-    def test_raises_without_second_derivative(self):
-        with pytest.raises(NotDifferentiable):
-            check_geman(parse_kernel("matern12"))
-        with pytest.raises(NotDifferentiable):
-            check_geman(parse_kernel("gammaexp:gamma=1.5"))
+    def test_fails_without_second_derivative(self):
+        for spec, delta in (("matern12", 1.0), ("gammaexp:gamma=1.5,ell=0.5", 0.5)):
+            k = parse_kernel(spec)
+            with pytest.raises(NotDifferentiable) as exc:
+                k.r2_zero()
+            rep = check_geman(k)
+            assert (rep.delta, rep.holds) == (delta, False) and math.isnan(rep.integral)
+            assert rep.notes == (str(exc.value),) == (f"{k.spec_string()}: r''(0) does not exist",)
 
     def test_report_absorbs_missing_derivative(self):
         rep = condition_report(parse_kernel("matern12"))
@@ -257,10 +259,9 @@ class TestSerialization:
         assert doc["geman"]["integral"] is None
         json.loads(json.dumps(doc))  # strictly JSON-serializable
 
-    def test_notes_gather_a1_a2_geman_then_the_report(self):
+    def test_notes_gather_a1_a2_then_geman(self):
         rep = condition_report(parse_kernel("matern12"))
-        assert report_to_dict(rep)["notes"] == [
-            *rep.a1.notes, *rep.a2.notes, *rep.geman.notes, *rep.notes]
+        assert report_to_dict(rep)["notes"] == [*rep.a1.notes, *rep.a2.notes, *rep.geman.notes]
 
     def test_json_output_is_deterministic(self):
         k = parse_kernel("matern52")

@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import dblquad, quad
 from scipy.special import kv
 
+from gpchaos import verify
 from gpchaos.errors import (
     DomainError,
     NoBRepresentation,
@@ -399,8 +400,13 @@ class TestFiniteDifferenceOracle:
         Matern(3.7, 1.1),
         Matern(4.5, 1.0),  # r rounds to a few ulp; in logarithms r4 was off 3.1e-6
         Matern(2.7, 1.0),
+        Matern(3.0, 1.0),  # integer nu: a |t|^6 log|t| term, eliminated twice
         RationalQuadratic(2.0, 1.0),
         RationalQuadratic(1.5, 0.9),
+        # large alpha: r must not round s^2 / (2 alpha ell^2) against 1
+        RationalQuadratic(10.0, 1.0),
+        RationalQuadratic(50.0, 1.0),
+        RationalQuadratic(1000.0, 1.0),
         Wendland(4),
         Cosine(1.2),
         Periodic(math.pi, 1.0),
@@ -417,6 +423,31 @@ class TestFiniteDifferenceOracle:
     def test_second_derivative_only(self):
         k = parse_kernel("matern32")
         assert_allclose(fd_derivatives_at_zero(k)["r2"], -3.0, rtol=1e-6)
+        # nu = 2: a |t|^4 log|t| term, eliminated twice
+        k = Matern(2.0, 1.0)
+        assert_allclose(fd_derivatives_at_zero(k)["r2"], -2.0, rtol=1e-6)
+
+
+class TestOracleChecks:
+    """The battery's finite-difference and reconstruction checks pass on
+    correct kernels across each family's smoothness range, or skip where
+    r''(0) or b does not exist."""
+
+    SWEEP = ([Matern(nu, 1.0) for nu in (0.05, 0.1, 0.15, 0.3, 0.75, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)]
+             + [RationalQuadratic(alpha, 1.0) for alpha in (1.5, 2.0, 10.0, 50.0, 1000.0)]
+             + [Wendland(k) for k in (1, 2, 3, 4)]
+             + [GammaExponential(1.2), GammaExponential(1.9), SquaredExponential(1.0),
+                Cosine(1.0), Periodic(1.0, 1.0)])
+
+    def test_pass_or_skip(self):
+        failed = []
+        for k in self.SWEEP:
+            for name, check in (("fd", lambda: verify.derivative_fd(k)),
+                                ("reconstruction", lambda: verify.b_reconstruction(k, 13))):
+                status = verify._run(name, check)
+                if status["status"] == "fail":
+                    failed.append((k.spec_string(), status))
+        assert failed == []
 
 
 class TestSpectralDensity:
@@ -698,6 +729,8 @@ class TestBRepresentation:
         RationalQuadratic(2.0, 1.0),
         Wendland(4),
         GammaExponential(1.5, 1.0),
+        # nu < 1/2: b^2 ~ x^(2 nu - 1) at 0, which sets the endpoint map
+        *(Matern(nu, 1.0) for nu in (0.05, 0.1, 0.15, 0.2, 0.3, 0.45)),
     ], ids=lambda k: k.spec_string())
     def test_reconstruction(self, k):
         t = np.linspace(0.0, 3.0 * k.length_scale, 13)
