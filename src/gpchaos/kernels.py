@@ -833,6 +833,11 @@ class Periodic(Kernel):
 # sampled-grid b construction
 
 
+# Bytes of a covariance row's (2 wraps + 1, T) lag tile: below glibc's 128 KiB
+# mmap threshold, so kernel.r's temporaries are reused, not faulted in anew.
+TILE_BYTES = 1 << 17
+
+
 def _grid_payload(spec, dx, trunc, notes, bp_sing):
     """Grid b, samples of b and b' at x = 0, dx, ..., n dx / 2, from F' at the
     n/2 + 1 non-negative frequencies lam of an n-point grid of step dx, given
@@ -894,19 +899,34 @@ def _grid_b_from_spectral(density, scale, decay_scale, bp_sing):
     return _grid_payload(density(lam), dx, trunc, notes, bp_sing)
 
 
+def _even_row_spectrum(kernel, n, dt, wraps=0):
+    """rfft of the even n-point row of r at step dt, periodized over the wraps
+    j = -wraps ... wraps of its period n dt, less their value at lag 0.
+
+    Lags 0 ... n/2 get r(|k dt + j n dt|) added in order of j, one kernel.r call
+    per lag tile of TILE_BYTES, and are mirrored into the rest of the array.  The
+    constant n (row[0] - r(0)) then comes out of bin 0, exactly 0 at wraps = 0.
+    """
+    shifts = np.arange(-wraps, wraps + 1)[:, None] * (n * dt)
+    width = max(1, TILE_BYTES // (8 * shifts.size))
+    half = n // 2 + 1
+    row = np.empty(n)
+    for lo in range(0, half, width):
+        lags = np.abs(np.add(shifts, np.arange(lo, min(lo + width, half)) * dt))
+        np.add.reduce(kernel.r(lags), axis=0, out=row[lo:lo + lags.shape[1]])
+    row[half:] = row[half - 2:0:-1]
+    spec = np.fft.rfft(row)
+    spec[0] -= n * (row[0] - kernel.r(0.0))
+    return spec
+
+
 def _grid_b_from_covariance(kernel, bp_sing, note):
     """Grid b via a 2^20-point FFT of the sampled covariance (heavy spectral tails)."""
     n = 1 << 20
     scale = kernel.length_scale
     x_len = 64.0 * scale
     dt = x_len / n
-    # the even row r(min(t, L - t)) on the period [0, L), mirrored from its half
-    # (each full-length array is freed as soon as the next one exists)
-    half = kernel.r(np.arange(n // 2 + 1) * dt)
-    row = np.concatenate([half, half[-2:0:-1]])
-    del half
-    spec = np.fft.rfft(row)
-    del row
+    spec = _even_row_spectrum(kernel, n, dt)  # of r(min(t, L - t)) on [0, L)
     spec.real *= dt  # F' in the real part, which _grid_payload takes over
     spec.real /= 2.0 * math.pi
     lam_max = math.pi / dt

@@ -1,19 +1,21 @@
 """Joint path sampling of (X, dX) and Monte Carlo oracles.
 
 Paths are drawn by circulant embedding in the spectral domain: the
-covariance row is periodized, its FFT gives the embedding eigenvalues, and
-multiplying each spectral amplitude by i*lambda produces the derivative
-channel, so (X, dX) carry their exact joint law on the grid (up to reported
-eigenvalue clipping).  Normals are drawn only on the eigen-support (the
-modes whose floored eigenvalue is non-zero); the grid values are then
-synthesized either directly from a real cosine and sine basis over the
-support's distinct |frequencies| or by a chirp-z transform of the band of
-signed frequencies that holds the support, whichever the plan's sizes make
-cheaper.  Paths are made in blocks of path pairs whose bounds the plan
-alone fixes, and a block's normals come from one Philox stream keyed on
-(seed, the block's first pair), so every path is a deterministic function
-of (seed, path_index) on a given plan, however many paths are asked for
-and however work is scheduled.
+covariance row is periodized on an even window of wraps, less their value
+at lag 0 (taken out of bin 0, so the row holds r(0) there), its FFT gives
+the embedding eigenvalues, and multiplying each spectral amplitude by
+i*lambda produces the derivative channel, so (X, dX) carry their exact
+joint law on the grid (up to reported eigenvalue clipping).  Normals are
+drawn only on the eigen-support (the modes whose floored eigenvalue is
+non-zero); the grid values are then synthesized either directly from a
+real cosine and sine basis over the support's distinct |frequencies| or by
+a chirp-z transform of the band of signed frequencies that holds the
+support, whichever the plan's sizes make cheaper.  Paths are made in
+blocks of path pairs whose bounds the plan alone fixes, and a block's
+normals come from one Philox stream keyed on (seed, the block's first
+pair), so every path is a deterministic function of (seed, path_index) on
+a given plan, however many paths are asked for and however work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EmbeddingFailure, whole
-from .kernels import Kernel
+from .kernels import TILE_BYTES, Kernel, _even_row_spectrum
 from .specfun import hermite
 
 __all__ = [
@@ -78,13 +80,11 @@ DIRECT_BASIS_LIMIT = 1 << 21
 # stream (_support_draws), so changing this changes every sampled path.
 BLOCK_BYTES = 1 << 20
 
-# Bytes of a plan's (2 PERIODIZATION_WRAPS + 1, T) lag tile: below glibc's 128 KiB
-# mmap threshold, so kernel.r's temporaries are reused, not faulted in anew.  A
-# statistic's row tile takes 2 TILE_BYTES per (rows, n) array, 64 rows at n = 512:
-# 32-row tiles cost more in per-call overhead than they save (BENCH_28.json).  Each
-# row's values are its own, whatever rows share its tile, so tiles change no value
-# and this is not part of the stream layout.
-TILE_BYTES = 1 << 17
+# A plan's row is built on lag tiles of kernels.TILE_BYTES.  A statistic's row
+# tile takes 2 TILE_BYTES per (rows, n) array, 64 rows at n = 512: 32-row tiles
+# cost more in per-call overhead than they save (BENCH_28.json).  Each row's values
+# are its own, whatever rows share its tile, so tiles change no value and TILE_BYTES
+# is not part of the stream layout.
 
 
 def _worker_count(workers=None) -> int:
@@ -187,8 +187,9 @@ def _next_fast_len(target: int) -> int:
 class EmbeddingPlan:
     """Spectral data for sampling (X, dX) on a fixed grid.
 
-    ``eigenvalues`` is the FFT of the periodized covariance row after
-    flooring and ``support`` the indices of its non-zero entries, the only
+    ``eigenvalues`` is the FFT of the covariance row, periodized on an
+    even window of wraps with their value at lag 0 taken out of bin 0, after
+    flooring, and ``support`` the indices of its non-zero entries, the only
     modes the sampler draws; ``clipped`` counts negative eigenvalues that
     were zeroed and ``min_eigenvalue`` records the worst value before
     clipping.
@@ -292,51 +293,37 @@ class EmbeddingPlan:
 
 
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
-    """Periodize r, double the embedding until the wrap-around tail of
-    (r, r', r'') is negligible, and check the eigenvalues are usable.  The row
-    is built on lag tiles of TILE_BYTES with its wraps added in order r_-W +
-    ... + r_W: to the bit the row a wrap-by-wrap pass over all m lags makes."""
+    """Take the eigenvalues from the even row of kernels._even_row_spectrum
+    at PERIODIZATION_WRAPS wraps, and check they are usable.  That row holds
+    r(0) at lag 0, so what the wraps leave over the window is their slope and
+    curvature: the embedding doubles until |r'| + |r''| at one and two periods
+    is negligible."""
     n = whole(grid_points, f"grid_points={grid_points} must be an integer >= 2", low=2)
     dt = 1.0 / (n - 1)
     r2 = kernel.r2_zero()  # the joint law needs the derivative channel
-    sigma = math.sqrt(-r2)
     tail_tol = 1e-9 * max(1.0, abs(r2))
 
-    def tail(size):
-        period = size * dt
-        total = 0.0
-        for j in (1, 2):
-            s = j * period
-            total += abs(kernel.r(s)) + abs(kernel.r_prime(s)) + abs(kernel.r_second(s))
-        return total
+    def tail(size):  # |r'| + |r''| at one and two periods
+        return sum(abs(kernel.r_prime(j * size * dt)) + abs(kernel.r_second(j * size * dt))
+                   for j in (1, 2))
 
     m = 1 << max(3, math.ceil(math.log2(4 * (n - 1))))
-    notes = []
-    doublings = 0
-    while tail(m) > tail_tol and doublings < GROWTH_CAP:
+    for _ in range(GROWTH_CAP):
+        if tail(m) <= tail_tol:
+            break
         m *= 2
-        doublings += 1
+    notes = []
     if tail(m) > tail_tol:
-        notes.append(
-            f"covariance tail {tail(m):.3e} above tolerance {tail_tol:.3e} "
-            f"at the size cap; periodization bias is not controlled"
-        )
+        notes.append(f"covariance tail {tail(m):.3e} above tolerance {tail_tol:.3e} "
+                     f"at the size cap; periodization bias is not controlled")
 
-    wraps = np.arange(-PERIODIZATION_WRAPS, PERIODIZATION_WRAPS + 1)[:, None] * (m * dt)
-    width = max(1, TILE_BYTES // (8 * wraps.size))
-    row = np.empty(m)
-    for lo in range(0, m, width):
-        lags = np.abs(np.add(wraps, np.arange(lo, min(lo + width, m)) * dt))
-        np.add.reduce(kernel.r(lags), axis=0, out=row[lo:lo + lags.shape[1]])
-    # the real part of a real row's FFT is even, so the m/2 + 1 bins of its
-    # real FFT, mirrored, are all of it
-    half = np.fft.rfft(row).real
-    del row  # the FFT's buffers set the plan's peak memory
+    # an even row's FFT is real and even, so the real parts of the m/2 + 1
+    # bins of its real FFT, mirrored, are all of it
+    half = _even_row_spectrum(kernel, m, dt, PERIODIZATION_WRAPS).real
     eig = np.empty(m)
     eig[:half.size], eig[half.size:] = half, half[-2:0:-1]
     del half
-    eig_max = float(eig.max())
-    eig_min = float(eig.min())
+    eig_max, eig_min = float(eig.max()), float(eig.min())
     if eig_max <= 0.0:
         raise EmbeddingFailure(f"embedding of {kernel.spec_string()} has no positive eigenvalues")
     if eig_min < -EMBEDDING_FAILURE_TOL * eig_max:
@@ -346,25 +333,14 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
         )
     clipped = int(np.count_nonzero(eig < 0.0))
     if clipped:
-        notes.append(
-            f"clipped {clipped} negative eigenvalues (worst {eig_min:.3e} "
-            f"against max {eig_max:.3e})"
-        )
+        notes.append(f"clipped {clipped} negative eigenvalues (worst {eig_min:.3e} "
+                     f"against max {eig_max:.3e})")
     eig[eig < EIGENVALUE_FLOOR * eig_max] = 0.0
     lam = np.fft.fftfreq(m, d=dt)
     lam *= 2.0 * math.pi
-    return EmbeddingPlan(
-        grid_points=n,
-        grid_step=dt,
-        embedding_size=m,
-        sigma=sigma,
-        eigenvalues=eig,
-        support=np.flatnonzero(eig),
-        angular_frequencies=lam,
-        clipped=clipped,
-        min_eigenvalue=eig_min,
-        notes=tuple(notes),
-    )
+    return EmbeddingPlan(grid_points=n, grid_step=dt, embedding_size=m, sigma=math.sqrt(-r2),
+                         eigenvalues=eig, support=np.flatnonzero(eig), angular_frequencies=lam,
+                         clipped=clipped, min_eigenvalue=eig_min, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,16 @@ class TestVerifyAll:
         assert check["status"] == "pass"
         assert report["all_pass"] is True
 
+    def test_heavy_tailed_kernel_passes_the_derivative_gates(self, capsys):
+        # the plan's lopsided window of wraps put a spike at lag 0 that read
+        # crossings z = +5.30 and mc_z = +32.4; b-reconstruction and
+        # regularization-slope fail on rq:alpha=0.6 for reasons of their own
+        report = run_json(capsys, "verify-all", "--kernel", "rq:alpha=0.6",
+                          "--paths", "2000", "--grid", "256", "--seed", "0")
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["level-crossings"] == "pass"
+        assert status["mean-square-derivative"] == "pass"
+
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
 

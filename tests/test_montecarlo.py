@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.fft import next_fast_len
 
+from gpchaos import kernels
 from gpchaos import montecarlo as mc
 from gpchaos.chaos import chaos_spectrum, integrated_chaos_norms, parse_functional
 from gpchaos.errors import DomainError, EmbeddingFailure, NotDifferentiable
@@ -143,28 +144,52 @@ class TestEmbeddingPlan:
     @pytest.mark.parametrize("spec,grid", [("sqexp", 512), ("matern52", 2048),
                                            ("rq:alpha=2,ell=1", 512), ("sqexp", 16)])
     def test_eigenvalues_are_the_even_real_part_of_the_row_fft(self, spec, grid):
-        # the real FFT's m/2 + 1 bins, mirrored: exactly even, and the
-        # complex FFT's real part to rounding
+        # the row on lags 0 ... m/2 with wraps j = -W ... W on both sides of
+        # each lag, mirrored, and the wraps' value at lag 0 out of bin 0; the
+        # eigenvalues are its real FFT's m/2 + 1 bins, mirrored: exactly even,
+        # and its complex FFT to rounding, which is real to rounding
         kernel = parse_kernel(spec)
         plan = mc.build_embedding_plan(kernel, grid)
         m, dt = plan.embedding_size, plan.grid_step
-        t = np.arange(m) * dt
-        row = np.zeros(m)  # the whole row at once, wrap by wrap
+        t = np.arange(m // 2 + 1) * dt
+        half_row = np.zeros(t.size)  # the whole half row at once, wrap by wrap
         for j in range(-mc.PERIODIZATION_WRAPS, mc.PERIODIZATION_WRAPS + 1):
-            row += kernel.r(np.abs(t + j * (m * dt)))
-        full = np.fft.fft(row).real
+            half_row += kernel.r(np.abs(t + j * (m * dt)))
+        row = np.concatenate([half_row, half_row[-2:0:-1]])
+        shift = m * (row[0] - kernel.r(0.0))
+        full = np.fft.fft(row)
+        full[0] -= shift
+        assert np.abs(full.imag).max() <= 1e-12 * full.real.max()
+        full = full.real
         assert_array_equal(plan.eigenvalues[1:], plan.eigenvalues[:0:-1])
         kept = plan.eigenvalues > 0.0
         assert_allclose(plan.eigenvalues[kept], full[kept], rtol=0.0, atol=1e-12 * full.max())
         assert plan.min_eigenvalue == pytest.approx(full.min(), abs=1e-12 * full.max())
         # the row built in lag tiles is that row to the bit
-        half = np.fft.rfft(row).real
-        mirrored = np.concatenate([half, half[-2:0:-1]])
+        half = np.fft.rfft(row)
+        half[0] -= shift
+        mirrored = np.concatenate([half.real, half.real[-2:0:-1]])
         assert plan.min_eigenvalue == mirrored.min()
         assert plan.clipped == np.count_nonzero(mirrored < 0.0)
         floored = np.where(mirrored < mc.EIGENVALUE_FLOOR * mirrored.max(), 0.0, mirrored)
         assert_array_equal(plan.eigenvalues, floored)
         assert_array_equal(plan.angular_frequencies, 2.0 * np.pi * np.fft.fftfreq(m, dt))
+
+    @pytest.mark.parametrize("grid", [256, 2048])
+    @pytest.mark.parametrize("spec", ["rq:alpha=0.6", "rq:alpha=1"])
+    def test_heavy_tailed_plan_samples_the_law_of_r(self, spec, grid):
+        # the plan's covariance c, the inverse FFT of its eigenvalues, is r on
+        # the grid, and its derivative variance is -r''(0).  A window of wraps
+        # from -8P to 9P left a spike at lag 0 (c - r of 6.7e-3 at alpha = 0.6)
+        # whose share of the derivative variance grows like 1 / dt^2 (2.664 and
+        # 108.6 times -r''(0) at alpha = 0.6)
+        kernel = parse_kernel(spec)
+        plan = mc.build_embedding_plan(kernel, grid)
+        m = plan.embedding_size
+        var_xdot = np.sum(plan.angular_frequencies ** 2 * plan.eigenvalues) / m
+        assert var_xdot == pytest.approx(-kernel.r2_zero(), rel=1e-5)
+        c = np.fft.ifft(plan.eigenvalues).real[:grid]
+        assert np.abs(c - kernel.r(np.arange(grid) * plan.grid_step)).max() <= 1e-6
 
     def test_support_lists_the_nonzero_eigenvalues(self):
         plan = mc.build_embedding_plan(SQEXP, 512)
@@ -597,6 +622,7 @@ class TestFusedPass:
         runs = []
         for tile_bytes in (4 * grid, 8 * grid, 12 * grid, 20 * grid, 16 * mc.BLOCK_BYTES):
             monkeypatch.setattr(mc, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)  # the plan's lag tiles
             for workers in (1, 2):
                 runs.append(mc.mc_integrated_functionals(functionals, kernel, n_paths, grid, 75,
                                                          workers=workers, level=0.0))
