@@ -251,6 +251,23 @@ def cmd_chaos(args) -> str:
     )
 
 
+def _plan_diagnostics(plan) -> dict:
+    """The plan a report's Monte Carlo ran on, with the derivative channel's
+    variance sum lambda^2 eig / m over the support as a share of -r''(0)."""
+    variance = plan.angular_frequencies[plan.support] ** 2 @ plan.eigenvalues[plan.support]
+    return {
+        "embedding_size": plan.embedding_size,
+        "support_size": plan.support.size,
+        "synthesis": "direct" if plan.direct_synthesis else "band",
+        "band_length": None if plan.direct_synthesis else plan.band_length,
+        "clipped": plan.clipped,
+        "min_eigenvalue": plan.min_eigenvalue,
+        "periodization_bias": plan.periodization_bias,
+        "derivative_variance_ratio": variance / plan.embedding_size / plan.sigma**2,
+        "notes": plan.notes,
+    }
+
+
 def cmd_simulate(args) -> str:
     kernel = parse_kernel(args.kernel)
     functionals = [parse_functional(s) for s in args.functionals] if args.functionals else None
@@ -260,17 +277,7 @@ def cmd_simulate(args) -> str:
         functionals=[f.spec_string() for f in functionals] if functionals else None,
     )
     plan = mc.build_embedding_plan(kernel, args.grid)
-    body = {
-        "diagnostics": {
-            "embedding_size": plan.embedding_size,
-            "support_size": plan.support.size,
-            "synthesis": "direct" if plan.direct_synthesis else "band",
-            "band_length": None if plan.direct_synthesis else plan.band_length,
-            "clipped": plan.clipped,
-            "min_eigenvalue": plan.min_eigenvalue,
-            "notes": plan.notes,
-        },
-    }
+    body = {"diagnostics": _plan_diagnostics(plan)}
     if functionals is None:
         stats = mc.crossing_statistics(
             kernel, args.level, args.paths, args.grid, args.seed, plan=plan
@@ -302,11 +309,17 @@ def cmd_simulate(args) -> str:
 
 def cmd_verify_all(args) -> str:
     kernel = parse_kernel(args.kernel)
-    checks = battery(kernel, args.paths, args.grid, args.seed)
+    try:  # the battery's Monte Carlo checks share this plan
+        plan = mc.build_embedding_plan(kernel, args.grid)
+        diagnostics = _plan_diagnostics(plan)
+    except GpchaosError as exc:
+        plan, diagnostics = None, {"error": str(exc)}
+    checks = battery(kernel, args.paths, args.grid, args.seed, plan)
     statuses = [c["status"] for c in checks]
     return _report(
         "verify-all/1",
         _config(args, kernel=kernel.spec_string()),
+        plan=diagnostics,
         checks=checks,
         passed=statuses.count("pass"),
         failed=statuses.count("fail"),

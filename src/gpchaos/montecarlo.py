@@ -191,8 +191,8 @@ class EmbeddingPlan:
     even window of wraps with their value at lag 0 taken out of bin 0, after
     flooring, and ``support`` the indices of its non-zero entries, the only
     modes the sampler draws; ``clipped`` counts negative eigenvalues that
-    were zeroed and ``min_eigenvalue`` records the worst value before
-    clipping.
+    were zeroed, ``min_eigenvalue`` records the worst value before clipping
+    and ``periodization_bias`` what the wraps add to the covariance's r''(0).
     """
 
     grid_points: int
@@ -204,6 +204,7 @@ class EmbeddingPlan:
     angular_frequencies: np.ndarray
     clipped: int
     min_eigenvalue: float
+    periodization_bias: float
     notes: tuple
 
     @cached_property
@@ -295,27 +296,28 @@ class EmbeddingPlan:
 def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     """Take the eigenvalues from the even row of kernels._even_row_spectrum
     at PERIODIZATION_WRAPS wraps, and check they are usable.  That row holds
-    r(0) at lag 0, so what the wraps leave over the window is their slope and
-    curvature: the embedding doubles until |r'| + |r''| at one and two periods
-    is negligible."""
+    r(0) and slope 0 at lag 0, so the wraps' one error there is the bias
+    2 sum_{j >= 1} r''(j m dt) = c''(0) - r''(0) of its covariance c, whose
+    half bounds max |c - r| on [0, 1] to leading order: m doubles until the
+    bias is negligible."""
     n = whole(grid_points, f"grid_points={grid_points} must be an integer >= 2", low=2)
     dt = 1.0 / (n - 1)
     r2 = kernel.r2_zero()  # the joint law needs the derivative channel
-    tail_tol = 1e-9 * max(1.0, abs(r2))
+    bias_tol = 1e-9 * max(1.0, abs(r2))
 
-    def tail(size):  # |r'| + |r''| at one and two periods
-        return sum(abs(kernel.r_prime(j * size * dt)) + abs(kernel.r_second(j * size * dt))
-                   for j in (1, 2))
+    def bias(size):  # c''(0) - r''(0) at embedding size `size`
+        lags = np.arange(1, PERIODIZATION_WRAPS + 1) * (size * dt)
+        return 2.0 * float(np.sum(kernel.r_second(lags)))
 
     m = 1 << max(3, math.ceil(math.log2(4 * (n - 1))))
     for _ in range(GROWTH_CAP):
-        if tail(m) <= tail_tol:
+        if abs(bias(m)) <= bias_tol:
             break
         m *= 2
-    notes = []
-    if tail(m) > tail_tol:
-        notes.append(f"covariance tail {tail(m):.3e} above tolerance {tail_tol:.3e} "
-                     f"at the size cap; periodization bias is not controlled")
+    wrap_bias, notes = bias(m), []
+    if abs(wrap_bias) > bias_tol:
+        notes.append(f"periodization bias {wrap_bias:.3e} in r''(0) above tolerance "
+                     f"{bias_tol:.3e} at the size cap; it is not controlled")
 
     # an even row's FFT is real and even, so the real parts of the m/2 + 1
     # bins of its real FFT, mirrored, are all of it
@@ -340,7 +342,8 @@ def build_embedding_plan(kernel: Kernel, grid_points: int) -> EmbeddingPlan:
     lam *= 2.0 * math.pi
     return EmbeddingPlan(grid_points=n, grid_step=dt, embedding_size=m, sigma=math.sqrt(-r2),
                          eigenvalues=eig, support=np.flatnonzero(eig), angular_frequencies=lam,
-                         clipped=clipped, min_eigenvalue=eig_min, notes=tuple(notes))
+                         clipped=clipped, min_eigenvalue=eig_min, periodization_bias=wrap_bias,
+                         notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -210,20 +210,20 @@ def _run(name, fn):
     return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
 
 
-def battery(kernel, paths, grid, seed):
+def battery(kernel, paths, grid, seed, plan=None):
     """The eleven checks of ``verify-all`` as (name, status, detail) entries;
     the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
     derivative check) on ``grid`` points from a nonnegative integer
-    ``seed``.  They share one embedding plan, and ``chaos-vs-monte-carlo``
-    and ``level-crossings`` one sampler pass; a plan that fails is rebuilt
-    by each check, which skips with its error."""
+    ``seed``.  They share one embedding plan on ``grid`` (``plan``, if given),
+    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass; a
+    plan that fails is rebuilt by each check, which skips with its error."""
     if paths < 2:
         raise DomainError(f"the battery needs at least 2 paths, got {paths}")
     whole(seed, f"seed={seed} must be a nonnegative integer")
     try:
-        plan = mc.build_embedding_plan(kernel, grid)
+        plan = mc.build_embedding_plan(kernel, grid) if plan is None else plan
     except GpchaosError:
-        plan = None
+        pass
     functionals = [parse_functional(s) for s in ("H:1", "H:2")]
     shared = functools.cache(lambda: mc.mc_integrated_functionals(
         functionals, kernel, paths, grid, seed, plan=plan, level=0.0))

@@ -461,6 +461,7 @@ class TestSimulateCommand:
             capsys, "simulate", "--kernel", "sqexp", "--paths", "20", "--grid", "512",
         )
         plan = mc.build_embedding_plan(parse_kernel("sqexp"), 512)
+        ratio = report["diagnostics"].pop("derivative_variance_ratio")
         assert report["diagnostics"] == {
             "embedding_size": 4096,
             "support_size": 27,
@@ -468,8 +469,12 @@ class TestSimulateCommand:
             "band_length": None,
             "clipped": plan.clipped,
             "min_eigenvalue": plan.min_eigenvalue,
+            "periodization_bias": plan.periodization_bias,
             "notes": list(plan.notes),
         }
+        variance = np.sum(plan.angular_frequencies ** 2 * plan.eigenvalues) / 4096
+        assert ratio == pytest.approx(variance / 2.0, rel=1e-12)
+        assert ratio == pytest.approx(1.0, abs=1e-11)
         band = run_json(
             capsys, "simulate", "--kernel", "matern52", "--paths", "2", "--grid", "2048",
         )["diagnostics"]
@@ -477,6 +482,16 @@ class TestSimulateCommand:
         assert band["support_size"] == 1139
         assert band["synthesis"] == "band"
         assert band["band_length"] == 3200
+
+    @pytest.mark.parametrize("grid,ratio", [(256, 0.99774), (2048, 0.99873)])
+    def test_derivative_variance_ratio_shows_the_nyquist_cut(self, capsys, grid, ratio):
+        # matern32's spectrum falls like lambda^-4, so lambda^2 times it has
+        # a tail past the grid's Nyquist frequency that the plan cannot hold
+        report = run_json(capsys, "simulate", "--kernel", "matern32", "--paths", "2",
+                          "--grid", str(grid))
+        assert report["diagnostics"]["derivative_variance_ratio"] == pytest.approx(
+            ratio, abs=1e-5)
+        assert report["diagnostics"]["notes"] == []
 
     def test_report_is_byte_identical_on_rerun(self, capsys):
         argv = ("simulate", "--kernel", "sqexp", "--functional", "H:2",
@@ -667,6 +682,22 @@ class TestVerifyAll:
 
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
+
+    def test_plan_block_is_the_simulate_diagnostics(self, capsys):
+        argv = ("--kernel", "matern52", "--paths", "20", "--grid", "64")
+        report = run_json(capsys, "verify-all", *argv)
+        assert report["plan"] == run_json(capsys, "simulate", *argv)["diagnostics"]
+        assert report["plan"]["embedding_size"] == 1024
+
+    @pytest.mark.parametrize("spec", ["cosine", "matern12"])
+    def test_plan_block_holds_the_build_error(self, capsys, spec):
+        argv = ("--kernel", spec, "--paths", "20", "--grid", "64")
+        report = run_json(capsys, "verify-all", *argv)
+        code, _, err = run_cli(capsys, "simulate", *argv)
+        assert code == 3
+        assert report["plan"] == {"error": err.removeprefix("gpchaos: ").rstrip("\n")}
+        mc_checks = [c for c in report["checks"] if c["name"] in _MC_CHECKS[:3]]
+        assert [c["detail"]["reason"] for c in mc_checks] == [report["plan"]["error"]] * 3
 
     def test_kernel_without_fourth_derivative_skips_the_residual_check(self, capsys):
         # matern32 has r''(0) but no r''''(0), which scales the leading order

@@ -74,9 +74,34 @@ def _pair_block(plan, seed, pair_start, pair_stop, values_only=False, columns=No
 
 
 class TestEmbeddingPlan:
-    def test_embedding_size_grows_until_tail_decays(self):
+    def test_embedding_size_grows_until_the_wrap_bias_vanishes(self):
         assert mc.build_embedding_plan(SQEXP, 512).embedding_size == 4096
         assert mc.build_embedding_plan(SQEXP, 2048).embedding_size == 16384
+
+    def test_rq_plan_is_sized_by_its_wrap_bias(self):
+        # the wraps add 9.3e-9 to r''(0) at m = 2^15 and 1.5e-10 at 2^16,
+        # against a tolerance of 1e-9
+        plan = mc.build_embedding_plan(RQ, 512)
+        m = plan.embedding_size
+        assert m == 65536
+        c = np.fft.irfft(plan.eigenvalues, m)[:512]
+        assert np.abs(c - RQ.r(np.arange(512) * plan.grid_step)).max() <= 1e-9
+
+    @pytest.mark.parametrize("alpha,noted", [(1.5, False), (1, True)])
+    def test_periodization_note_quotes_a_bias_above_tolerance(self, alpha, noted):
+        # both plans stop at the size cap, with a bias of 1.2e-10 at alpha =
+        # 1.5 and 6.0e-9 at alpha = 1, against a tolerance of 1e-9
+        kernel = parse_kernel(f"rq:alpha={alpha}")
+        plan = mc.build_embedding_plan(kernel, 2048)
+        lags = np.arange(1, mc.PERIODIZATION_WRAPS + 1) * (plan.embedding_size * plan.grid_step)
+        bias = 2.0 * math.fsum(kernel.r_second(lags))
+        assert plan.embedding_size == 8192 << mc.GROWTH_CAP
+        assert plan.periodization_bias == pytest.approx(bias, rel=1e-12)
+        tol = 1e-9 * max(1.0, abs(kernel.r2_zero()))
+        notes = [note for note in plan.notes if "periodization" in note]
+        assert (abs(bias) > tol) is noted
+        assert len(notes) == noted
+        assert all(f"bias {plan.periodization_bias:.3e}" in note for note in notes)
 
     def test_matern_tail_needs_more_padding(self):
         plan = mc.build_embedding_plan(MATERN52, 2048)
@@ -324,8 +349,8 @@ class TestSynthesisRoutes:
     def test_route_follows_the_cost_model(self):
         # K n against c L log2 L: sqexp has 27 modes in a band of 27 at grid
         # 512 (L = 539), matern52 1,139 in a band of 1,139 at grid 2048
-        # (L = 3,200 of m = 32,768) and rq 1,269 at grid 512 (L = 1,782 of
-        # m = 131,072).
+        # (L = 3,200 of m = 32,768) and rq 635 at grid 512 (L = 1,152 of
+        # m = 65,536).
         # rq:alpha=0.5 has full support, 65,536 modes: direct would be the
         # cheaper route but its basis would take 512 MiB.
         cases = _ROUTE_PLANS + [("rq:alpha=0.5,ell=1", 256)]
@@ -348,8 +373,16 @@ class TestSynthesisRoutes:
             assert (k * n <= mc.DIRECT_BASIS_LIMIT and k * n < cost) == plan.direct_synthesis
 
     def test_next_fast_len_matches_scipy(self):
-        # band synthesis sizes its FFTs by the package's own 11-smooth search
-        targets = range(1, (1 << 17) + 1001)
+        # band synthesis sizes its FFTs by the package's own 11-smooth search.
+        # Every 11-smooth s up to 2^17 + 1000 and s + 1 hold each distinct
+        # answer, and the search from s + 1 tries the whole gap to the next s
+        smooth = [1]
+        for p in (2, 3, 5, 7, 11):
+            for s in list(smooth):
+                while s * p <= (1 << 17) + 1000:
+                    s *= p
+                    smooth.append(s)
+        targets = sorted({t for s in smooth for t in (s, s + 1)})
         assert [mc._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
     @pytest.mark.parametrize("spec,grid", _ROUTE_PLANS)
