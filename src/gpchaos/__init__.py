@@ -18,7 +18,6 @@ from .errors import (
     EmbeddingFailure,
     GpchaosError,
     NoBRepresentation,
-    NoSpectralDensity,
     NotDifferentiable,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "GpchaosError",
     "DomainError",
     "NotDifferentiable",
-    "NoSpectralDensity",
     "NoBRepresentation",
     "EmbeddingFailure",
     "__version__",

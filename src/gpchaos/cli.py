@@ -312,8 +312,8 @@ def cmd_verify_all(args) -> str:
     try:  # the battery's Monte Carlo checks share this plan
         plan = mc.build_embedding_plan(kernel, args.grid)
         diagnostics = _plan_diagnostics(plan)
-    except GpchaosError as exc:
-        plan, diagnostics = None, {"error": str(exc)}
+    except GpchaosError as exc:  # each Monte Carlo check skips with it
+        plan, diagnostics = exc, {"error": str(exc)}
     checks = battery(kernel, args.paths, args.grid, args.seed, plan)
     statuses = [c["status"] for c in checks]
     return _report(

@@ -15,11 +15,6 @@ class NotDifferentiable(DomainError):
     """A requested derivative of the covariance does not exist at the origin."""
 
 
-class NoSpectralDensity(DomainError):
-    """No spectral density to evaluate: the spectral measure has atoms, or
-    the density has no closed form in the package."""
-
-
 class NoBRepresentation(DomainError):
     """No square-integrable moving-average kernel is available for this covariance."""
 

@@ -4,17 +4,18 @@ Every kernel is a frozen dataclass exposing
 
 * pointwise covariance values ``r(t)`` (normalized so r(0) = 1),
 * first and second derivatives away from the origin,
-* derivative data at the origin with per-entry availability flags,
-* the spectral density F' where the covariance is integrable, and
+* derivative data at the origin with per-entry availability flags, and
 * a moving-average kernel b with the reconstruction identity
   r(t) = integral of b(t+s) b(s) ds and normalization int b^2 = 1.
 
 Closed-form b representations exist for the squared-exponential and Matern
-families; the remaining integrable families get a sampled-grid b built by
-Fourier inversion of the square-root spectral density.  Every Matern order
-takes one route, ``specfun.bessel_zk``, which is a closed form at the
-half-integer orders that ``maternhi:m`` and the ``matern12``, ``matern32`` and
-``matern52`` aliases name.
+families; the other integrable ones get a sampled-grid b from one builder,
+``_grid_payload``, the only reader of a spectral density F'.  No kernel has a
+public F' (nor an error for its absence): rq and Wendland sample private
+closed forms, ``_spectral_abs``, and gamma-exponential an FFT of r.  Every
+Matern order takes one route, ``specfun.bessel_zk``, which is a closed form
+at the half-integer orders that ``maternhi:m`` and the ``matern12``,
+``matern32`` and ``matern52`` aliases name.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import (
     DomainError,
     NoBRepresentation,
-    NoSpectralDensity,
     NotDifferentiable,
     whole,
 )
@@ -191,9 +191,6 @@ class Kernel:
             f"|t|^{p:g} term in the expansion at 0; no {missing}",)
         return DerivativesAtZero(r2, r4, r4 - r2 * r2, r2_ok, r4_ok, notes)
 
-    def spectral_density(self, lam):
-        raise NoSpectralDensity(f"{self.family}: no spectral density")
-
     def b_representation(self) -> BKernel:  # pragma: no cover - abstract
         raise NoBRepresentation(f"{self.family}: no moving-average kernel")
 
@@ -251,12 +248,6 @@ class SquaredExponential(Kernel):
 
     def _r4_at_zero(self):
         return 12.0 / self.ell**4
-
-    def spectral_density(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = math.sqrt(self.ell**2 / (4.0 * math.pi)) * np.exp(
-            -self.ell**2 * lam**2 / 4.0)
-        return _ret(out, lam)
 
     def b_representation(self):
         ell = self.ell
@@ -404,14 +395,6 @@ class Matern(Kernel):
     def _odd_taylor_power(self):
         return 2.0 * self.nu
 
-    def spectral_density(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        gam, mu = self._gam, self.nu + 0.5
-        d = math.exp(gamma_ln(mu) - 0.5 * math.log(math.pi)
-                     - gamma_ln(self.nu) - math.log(gam))
-        out = d * (1.0 + lam**2 / gam**2) ** (-mu)
-        return _ret(out, lam)
-
     def b_representation(self):
         """Closed-form moving-average kernel b(x) = P (g|x|)^q K_q(g|x|) with q =
         (nu - 1/2)/2 and g = sqrt(2 nu)/ell; the prefactor is fixed by int b^2
@@ -500,8 +483,15 @@ class GammaExponential(Kernel):
                 f"|lam|^-{(1 + self.gamma) / 2:g}, too slowly for the "
                 "numeric inversion route (needs exponent > 1)")
         p = (self.gamma - 3.0) / 2.0  # b' ~ |x|^p near 0, p in (-1, -1/2)
-        return _grid_b_from_covariance(
-            self, p, f"b has a cusp at 0; b' is unbounded with local exponent {p:g}")
+        # F' from a 2^20-point FFT of r on [0, 64 ell): no closed form
+        n, x_len = 1 << 20, 64.0 * self.ell
+        dt = x_len / n
+        spec = _even_row_spectrum(self, n, dt)  # of r(min(t, L - t)) on [0, L)
+        spec.real *= dt  # F' in the real part, which _grid_payload takes over
+        spec.real /= 2.0 * math.pi
+        return _grid_payload(spec, dt, p, [
+            f"spectral density sampled by FFT of r on [0, {x_len:g})",
+            f"b has a cusp at 0; b' is unbounded with local exponent {p:g}"])
 
 
 # --------------------------------------------------------------------------
@@ -561,23 +551,20 @@ class RationalQuadratic(Kernel):
 
     _printed_notes = (_RQ_DISC_NOTE,)
 
-    def spectral_density(self, lam):
-        if self.alpha <= 0.5:
-            raise NoSpectralDensity(
-                "rq: covariance is not integrable for alpha <= 1/2")
-        # F'(lam) = a / (sqrt(pi) Gamma(alpha)) (z/2)^p K_p(z), z = a |lam|
+    def _spectral_abs(self, s):
+        # F'(lam) = a / (sqrt(pi) Gamma(alpha)) (z/2)^p K_p(z), z = a lam
         a = self.ell * math.sqrt(2.0 * self.alpha)
         p = self.alpha - 0.5
         log_c = math.log(a / math.sqrt(math.pi)) - gamma_ln(self.alpha) - p * math.log(2.0)
-        return _even(lambda s: _positive(
-            a * s, math.exp(log_c - _matern_log_c(p)), lambda z: _bessel_form(p, z, 0, log_c)), lam)
+        return _positive(a * s, math.exp(log_c - _matern_log_c(p)),
+                         lambda z: _bessel_form(p, z, 0, log_c))
 
     def b_representation(self):
         if self.alpha <= 0.5:
-            raise NoBRepresentation(
-                "rq: no spectral density for alpha <= 1/2")
-        a = self.ell * math.sqrt(2.0 * self.alpha)
-        return _grid_b_from_spectral(self.spectral_density, a, a, None)
+            raise NoBRepresentation("rq: no spectral density for alpha <= 1/2")
+        dx = self.ell * math.sqrt(2.0 * self.alpha) / 200.0
+        lam = 2.0 * math.pi * np.fft.rfftfreq(1 << 16, d=dx)
+        return _grid_payload(self._spectral_abs(lam), dx, None)
 
 
 # --------------------------------------------------------------------------
@@ -711,23 +698,20 @@ class Wendland(Kernel):
         nodes = 0.5 * (nodes + 1.0)
         return seam, scaled.T, nodes, 0.5 * weights * self.r(nodes)
 
-    def spectral_density(self, lam):
-        return _even(self._spectral_abs, lam)
-
     def _spectral_abs(self, s):
         seam, scaled, nodes, weighted = self._spectral_tables
-        flat = s.ravel()
-        out = np.empty(flat.shape)
-        low = flat < seam
-        out[low] = np.cos(np.outer(flat[low], nodes)) @ weighted
-        high = flat[~low]
+        out = np.empty(s.shape)
+        low = s < seam
+        out[low] = np.cos(np.outer(s[low], nodes)) @ weighted
+        high = s[~low]
         cos_part, sin_part, edge = npoly.polyval(seam / high, scaled)
         out[~low] = np.cos(high) * cos_part + np.sin(high) * sin_part - edge
-        return (out / math.pi).reshape(s.shape)
+        return out / math.pi
 
     def b_representation(self):
-        return _grid_b_from_spectral(self.spectral_density, 0.5, 1.0,
-                                     "log" if self.k == 1 else None)
+        dx = 0.5 / 200.0
+        lam = 2.0 * math.pi * np.fft.rfftfreq(1 << 16, d=dx)
+        return _grid_payload(self._spectral_abs(lam), dx, "log" if self.k == 1 else None)
 
 
 # --------------------------------------------------------------------------
@@ -768,10 +752,6 @@ class Cosine(Kernel):
 
     def _r4_at_zero(self):
         return self._r2_at_zero() ** 2
-
-    def spectral_density(self, lam):
-        raise NoSpectralDensity(
-            "cosine: spectral measure is two atoms; no density")
 
     def b_representation(self):
         raise NoBRepresentation(
@@ -819,10 +799,6 @@ class Periodic(Kernel):
         u4, l2 = (math.pi / self.T) ** 4, self.ell**2
         return 8.0 * u4 / l2 + 12.0 * u4 / l2**2
 
-    def spectral_density(self, lam):
-        raise NoSpectralDensity(
-            "periodic: spectral measure is atomic; no density")
-
     def b_representation(self):
         raise NoBRepresentation(
             "periodic: covariance is not integrable; no moving-average "
@@ -838,18 +814,28 @@ class Periodic(Kernel):
 TILE_BYTES = 1 << 17
 
 
-def _grid_payload(spec, dx, trunc, notes, bp_sing):
+def _grid_payload(spec, dx, bp_sing, notes=()):
     """Grid b, samples of b and b' at x = 0, dx, ..., n dx / 2, from F' at the
     n/2 + 1 non-negative frequencies lam of an n-point grid of step dx, given
     as the real part of ``spec``: a complex ``spec`` is overwritten, and its
     buffer then holds b and b'; a real one is copied.  With g = sqrt(2 pi F')
     in the real part and lam g in the imaginary, one inverse real FFT gives
     s = b + b' over the period, and b is its even part (s[k] + s[n-k]) / 2,
-    b' its odd part (s[k] - s[n-k]) / 2, exactly 0 at k = 0 and k = n/2."""
+    b' its odd part (s[k] - s[n-k]) / 2, exactly 0 at k = 0 and k = n/2.
+
+    Where F'(lam_max) is positive and above 1e-16 F'(0), lam_max = pi / dx,
+    the truncation error is the cut tail's bound sqrt(F'(lam_max)) lam_max
+    near the origin, and a note after ``notes`` quotes it; else it is 0."""
     spec = np.asarray(spec, dtype=complex)
     f, lam_g = spec.real, spec.imag
     m = f.size
     n = 2 * (m - 1)
+    notes, trunc = list(notes), 0.0
+    lam_max, top = math.pi / dx, max(float(f[-1]), 0.0)
+    if top > 1e-16 * max(float(f[0]), 0.0):
+        trunc = math.sqrt(top) * lam_max
+        notes.append(f"square-root spectral tail beyond {lam_max:.3g} "
+                     f"contributes at most ~{trunc:.2e} near the origin")
     if f.min() < 0.0:
         # the full spectrum holds each interior bin twice, 0 and Nyquist once
         neg = min(f[0], 0.0) + min(f[-1], 0.0) - 2.0 * np.minimum(f, 0.0).sum()
@@ -877,28 +863,6 @@ def _grid_payload(spec, dx, trunc, notes, bp_sing):
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
 
-def _grid_b_from_spectral(density, scale, decay_scale, bp_sing):
-    """Grid b by inverting sqrt(2 pi F') on a 2^16-point FFT grid."""
-    dx = scale / 200.0
-    lam_max = math.pi / dx
-    # doubling search for the 1e-16 relative decay point of F'
-    f0 = float(density(0.0))
-    lam_star = 4.0 / decay_scale
-    while lam_star < 8.0 * lam_max and \
-            float(density(lam_star)) > 1e-16 * f0:
-        lam_star *= 2.0
-    notes = []
-    trunc = 0.0
-    if lam_star > lam_max:
-        # crude documented bound on the discarded spectral mass
-        trunc = float(np.sqrt(max(float(density(lam_max)), 0.0))) * lam_max
-        notes.append(
-            f"spectral grid truncated at {lam_max:.3g} before the 1e-16 "
-            f"decay point {lam_star:.3g}; truncation estimate {trunc:.2e}")
-    lam = 2.0 * math.pi * np.fft.rfftfreq(1 << 16, d=dx)
-    return _grid_payload(density(lam), dx, trunc, notes, bp_sing)
-
-
 def _even_row_spectrum(kernel, n, dt, wraps=0):
     """rfft of the even n-point row of r at step dt, periodized over the wraps
     j = -wraps ... wraps of its period n dt, less their value at lag 0.
@@ -918,23 +882,6 @@ def _even_row_spectrum(kernel, n, dt, wraps=0):
     spec = np.fft.rfft(row)
     spec[0] -= n * (row[0] - kernel.r(0.0))
     return spec
-
-
-def _grid_b_from_covariance(kernel, bp_sing, note):
-    """Grid b via a 2^20-point FFT of the sampled covariance (heavy spectral tails)."""
-    n = 1 << 20
-    scale = kernel.length_scale
-    x_len = 64.0 * scale
-    dt = x_len / n
-    spec = _even_row_spectrum(kernel, n, dt)  # of r(min(t, L - t)) on [0, L)
-    spec.real *= dt  # F' in the real part, which _grid_payload takes over
-    spec.real /= 2.0 * math.pi
-    lam_max = math.pi / dt
-    tail_amp = math.sqrt(max(spec[-1].real, 0.0)) * lam_max
-    notes = [f"spectral density sampled by FFT of r on [0, {x_len:g})",
-             f"square-root spectral tail beyond {lam_max:.3g} "
-             f"contributes at most ~{tail_amp:.2e} near the origin", note]
-    return _grid_payload(spec, dt, tail_amp, notes, bp_sing)
 
 
 # --------------------------------------------------------------------------

@@ -151,13 +151,20 @@ def _judge_crossings(kernel, stats):
     return abs(z) <= Z_GATE, {"mean": stats.mean, "rice": rice, "z": z}
 
 
+def _built(plan):
+    """``plan``; the GpchaosError of a failed build is raised again."""
+    if isinstance(plan, GpchaosError):
+        raise plan
+    return plan
+
+
 def mean_square_derivative(kernel, paths, grid, seed, plan=None):
     """The difference-quotient residual is r''''(0) h^2 / 4 to leading order
     at h = 0.01, and matches Monte Carlo at h = 0.05 (on ``plan``)."""
     analytic = mc.ms_derivative_residual(kernel, 0.01)
     leading = kernel.r4_zero() / 4.0 * 0.01**2  # NotDifferentiable without r(0)
     rel = abs(analytic / leading - 1.0)
-    h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed, plan=plan)
+    h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed, plan=_built(plan))
     z = (residual.mean - mc.ms_derivative_residual(kernel, h)) / residual.std_error
     return rel <= LEADING_ORDER_TOL and abs(z) <= Z_GATE, {
         "leading_order_rel_error": rel,
@@ -191,7 +198,7 @@ def determinism_replay(kernel, seed, plan=None):
     ``plan``, a REPLAY_GRID embedding).  The paths fill one sampler chunk
     and one pair of a second, so the two-worker run hands a chunk to each
     of its threads; a second chunk would only add time and memory."""
-    plan = mc.build_embedding_plan(kernel, REPLAY_GRID) if plan is None else plan
+    plan = mc.build_embedding_plan(kernel, REPLAY_GRID) if plan is None else _built(plan)
     paths = 2 * mc._pair_chunk(plan) + 1
     one, two = (
         mc.crossing_statistics(kernel, 0.0, paths, REPLAY_GRID, seed, workers=workers, plan=plan)
@@ -215,18 +222,19 @@ def battery(kernel, paths, grid, seed, plan=None):
     the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
     derivative check) on ``grid`` points from a nonnegative integer
     ``seed``.  They share one embedding plan on ``grid`` (``plan``, if given),
-    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass; a
-    plan that fails is rebuilt by each check, which skips with its error."""
+    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass.  A
+    failed build is not retried: ``plan`` is its GpchaosError, which each
+    Monte Carlo check skips with."""
     if paths < 2:
         raise DomainError(f"the battery needs at least 2 paths, got {paths}")
     whole(seed, f"seed={seed} must be a nonnegative integer")
     try:
         plan = mc.build_embedding_plan(kernel, grid) if plan is None else plan
-    except GpchaosError:
-        pass
+    except GpchaosError as exc:
+        plan = exc
     functionals = [parse_functional(s) for s in ("H:1", "H:2")]
     shared = functools.cache(lambda: mc.mc_integrated_functionals(
-        functionals, kernel, paths, grid, seed, plan=plan, level=0.0))
+        functionals, kernel, paths, grid, seed, plan=_built(plan), level=0.0))
     checks = (
         ("gauss-hypergeometric-identity", gauss_identity),
         ("iterated-integral-closed-form", closed_form),

@@ -699,6 +699,24 @@ class TestVerifyAll:
         mc_checks = [c for c in report["checks"] if c["name"] in _MC_CHECKS[:3]]
         assert [c["detail"]["reason"] for c in mc_checks] == [report["plan"]["error"]] * 3
 
+    @pytest.mark.parametrize("spec,argv,grids", [
+        ("cosine", (), [512]),
+        ("periodic:T=2,ell=0.8", (), [512]),
+        # the determinism replay runs on its own grid when --grid is another
+        ("cosine", ("--grid", "256"), [256, verify.REPLAY_GRID]),
+    ])
+    def test_a_failing_plan_is_built_once(self, capsys, monkeypatch, spec, argv, grids):
+        # the plan block's build is the one every Monte Carlo check skips
+        # with; neither the battery nor a check builds it again
+        built = []
+        build = mc.build_embedding_plan
+        monkeypatch.setattr(mc, "build_embedding_plan",
+                            lambda kernel, grid: built.append(grid) or build(kernel, grid))
+        report = run_json(capsys, "verify-all", "--kernel", spec, "--seed", "0", *argv)
+        assert built == grids
+        reasons = {c["detail"]["reason"] for c in report["checks"] if c["name"] in _MC_CHECKS[:3]}
+        assert reasons == {report["plan"]["error"]}
+
     def test_kernel_without_fourth_derivative_skips_the_residual_check(self, capsys):
         # matern32 has r''(0) but no r''''(0), which scales the leading order
         report = run_json(

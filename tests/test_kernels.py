@@ -4,10 +4,11 @@ Derivative values at the origin are checked two ways: against exact
 closed-form constants derived by hand (and, for the compactly supported
 polynomial family, exact rational arithmetic), and against a
 Richardson-extrapolated finite-difference oracle that knows nothing about
-the closed forms.  Spectral densities are pinned by explicit anchors and by
-the normalization int F' = r(0) = 1.  Moving-average kernels are checked
-through int b^2 = 1 and through reconstruction of r by direct quadrature of
-the defining identity r(t) = int b(t+s) b(s) ds.
+the closed forms.  The closed-form spectral densities that rational
+quadratic and Wendland sample for their grid b are pinned by explicit
+anchors and by the normalization int F' = r(0) = 1.  Moving-average kernels
+are checked through int b^2 = 1 and through reconstruction of r by direct
+quadrature of the defining identity r(t) = int b(t+s) b(s) ds.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ from gpchaos import verify
 from gpchaos.errors import (
     DomainError,
     NoBRepresentation,
-    NoSpectralDensity,
     NotDifferentiable,
 )
 from gpchaos.kernels import (
@@ -451,67 +451,49 @@ class TestOracleChecks:
 
 
 class TestSpectralDensity:
-    def test_exponential_lorentzian(self):
-        # nu = 1/2: F'(lam) = (ell/pi) / (1 + ell^2 lam^2)
-        k = parse_kernel("matern12")
-        assert_allclose(k.spectral_density(0.0), 1.0 / math.pi, rtol=1e-14)
-        k2 = parse_kernel("matern12:ell=2")
-        lam = np.array([0.0, 0.5, 2.0])
-        assert_allclose(k2.spectral_density(lam),
-                        (2.0 / math.pi) / (1.0 + 4.0 * lam**2), rtol=1e-13)
-
-    def test_sqexp_gaussian(self):
-        k = SquaredExponential(2.0)
-        assert_allclose(k.spectral_density(0.0), 1.0 / math.sqrt(math.pi),
-                        rtol=1e-14)
-        assert_allclose(k.spectral_density(1.0),
-                        math.exp(-1.0) / math.sqrt(math.pi), rtol=1e-14)
+    """The closed-form F' of lam >= 0 that a grid b build samples, and the
+    kernels without one."""
 
     def test_rq_anchor_at_zero(self):
         # alpha = 2, ell = 1: closed value 1/2 at the origin
-        assert_allclose(RationalQuadratic(2.0, 1.0).spectral_density(0.0),
-                        0.5, rtol=1e-12)
+        assert_allclose(RationalQuadratic(2.0, 1.0)._spectral_abs(np.zeros(1)),
+                        [0.5], rtol=1e-12)
 
-    def test_gammaexp_origin_gamma_integral(self):
-        # F'(0) = (1/pi) int_0^inf exp(-t/ell) dt = ell/pi at gamma = 1, where
-        # Matern(1/2) gives it; other gammas below 2 have no closed form, and
-        # no caller needs one
-        k1 = parse_kernel("gammaexp:gamma=1,ell=1.3")
-        assert k1 == Matern(0.5, 1.3)
-        assert_allclose(k1.spectral_density(0.0), 1.3 / math.pi, rtol=1e-14)
-        with pytest.raises(NoSpectralDensity):
-            GammaExponential(1.5, 1.0).spectral_density(0.0)
-
-    @pytest.mark.parametrize("k", [
-        _spec("maternhi:ell=1,m=0"),
-        Matern(2.5, 1.0),
-        SquaredExponential(1.3),
-        RationalQuadratic(2.0, 1.0),
-    ], ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("k", [RationalQuadratic(2.0, 1.0)], ids=lambda k: k.spec_string())
     def test_total_mass_is_one(self, k):
-        total = 2.0 * quad(lambda l: k.spectral_density(l),
+        total = 2.0 * quad(lambda l: k._spectral_abs(np.array([l]))[0],
                            0.0, np.inf, limit=400)[0]
         assert_allclose(total, 1.0, rtol=1e-7)
 
     def test_wendland_mass_and_positivity(self):
         k = Wendland(4)
         lam = np.linspace(0.0, 120.0, 48001)
-        vals = k.spectral_density(lam)
+        vals = k._spectral_abs(lam)
         # tiny negative oscillation noise is tolerated, nothing structural
         assert vals.min() > -1e-12
         assert_allclose(2.0 * np.trapezoid(vals, lam), 1.0, atol=1e-8)
 
+    def test_gammaexp_origin_gamma_integral(self):
+        # F'(0) = (1/pi) int_0^inf exp(-t/ell) dt = ell/pi at gamma = 1, where
+        # Matern(1/2) gives it; no density is sampled for its closed-form b,
+        # so F'(0) is read as (int b)^2 / (2 pi), b >= 0 having int b = sqrt(2 pi F'(0))
+        k1 = parse_kernel("gammaexp:gamma=1,ell=1.3")
+        assert k1 == Matern(0.5, 1.3)
+        b = b_representation(k1).b
+        mass = 2.0 * (quad(b, 0.0, 1.3, limit=200)[0] + quad(b, 1.3, np.inf, limit=200)[0])
+        assert_allclose(mass**2 / (2.0 * math.pi), 1.3 / math.pi, rtol=1e-12)
+
     def test_atomic_measures_rejected(self):
-        with pytest.raises(NoSpectralDensity):
-            Cosine(1.0).spectral_density(0.0)
-        with pytest.raises(NoSpectralDensity):
-            Periodic(2.0, 0.8).spectral_density(0.0)
+        # no density, so no moving-average kernel
+        for kernel in (Cosine(1.0), Periodic(2.0, 0.8)):
+            with pytest.raises(NoBRepresentation, match="not integrable"):
+                b_representation(kernel)
 
     def test_rq_heavy_tail_rejected(self):
-        with pytest.raises(NoSpectralDensity):
-            RationalQuadratic(0.5, 1.0).spectral_density(0.0)
-        with pytest.raises(NoSpectralDensity):
-            RationalQuadratic(0.3, 1.0).spectral_density(1.0)
+        # r is not integrable for alpha <= 1/2, so there is no F' to sample
+        for alpha in (0.5, 0.3):
+            with pytest.raises(NoBRepresentation, match="alpha <= 1/2"):
+                RationalQuadratic(alpha, 1.0).b_representation()
 
 
 def _gauss_legendre_density(kernel, lam):
@@ -560,7 +542,7 @@ class TestWendlandSpectralDensity:
             [np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)],
         ])
         assert 0.0 < seam < 60.0
-        got = kernel.spectral_density(lam)
+        got = kernel._spectral_abs(lam)
         # the old sum's float coefficients leave up to 9e-14 of rounding noise (k = 6)
         assert_allclose(got, _gauss_legendre_density(kernel, lam), rtol=0.0, atol=1e-13)
 
@@ -570,16 +552,7 @@ class TestWendlandSpectralDensity:
         for lam in (20, 100, 1000):
             exact = float(_exact_cosine_integral(kernel._coeffs, lam)) / math.pi
             assert exact > 0.0
-            assert_allclose(kernel.spectral_density(float(lam)), exact, rtol=1e-10)
-
-    def test_scalar_and_shaped_input(self):
-        kernel = Wendland(2)
-        assert isinstance(kernel.spectral_density(3.0), float)
-        lam = np.array([[0.0, -5.0], [7.5, 200.0]])
-        out = kernel.spectral_density(lam)
-        assert out.shape == (2, 2)
-        assert_allclose(out.ravel(), [kernel.spectral_density(v) for v in (0.0, 5.0, 7.5, 200.0)],
-                        rtol=1e-14)
+            assert_allclose(kernel._spectral_abs(np.array([float(lam)])), [exact], rtol=1e-10)
 
 
 def wendland_moment(n, k):
@@ -628,20 +601,23 @@ def _clipped_notes(f_vals, dx):
 
 def _full_spectrum_grid_b(kernel, n, dx):
     """Reference grid b: sqrt(2 pi F') at all n signed frequencies through
-    two complex inverse FFTs, F' from the density or, for gammaexp, from a
-    complex FFT of the full covariance row r(min(t, L - t)).  Returns b and
-    b' at x = 0, dx, ..., n dx / 2 and the notes the transforms produce."""
+    two complex inverse FFTs, F' from the closed form or, for gammaexp, from
+    a complex FFT of the full covariance row r(min(t, L - t)).  Returns b and
+    b' at x = 0, dx, ..., n dx / 2 and the notes the transforms produce: the
+    tail bound where F' at the Nyquist frequency is above 1e-16 F'(0), and
+    the clipped mass."""
     lam = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     if isinstance(kernel, GammaExponential):
         t = np.arange(n) * dx
         f_vals = np.fft.fft(kernel.r(np.minimum(t, n * dx - t))).real * dx / (2.0 * math.pi)
-        lam_max = math.pi / dx
-        notes = [f"spectral density sampled by FFT of r on [0, {n * dx:g})",
-                 f"square-root spectral tail beyond {lam_max:.3g} contributes at most "
-                 f"~{math.sqrt(max(f_vals[n // 2], 0.0)) * lam_max:.2e} near the origin"]
+        notes = [f"spectral density sampled by FFT of r on [0, {n * dx:g})"]
     else:
-        f_vals = kernel.spectral_density(np.abs(lam))
+        f_vals = kernel._spectral_abs(np.abs(lam))
         notes = []
+    lam_max = math.pi / dx
+    if f_vals[n // 2] > 1e-16 * f_vals[0]:
+        notes.append(f"square-root spectral tail beyond {lam_max:.3g} contributes at most "
+                     f"~{math.sqrt(f_vals[n // 2]) * lam_max:.2e} near the origin")
     notes += _clipped_notes(f_vals, dx)
     g = np.sqrt(2.0 * math.pi * np.clip(f_vals, 0.0, None))
     b = np.fft.ifft(g).real[:n // 2 + 1] / dx
@@ -657,7 +633,7 @@ def _half_line_spectrum(kernel, n, dx):
         half = kernel.r(np.arange(n // 2 + 1) * dx)
         row = np.concatenate([half, half[-2:0:-1]])
         return np.fft.rfft(row).real * dx / (2.0 * math.pi)
-    return kernel.spectral_density(2.0 * math.pi * np.fft.rfftfreq(n, d=dx))
+    return kernel._spectral_abs(2.0 * math.pi * np.fft.rfftfreq(n, d=dx))
 
 
 class TestBRepresentation:
@@ -782,7 +758,7 @@ class TestBRepresentation:
         f_half = np.exp(-0.1 * lam**2)
         f_half[[0, 5, 9, n // 2]] = [-1.25e-3, -3.5e-4, -2.0e-3, -7.5e-4]
         full = np.concatenate([f_half, f_half[-2:0:-1]])
-        rep = _grid_payload(f_half, dx, 0.0, [], None)
+        rep = _grid_payload(f_half, dx, None)
         assert list(rep.notes) == _clipped_notes(full, dx)
         assert rep.notes == ("clipped negative spectral noise, mass 5.26e-03",)
         assert np.all(np.isfinite(rep.grid[1])) and np.all(np.isfinite(rep.grid[2]))
@@ -827,11 +803,47 @@ class TestBRepresentation:
         f_half = np.exp(-0.1 * (2.0 * math.pi * np.fft.rfftfreq(n, d=dx)) ** 2)
         f_half[[0, 5]] = [-1.25e-3, -3.5e-4]
         spec = f_half + 1j * np.linspace(-1.0, 1.0, f_half.size)
-        from_real = _grid_payload(f_half.copy(), dx, 0.0, [], None)
-        from_complex = _grid_payload(spec, dx, 0.0, [], None)
+        from_real = _grid_payload(f_half.copy(), dx, None)
+        from_complex = _grid_payload(spec, dx, None)
         assert from_complex.notes == from_real.notes
         for got, want in zip(from_complex.grid, from_real.grid):
             assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("text,bound", [("wendland:k=1", 3.81e-3), ("gammaexp:gamma=1.5", 5.40e-2)])
+    def test_tail_above_1e16_of_the_peak_is_noted(self, text, bound):
+        # F'(lam_max) > 1e-16 F'(0): sqrt(F'(lam_max)) lam_max is the
+        # truncation error, and one note, the last, quotes it
+        rep = parse_kernel(text).b_representation()
+        lam_max = math.pi / rep.grid[3]
+        assert f"{rep.truncation_error:.2e}" == f"{bound:.2e}"
+        assert rep.notes[-1] == (f"square-root spectral tail beyond {lam_max:.3g} "
+                                 f"contributes at most ~{bound:.2e} near the origin")
+        assert sum("spectral tail" in note for note in rep.notes) == 1
+
+    def test_tail_bound_reads_the_closed_form_at_nyquist(self):
+        kernel = Wendland(1)
+        lam_max = math.pi / b_representation(kernel).grid[3]
+        top = kernel._spectral_abs(np.array([lam_max]))[0]
+        assert_allclose(b_representation(kernel).truncation_error, math.sqrt(top) * lam_max,
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("text", ["rq:alpha=2", "wendland:k=4"])
+    def test_tail_below_1e16_of_the_peak_is_not_noted(self, text):
+        rep = parse_kernel(text).b_representation()
+        assert rep.truncation_error == 0.0
+        assert not any("tail" in note for note in rep.notes)
+
+    def test_negative_last_bin_never_reaches_the_square_root(self):
+        # rounding can leave the last bin tiny and negative; over a negative
+        # first bin, 1e-16 F'(0) is below it, and only max(F'(lam_max), 0)
+        # keeps it from sqrt
+        n, dx = 32, 0.25
+        f_half = np.exp(-0.1 * (2.0 * math.pi * np.fft.rfftfreq(n, d=dx)) ** 2)
+        f_half[[0, -1]] = [-1.25e-3, -1e-20]
+        rep = _grid_payload(f_half, dx, None)
+        assert rep.truncation_error == 0.0
+        assert rep.notes == ("clipped negative spectral noise, mass 9.82e-04",)
+        assert np.all(np.isfinite(rep.grid[1])) and np.all(np.isfinite(rep.grid[2]))
 
     def test_gammaexp_cusp_metadata(self):
         rep = b_representation(GammaExponential(1.5, 1.0))
@@ -852,10 +864,7 @@ class TestBRepresentation:
             assert any("L2 limit" in n for n in notes) == (nu <= 0.5)
 
     def test_no_b_for_nonintegrable_and_heavy_tails(self):
-        with pytest.raises(NoBRepresentation):
-            b_representation(Cosine(1.0))
-        with pytest.raises(NoBRepresentation):
-            b_representation(Periodic(2.0, 0.8))
+        # cosine and periodic: TestSpectralDensity.test_atomic_measures_rejected
         with pytest.raises(NoBRepresentation):
             b_representation(GammaExponential(0.8, 1.0))
 
