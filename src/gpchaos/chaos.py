@@ -32,7 +32,6 @@ __all__ = [
     "chaos_spectrum",
     "SobolevNorm",
     "sobolev_norm",
-    "regularization_rho",
     "regularization_exponent",
     "laplace_decay_constant",
     "spectrum_to_csv",
@@ -408,18 +407,6 @@ def _ladder_rhos(kernel: Kernel, family: str, orders) -> np.ndarray:
         return np.array([_quadratic_form(m, (n + 1) // 2, n // 2) for n in ns])
 
     return _time_average(forms, orders)
-
-
-def regularization_rho(kernel: Kernel, family: str, n: int) -> float:
-    """Integrated-to-point norm ratio rho_n for one ladder member.
-
-    ``family`` is "hermite1d" (H_n of X) or "hermite2d" (the balanced
-    product H_ceil(n/2) H_floor(n/2) across both coordinates).
-    """
-    n = whole(n, f"chaos order n={n} must be a nonnegative integer")
-    # the point norm cancels, so work with the contraction weight directly;
-    # this keeps orders beyond 170 inside float range
-    return float(_ladder_rhos(kernel, family, [n])[0])
 
 
 def regularization_exponent(kernel: Kernel, family: str, orders) -> DecaySeries:

@@ -309,17 +309,12 @@ def cmd_simulate(args) -> str:
 
 def cmd_verify_all(args) -> str:
     kernel = parse_kernel(args.kernel)
-    try:  # the battery's Monte Carlo checks share this plan
-        plan = mc.build_embedding_plan(kernel, args.grid)
-        diagnostics = _plan_diagnostics(plan)
-    except GpchaosError as exc:  # each Monte Carlo check skips with it
-        plan, diagnostics = exc, {"error": str(exc)}
-    checks = battery(kernel, args.paths, args.grid, args.seed, plan)
+    plan, checks = battery(kernel, args.paths, args.grid, args.seed)
     statuses = [c["status"] for c in checks]
     return _report(
         "verify-all/1",
         _config(args, kernel=kernel.spec_string()),
-        plan=diagnostics,
+        plan={"error": str(plan)} if isinstance(plan, GpchaosError) else _plan_diagnostics(plan),
         checks=checks,
         passed=statuses.count("pass"),
         failed=statuses.count("fail"),

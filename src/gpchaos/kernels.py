@@ -191,8 +191,9 @@ class Kernel:
             f"|t|^{p:g} term in the expansion at 0; no {missing}",)
         return DerivativesAtZero(r2, r4, r4 - r2 * r2, r2_ok, r4_ok, notes)
 
-    def b_representation(self) -> BKernel:  # pragma: no cover - abstract
-        raise NoBRepresentation(f"{self.family}: no moving-average kernel")
+    def b_representation(self) -> BKernel:
+        raise NoBRepresentation(
+            f"{self.family}: covariance is not integrable; no moving-average kernel")
 
     # strict accessors used by the correlation-structure layer ------------
     def r2_zero(self) -> float:
@@ -753,10 +754,6 @@ class Cosine(Kernel):
     def _r4_at_zero(self):
         return self._r2_at_zero() ** 2
 
-    def b_representation(self):
-        raise NoBRepresentation(
-            "cosine: covariance is not integrable; no moving-average kernel")
-
 
 @dataclass(frozen=True)
 class Periodic(Kernel):
@@ -798,11 +795,6 @@ class Periodic(Kernel):
     def _r4_at_zero(self):
         u4, l2 = (math.pi / self.T) ** 4, self.ell**2
         return 8.0 * u4 / l2 + 12.0 * u4 / l2**2
-
-    def b_representation(self):
-        raise NoBRepresentation(
-            "periodic: covariance is not integrable; no moving-average "
-            "kernel")
 
 
 # --------------------------------------------------------------------------

@@ -393,10 +393,10 @@ class _Workspace:
         self.xdot = None if values_only else np.empty((2 * pairs, n))
 
 
-def _support_draws(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int, out):
+def _support_draws(seed: int, pair_start: int, out):
     """Fill ``out`` with standard normals on the eigen-support, one row
-    [re | im] of 2K per path pair from pair_start to pair_stop, and return
-    it.  The rows are read in order from one Philox stream keyed on (seed,
+    [re | im] of 2K per path pair from pair_start on, and return it.  The
+    rows are read in order from one Philox stream keyed on (seed,
     pair_start), so a block that stops early draws a prefix of the rows of
     one that starts at the same pair."""
     return np.random.Generator(np.random.Philox(key=[seed, pair_start])).standard_normal(out=out)
@@ -457,7 +457,7 @@ def _pair_block(plan: EmbeddingPlan, seed: int, pair_start: int, pair_stop: int,
     the real part feeding the even path and the imaginary part the odd one.
     xdot is None when the workspace has no dX rows."""
     count = pair_stop - pair_start
-    draws = _support_draws(plan, seed, pair_start, pair_stop, space.draws[:count])
+    draws = _support_draws(seed, pair_start, space.draws[:count])
     x = space.x[:2 * count]
     xdot = None if space.xdot is None else space.xdot[:2 * count]
     if plan.direct_synthesis:

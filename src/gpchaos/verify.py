@@ -47,7 +47,6 @@ LEADING_ORDER_TOL = 0.05  # relative, difference-quotient residual vs r4 h^2 / 4
 CONSTANT_GAP_TOL = 0.10  # relative, pinned-slope constant vs the Laplace constant
 
 REGULARIZATION_ORDERS = geometric_orders(20, 200, 25)
-REPLAY_GRID = 512  # grid points of the determinism replay
 
 
 def gauss_identity():
@@ -193,15 +192,15 @@ def regularization_slope(kernel):
     }
 
 
-def determinism_replay(kernel, seed, plan=None):
-    """Crossing statistics are identical at one and two workers (on
-    ``plan``, a REPLAY_GRID embedding).  The paths fill one sampler chunk
-    and one pair of a second, so the two-worker run hands a chunk to each
-    of its threads; a second chunk would only add time and memory."""
-    plan = mc.build_embedding_plan(kernel, REPLAY_GRID) if plan is None else _built(plan)
+def determinism_replay(kernel, grid, seed, plan=None):
+    """Crossing statistics on ``grid`` points are identical at one and two
+    workers (on ``plan``).  The paths fill one sampler chunk and one pair of
+    a second, so the two-worker run hands a chunk to each of its threads; a
+    second chunk would only add time and memory."""
+    plan = mc.build_embedding_plan(kernel, grid) if plan is None else _built(plan)
     paths = 2 * mc._pair_chunk(plan) + 1
     one, two = (
-        mc.crossing_statistics(kernel, 0.0, paths, REPLAY_GRID, seed, workers=workers, plan=plan)
+        mc.crossing_statistics(kernel, 0.0, paths, grid, seed, workers=workers, plan=plan)
         for workers in (1, 2)
     )
     return one == two, {"mean": one.mean, "second_moment": one.second_moment, "paths": paths}
@@ -217,19 +216,20 @@ def _run(name, fn):
     return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
 
 
-def battery(kernel, paths, grid, seed, plan=None):
-    """The eleven checks of ``verify-all`` as (name, status, detail) entries;
-    the Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
-    derivative check) on ``grid`` points from a nonnegative integer
-    ``seed``.  They share one embedding plan on ``grid`` (``plan``, if given),
-    and ``chaos-vs-monte-carlo`` and ``level-crossings`` one sampler pass.  A
-    failed build is not retried: ``plan`` is its GpchaosError, which each
-    Monte Carlo check skips with."""
+def battery(kernel, paths, grid, seed):
+    """``(plan, checks)``: the embedding plan of ``verify-all`` on ``grid``
+    >= 2 points and its eleven checks as (name, status, detail) entries.
+    The Monte Carlo checks draw ``paths`` >= 2 paths (at most 6,000 for the
+    derivative check) from a nonnegative integer ``seed``.  The four of them
+    share the one plan, and ``chaos-vs-monte-carlo`` and ``level-crossings``
+    one sampler pass.  A failed build is not retried: ``plan`` is its
+    GpchaosError, which each Monte Carlo check skips with."""
     if paths < 2:
         raise DomainError(f"the battery needs at least 2 paths, got {paths}")
     whole(seed, f"seed={seed} must be a nonnegative integer")
+    whole(grid, f"grid_points={grid} must be an integer >= 2", low=2)
     try:
-        plan = mc.build_embedding_plan(kernel, grid) if plan is None else plan
+        plan = mc.build_embedding_plan(kernel, grid)
     except GpchaosError as exc:
         plan = exc
     functionals = [parse_functional(s) for s in ("H:1", "H:2")]
@@ -247,7 +247,6 @@ def battery(kernel, paths, grid, seed, plan=None):
         ("mean-square-derivative",
          lambda: mean_square_derivative(kernel, min(paths, 6000), grid, seed, plan)),
         ("regularization-slope", lambda: regularization_slope(kernel)),
-        ("determinism-replay",
-         lambda: determinism_replay(kernel, seed, plan if grid == REPLAY_GRID else None)),
+        ("determinism-replay", lambda: determinism_replay(kernel, grid, seed, plan)),
     )
-    return [_run(name, fn) for name, fn in checks]
+    return plan, [_run(name, fn) for name, fn in checks]

@@ -23,7 +23,6 @@ from gpchaos.chaos import (
     parse_functional,
     point_chaos_norms,
     regularization_exponent,
-    regularization_rho,
     sobolev_norm,
     spectrum_to_csv,
     spectrum_to_dict,
@@ -49,6 +48,11 @@ SQEXP_H2_INTEGRATED = 2.0 * math.sqrt(math.pi / 2.0) * math.erf(math.sqrt(2.0)) 
 )
 SQEXP_H1H1_INTEGRATED = (1.0 - math.exp(-2.0)) / 2.0
 SQEXP_H1_XDOT_INTEGRATED = 1.0 - math.exp(-1.0)
+
+
+def _rho(kernel, family, n):
+    """rho_n of one ladder member, as the decay fits read it."""
+    return float(chaos._ladder_rhos(kernel, family, [n])[0])
 
 
 class TestParseFunctional:
@@ -381,7 +385,7 @@ class TestQuadLog:
         # subintervals; nothing goes to the warnings machinery
         with QuadLog() as log, warnings.catch_warnings():
             warnings.simplefilter("error")
-            regularization_rho(parse_kernel("periodic:T=0.001,ell=0.05"), "hermite1d", 3)
+            _rho(parse_kernel("periodic:T=0.001,ell=0.05"), "hermite1d", 3)
         assert not log.within_tolerance
         assert log.max_error > 1e-11
 
@@ -518,12 +522,12 @@ class TestSobolevNorm:
 
 class TestRegularization:
     def test_rho_zero_is_one(self):
-        assert regularization_rho(SQEXP, "hermite1d", 0) == 1.0
-        assert_allclose(regularization_rho(SQEXP, "hermite2d", 0), 1.0, rtol=1e-12)
+        assert _rho(SQEXP, "hermite1d", 0) == 1.0
+        assert_allclose(_rho(SQEXP, "hermite2d", 0), 1.0, rtol=1e-12)
 
     def test_rho_one_matches_closed_form(self):
         assert_allclose(
-            regularization_rho(SQEXP, "hermite1d", 1), SQEXP_H1_INTEGRATED, rtol=1e-12
+            _rho(SQEXP, "hermite1d", 1), SQEXP_H1_INTEGRATED, rtol=1e-12
         )
 
     def test_two_dimensional_ladder_values(self):
@@ -534,7 +538,7 @@ class TestRegularization:
                     0.2815927185317017, 0.20415733781124587, 0.17149687396809374,
                     0.1746951137499427, 0.16025467935199436, 0.12998410228325766,
                     0.11610729099499932, 0.11747895346001522]
-        got = [regularization_rho(SQEXP, "hermite2d", n) for n in range(2, 13)]
+        got = [_rho(SQEXP, "hermite2d", n) for n in range(2, 13)]
         assert_allclose(got, expected, atol=1e-9)
 
     def test_two_dimensional_ladder_slope(self):
@@ -571,15 +575,13 @@ class TestRegularization:
     @pytest.mark.parametrize("kernel", [SQEXP, MATERN52, RQ2],
                              ids=["sqexp", "matern52", "rq2"])
     def test_ladder_contracts_and_decreases(self, kernel):
-        rhos = [regularization_rho(kernel, "hermite1d", n) for n in range(16)]
+        rhos = [_rho(kernel, "hermite1d", n) for n in range(16)]
         assert all(0.0 < v <= 1.0 + 1e-12 for v in rhos)
         assert all(rhos[i + 1] <= rhos[i] + 1e-12 for i in range(len(rhos) - 1))
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            regularization_rho(SQEXP, "zigzag", 3)
-        with pytest.raises(DomainError):
-            regularization_rho(SQEXP, "hermite1d", -1)
+            regularization_exponent(SQEXP, "zigzag", [3, 4])
         with pytest.raises(DomainError):
             regularization_exponent(SQEXP, "hermite1d", [7])
         with pytest.raises(DomainError):
@@ -587,7 +589,7 @@ class TestRegularization:
 
     def test_derivative_gate_propagates(self):
         with pytest.raises(NotDifferentiable):
-            regularization_rho(MATERN32, "hermite2d", 2)
+            regularization_exponent(MATERN32, "hermite2d", [2, 3])
 
     # a kernel spec from a family, a length scale down to 1e-3 and a shape
     # parameter in [0, 1) that each family maps into its own domain
@@ -612,7 +614,7 @@ class TestRegularization:
         # average, so a negative value can only be a quadrature failure
         kernel = parse_kernel(self._SPECS[family](ell, shape))
         try:
-            rho = regularization_rho(kernel, "hermite1d", n)
+            rho = _rho(kernel, "hermite1d", n)
         except QuadratureFailure:
             return
         assert rho >= 0.0
@@ -633,9 +635,9 @@ class TestRegularization:
     )
     def test_one_dimensional_rho_contracts_and_decreases(self, family, ell, nu, n):
         kernel = parse_kernel(self._POSITIVE[family](ell, nu))
-        rho = regularization_rho(kernel, "hermite1d", n)
+        rho = _rho(kernel, "hermite1d", n)
         assert rho <= 1.0 + 1e-12
-        assert regularization_rho(kernel, "hermite1d", n + 1) <= rho + 1e-12
+        assert _rho(kernel, "hermite1d", n + 1) <= rho + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -648,4 +650,4 @@ class TestRegularization:
         # |N(u)| <= op(A(u))^n <= 1 at every lag; Matern needs nu > 2 for
         # the fourth derivative
         kernel = parse_kernel(self._POSITIVE[family](ell, nu))
-        assert regularization_rho(kernel, "hermite2d", n) <= 1.0 + 1e-12
+        assert _rho(kernel, "hermite2d", n) <= 1.0 + 1e-12

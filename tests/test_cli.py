@@ -696,26 +696,34 @@ class TestVerifyAll:
         code, _, err = run_cli(capsys, "simulate", *argv)
         assert code == 3
         assert report["plan"] == {"error": err.removeprefix("gpchaos: ").rstrip("\n")}
-        mc_checks = [c for c in report["checks"] if c["name"] in _MC_CHECKS[:3]]
-        assert [c["detail"]["reason"] for c in mc_checks] == [report["plan"]["error"]] * 3
+        mc_checks = [c for c in report["checks"] if c["name"] in _MC_CHECKS]
+        assert [c["detail"]["reason"] for c in mc_checks] == [report["plan"]["error"]] * 4
 
     @pytest.mark.parametrize("spec,argv,grids", [
         ("cosine", (), [512]),
         ("periodic:T=2,ell=0.8", (), [512]),
-        # the determinism replay runs on its own grid when --grid is another
-        ("cosine", ("--grid", "256"), [256, verify.REPLAY_GRID]),
+        ("cosine", ("--grid", "256"), [256]),
     ])
     def test_a_failing_plan_is_built_once(self, capsys, monkeypatch, spec, argv, grids):
         # the plan block's build is the one every Monte Carlo check skips
         # with; neither the battery nor a check builds it again
-        built = []
-        build = mc.build_embedding_plan
-        monkeypatch.setattr(mc, "build_embedding_plan",
-                            lambda kernel, grid: built.append(grid) or build(kernel, grid))
+        built = _count_builds(monkeypatch)
         report = run_json(capsys, "verify-all", "--kernel", spec, "--seed", "0", *argv)
         assert built == grids
-        reasons = {c["detail"]["reason"] for c in report["checks"] if c["name"] in _MC_CHECKS[:3]}
+        reasons = {c["detail"]["reason"] for c in report["checks"] if c["name"] in _MC_CHECKS}
         assert reasons == {report["plan"]["error"]}
+
+    @pytest.mark.parametrize("grid", [256, 512])
+    @pytest.mark.parametrize("spec", ["sqexp", "rq:alpha=2,ell=1"])
+    def test_a_passing_plan_is_built_once(self, capsys, monkeypatch, spec, grid):
+        # the determinism replay runs on the plan of the other Monte Carlo
+        # checks, at any grid
+        built = _count_builds(monkeypatch)
+        report = run_json(capsys, "verify-all", "--kernel", spec, "--grid", str(grid),
+                          "--paths", "400", "--seed", "0")
+        assert built == [grid]
+        statuses = [c["status"] for c in report["checks"] if c["name"] in _MC_CHECKS]
+        assert statuses == ["pass"] * 4
 
     def test_kernel_without_fourth_derivative_skips_the_residual_check(self, capsys):
         # matern32 has r''(0) but no r''''(0), which scales the leading order
@@ -741,6 +749,15 @@ class TestVerifyAll:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "seed=-1 must be a nonnegative integer" in err
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-5"])
+    def test_grid_below_two_is_usage_error(self, capsys, grid):
+        # the Monte Carlo checks skipped on it and the run passed; simulate
+        # exits 2 with the same message
+        code, out, err = run_cli(capsys, "verify-all", "--paths", "20", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"grid_points={grid} must be an integer >= 2" in err
+        assert run_cli(capsys, "simulate", "--kernel", "sqexp", "--grid", grid)[::2] == (2, err)
+
     def test_single_path_simulation_still_reports(self, capsys):
         run_json(capsys, "simulate", "--kernel", "sqexp", "--paths", "1", "--grid", "64")
 
@@ -755,8 +772,8 @@ class TestVerifyAll:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", counting_pool)
         kernel = parse_kernel(spec)
-        passed, detail = verify.determinism_replay(kernel, 3)
-        plan = mc.build_embedding_plan(kernel, verify.REPLAY_GRID)
+        passed, detail = verify.determinism_replay(kernel, 512, 3)
+        plan = mc.build_embedding_plan(kernel, 512)
         assert passed
         assert detail["paths"] == 2 * mc._pair_chunk(plan) + 1
         assert pools == [2]
@@ -775,6 +792,15 @@ class TestVerifyAll:
         assert one == three
 
 
+def _count_builds(monkeypatch):
+    """The grid of each embedding plan built from here on, in order."""
+    built = []
+    build = mc.build_embedding_plan
+    monkeypatch.setattr(mc, "build_embedding_plan",
+                        lambda kernel, grid: built.append(grid) or build(kernel, grid))
+    return built
+
+
 _MC_CHECKS = ("chaos-vs-monte-carlo", "level-crossings", "mean-square-derivative",
               "determinism-replay")
 
@@ -789,21 +815,22 @@ def _standalone_checks(kernel, paths, grid, seed):
         lambda: verify._judge_crossings(
             kernel, mc.crossing_statistics(kernel, 0.0, paths, grid, seed)),
         lambda: verify.mean_square_derivative(kernel, min(paths, 6000), grid, seed),
-        lambda: verify.determinism_replay(kernel, seed),
+        lambda: verify.determinism_replay(kernel, grid, seed),
     ))]
 
 
 class TestBattery:
     """The battery draws the chaos and crossing paths in one pass, on one plan."""
 
-    @pytest.mark.parametrize("grid", [128, verify.REPLAY_GRID])
+    @pytest.mark.parametrize("grid", [128, 512])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_shared_pass_matches_the_standalone_checks(self, monkeypatch, grid, workers):
         monkeypatch.setenv("GPCHAOS_WORKERS", workers)
         kernel = parse_kernel("sqexp")
         plan = mc.build_embedding_plan(kernel, grid)
         paths = 4 * mc._pair_chunk(plan) + 1  # three blocks
-        checks = [c for c in verify.battery(kernel, paths, grid, 5) if c["name"] in _MC_CHECKS]
+        _, checks = verify.battery(kernel, paths, grid, 5)
+        checks = [c for c in checks if c["name"] in _MC_CHECKS]
         assert [c["status"] for c in checks] == ["pass"] * 4
         assert checks == _standalone_checks(kernel, paths, grid, 5)
 
@@ -811,7 +838,7 @@ class TestBattery:
                                       "gammaexp:gamma=1.5"])
     def test_skip_reasons_match_the_standalone_checks(self, spec):
         kernel = parse_kernel(spec)
-        checks = [c for c in verify.battery(kernel, 400, 128, 0) if c["name"] in _MC_CHECKS]
+        checks = [c for c in verify.battery(kernel, 400, 128, 0)[1] if c["name"] in _MC_CHECKS]
         assert "skip" in [c["status"] for c in checks]
         assert checks == _standalone_checks(kernel, 400, 128, 0)
 
@@ -819,26 +846,22 @@ class TestBattery:
         # 10,000 pairs for the chaos and crossing checks together, 3,000 for
         # the derivative check and 2 x 122 for the replay at 1 and 2 workers,
         # all on one plan; the derivative check synthesizes two grid columns
-        pairs, builds, widths = [], [], {}
-        draws, build, direct = mc._support_draws, mc.build_embedding_plan, mc._direct_paths
+        pairs, widths = [], {}
+        draws, direct = mc._support_draws, mc._direct_paths
 
-        def counting_draws(plan, seed, pair_start, pair_stop, out):
-            pairs.append(pair_stop - pair_start)
-            return draws(plan, seed, pair_start, pair_stop, out)
-
-        def counting_build(kernel, grid):
-            builds.append(grid)
-            return build(kernel, grid)
+        def counting_draws(seed, pair_start, out):
+            pairs.append(len(out))
+            return draws(seed, pair_start, out)
 
         def counting_direct(plan, draws, folded, coef, dcoef, x, xdot, columns=None):
             widths[x.shape[1]] = widths.get(x.shape[1], 0) + len(draws)
             return direct(plan, draws, folded, coef, dcoef, x, xdot, columns)
 
         monkeypatch.setattr(mc, "_support_draws", counting_draws)
-        monkeypatch.setattr(mc, "build_embedding_plan", counting_build)
+        builds = _count_builds(monkeypatch)
         monkeypatch.setattr(mc, "_direct_paths", counting_direct)
         monkeypatch.setenv("GPCHAOS_WORKERS", "1")
-        checks = verify.battery(parse_kernel("sqexp"), 20000, 512, 0)
+        _, checks = verify.battery(parse_kernel("sqexp"), 20000, 512, 0)
         assert all(c["status"] == "pass" for c in checks)
         assert sum(pairs) == 10000 + 3000 + 2 * 122
         assert builds == [512]
@@ -905,7 +928,7 @@ _CHEAP_ARGS = {
 @pytest.mark.parametrize("command", sorted(_CHEAP_ARGS))
 def test_config_records_every_option_but_out(capsys, monkeypatch, command):
     # the battery's checks are tested above; only the envelope matters here
-    monkeypatch.setattr(cli, "battery", lambda *args: [])
+    monkeypatch.setattr(cli, "battery", lambda *args: (errors.GpchaosError("not built"), []))
     assert set(_subcommand_parsers()) == set(_CHEAP_ARGS)
     parser = _subcommand_parsers()[command]
     options = {a.dest for a in parser._actions if a.dest != "help"}

@@ -12,7 +12,7 @@ import pytest
 
 from gpchaos import montecarlo as mc
 from gpchaos.asymptotics import gauss_theorem_value, iter_integral_closed_form
-from gpchaos.chaos import Functional, point_chaos_norms, regularization_rho
+from gpchaos.chaos import Functional, point_chaos_norms
 from gpchaos.covstruct import tensor_power_quadratic_form
 from gpchaos.errors import DomainError, whole
 from gpchaos.kernels import Wendland, parse_kernel
@@ -48,7 +48,6 @@ ENTRY_POINTS = {
     "mc_integrated_functionals": lambda v: mc.mc_integrated_functionals([H1], SQEXP, v, 64, 0),
     "ms_derivative_check": lambda v: mc.ms_derivative_check(SQEXP, 0.1, v, 64, 0),
     "sample_paths": lambda v: list(mc.sample_paths(SQEXP, 64, v, 0)),
-    "regularization_rho": lambda v: regularization_rho(SQEXP, "hermite1d", v),
     "point_chaos_norms": lambda v: point_chaos_norms(H1, SQEXP, v),
     "Functional": lambda v: Functional(kind="H", m=v),
     "iter_integral_closed_form": iter_integral_closed_form,

@@ -47,7 +47,7 @@ def _chunk_count(plan, n_paths):
 
 def _draws(plan, seed, pair_start, pair_stop):
     rows = np.empty((pair_stop - pair_start, 2 * plan.support.size))
-    return mc._support_draws(plan, seed, pair_start, pair_stop, rows)
+    return mc._support_draws(seed, pair_start, rows)
 
 
 def _direct_paths(plan, draws, columns=None):
