@@ -1,9 +1,10 @@
-"""The iterated integral of (1 - c s^2)^n and its n^{-1/2} decay.
+"""The iterated integral of (1 - s^2)^n and its n^{-1/2} decay.
 
-The double integral over the triangle 0 <= s < t <= c' reduces to a single
-integral int_0^{c'} (c' - s)(1 - c s^2)^n ds; at c = c' = 1 it has an exact
-closed form through a terminating Gauss hypergeometric sum, whose value is
-in turn pinned by the Gauss summation theorem.  The decay rate in n is
+The double integral over the triangle 0 <= s < t <= 1 reduces to a single
+integral int_0^1 (1 - s)(1 - s^2)^n ds, which has an exact closed form
+through a terminating Gauss hypergeometric sum, whose value is in turn
+pinned by the Gauss summation theorem (the integral of (1 - c s^2)^n over
+0 <= s < t <= c^{-1/2} is this one divided by c).  The decay rate in n is
 extracted by a log-log least-squares fit.
 """
 
@@ -39,27 +40,13 @@ class DecaySeries:
     residual: float
 
 
-def _check_domain(c, c_prime, n):
-    """``int(n)``, once c, c' and n are checked."""
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c}")
-    n = whole(n, f"n must be a nonnegative integer, got {n}")
-    limit = c ** -0.5
-    if not 0.0 < c_prime <= limit:
-        # the boundary c' = c^{-1/2} is allowed: that is where the closed
-        # form lives (the integrand touches 0 only at the endpoint)
-        raise DomainError(
-            f"c' must lie in (0, c^(-1/2)] = (0, {limit:g}], got {c_prime}")
-    return n
+def iter_integral_quadrature(n: int) -> float:
+    """Double integral of (1 - s^2)^n over 0 <= s < t <= 1.
 
-
-def iter_integral_quadrature(c: float, c_prime: float, n: int) -> float:
-    """Double integral of (1 - c s^2)^n over 0 <= s < t <= c'.
-
-    The inner t-integral is analytic, leaving
-    int_0^{c'} (c' - s)(1 - c s^2)^n ds, evaluated adaptively.
+    The inner t-integral is analytic, leaving int_0^1 (1 - s)(1 - s^2)^n ds,
+    evaluated adaptively.
     """
-    return iter_integral_series(c, c_prime, [n])[0][1]
+    return iter_integral_series([n])[0][1]
 
 
 def iter_integral_closed_form(n: int) -> float:
@@ -84,12 +71,12 @@ def geometric_orders(lo: float, hi: float, count: int) -> list:
     return sorted(set(int(round(v)) for v in np.geomspace(lo, hi, count)))
 
 
-def iter_integral_series(c: float, c_prime: float, n_values) -> list:
+def iter_integral_series(n_values) -> list:
     """(n, value) pairs of the iterated integral over the given n grid, in
     one adaptive pass on shared nodes."""
-    ns = np.array([_check_domain(c, c_prime, n) for n in n_values], dtype=int)
-    values, _ = integrate(
-        lambda s, ks: (c_prime - s) * (1.0 - c * s * s) ** ks[:, None], ns, 0.0, c_prime)
+    ns = np.array([whole(n, f"n must be a nonnegative integer, got {n}") for n in n_values],
+                  dtype=int)
+    values, _ = integrate(lambda s, ks: (1.0 - s) * (1.0 - s * s) ** ks[:, None], ns)
     return list(zip(ns.tolist(), values.tolist()))
 
 

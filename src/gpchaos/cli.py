@@ -69,7 +69,7 @@ def _strict_json(value, **kwargs) -> str:
 def _config(args, **resolved) -> dict:
     """The run configuration: every parsed option but ``--out``, with the
     values the run resolved from them (canonical kernel and functional
-    specs, default alphas) in place of the raw text."""
+    specs, default alphas, the crossing level) in place of the raw text."""
     return {**{k: v for k, v in vars(args).items() if k != "out"}, **resolved}
 
 
@@ -146,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="functionals",
         help="integrated functional to estimate (repeatable); omit for level crossings",
     )
-    p.add_argument("--level", type=_finite_float, default=0.0)
+    p.add_argument(
+        "--level", type=_finite_float, default=None,
+        help="crossing level (default 0); not with --functional",
+    )
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--grid", type=int, default=2048)
     _add_common(p)
@@ -174,7 +177,7 @@ def cmd_asymptotics(args) -> str:
     if args.n_min < 0 or args.n_max < lo:
         raise DomainError(f"bad order window [{args.n_min}, {args.n_max}]")
     config = _config(args)
-    entries = iter_integral_series(1.0, 1.0, geometric_orders(lo, args.n_max, 40))
+    entries = iter_integral_series(geometric_orders(lo, args.n_max, 40))
     if args.format == "csv":
         return _csv_with_config(series_to_csv(entries), config)
     series = fit_decay_exponent(entries)
@@ -271,24 +274,28 @@ def _plan_diagnostics(plan) -> dict:
 def cmd_simulate(args) -> str:
     kernel = parse_kernel(args.kernel)
     functionals = [parse_functional(s) for s in args.functionals] if args.functionals else None
+    if functionals and args.level is not None:
+        raise DomainError("--level sets the crossing level; functional runs take none")
+    level = 0.0 if args.level is None and not functionals else args.level
     config = _config(
         args,
         kernel=kernel.spec_string(),
         functionals=[f.spec_string() for f in functionals] if functionals else None,
+        level=level,
     )
     plan = mc.build_embedding_plan(kernel, args.grid)
     body = {"diagnostics": _plan_diagnostics(plan)}
     if functionals is None:
         stats = mc.crossing_statistics(
-            kernel, args.level, args.paths, args.grid, args.seed, plan=plan
+            kernel, level, args.paths, args.grid, args.seed, plan=plan
         )
         body["crossings"] = {
-            "level": args.level,
+            "level": level,
             "mean": stats.mean,
             "variance": stats.variance,
             "second_moment": stats.second_moment,
             "std_error": stats.std_error,
-            "rice_mean": mc.rice_crossing_mean(kernel, args.level),
+            "rice_mean": mc.rice_crossing_mean(kernel, level),
         }
     else:
         outs = mc.mc_integrated_functionals(

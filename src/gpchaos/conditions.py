@@ -106,7 +106,7 @@ def _norm_checks(fun, vals_grid, x_grid, sing, scale, errs):
             checks.append(NormCheck(False, math.inf))
             continue
         if vals_grid is None:
-            (v,), (e,) = integrate(lambda x, _: np.abs(fun(x))[None] ** k, [k], 0.0, math.inf,
+            (v,), (e,) = integrate(lambda x, _: np.abs(fun(x))[None] ** k, [k], math.inf,
                                    sing if sing in (None, "log") else k * sing, scale)
             errs.append(e)
         else:
@@ -150,9 +150,6 @@ def check_a1(kernel: Kernel) -> A1Report:
     notes.append(f"tail model {rep.tail[0]!r}, parameter {rep.tail[1]:g}")
     if errs:
         notes.append(f"quadrature error bounds <= {max(errs):.2e}")
-    if rep.truncation_error:
-        notes.append(
-            f"grid truncation bound {rep.truncation_error:.2e}")
     return A1Report(b1, b2, binf, p1, p2, pinf, positive, holds,
                     tuple(notes))
 
@@ -184,7 +181,7 @@ def check_geman(kernel: Kernel) -> GemanReport:
         return GemanReport(delta, math.nan, False, (str(exc),))
     p = kernel._odd_taylor_power()
     (value,), (error,) = integrate(
-        lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], 0.0, delta,
+        lambda t, _: np.abs((kernel.r_second(t) - r2_0) / t)[None], [0], delta,
         None if p is None else p - 3.0)
     term = "no non-even term" if p is None else f"lowest non-even term |t|^{p:g}"
     notes = (f"r has {term} at 0; integral quadrature error estimate {error:.2e}",)

@@ -15,8 +15,7 @@ because they behave very differently:
   fitted bound 1 - c_hat t^2 with c_hat > 0;
 * the operator norm stays below 1 but 1 - op(A(t)) vanishes faster than
   t^2 (t^6 for the squared exponential), so no positive quadratic
-  coefficient exists on any window touching 0.  The fit reports this
-  degeneration instead of hiding it.
+  coefficient exists on any window touching 0.
 """
 
 import math
@@ -72,12 +71,10 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
     """Finite-difference second derivative at 0 of h(t) = sum of squared
     entries of A(t); h'(0) = 0, since r' is odd by construction.
 
-    Returns ``{"second", "printed_second"}``: ``second`` is the extrapolated
-    stencil value; the widely quoted closed form (r''''(0) - r''(0)^2) /
-    r''(0) is exactly half of it and is returned under ``printed_second``
-    for cross-reference — the stencil value is the one used downstream.
+    Returns ``{"second"}``, the extrapolated stencil value; the widely
+    quoted closed form (r''''(0) - r''(0)^2) / r''(0) is exactly half of it.
     """
-    r2, r4 = kernel.r2_zero(), kernel.r4_zero()
+    kernel.r2_zero(), kernel.r4_zero()  # NotDifferentiable, naming r''(0) first
 
     def h(t):
         a = a_matrix(kernel, t)
@@ -87,10 +84,7 @@ def hs_expansion_derivatives(kernel: Kernel) -> dict:
     p = kernel._odd_taylor_power()
     second = richardson_at_zero(lambda s: (h(s) - 2.0 * h(0.0) + h(-s)) / s**2,
                                 kernel, None if p is None else p - 2.0, 2)
-    return {
-        "second": second,
-        "printed_second": (r4 - r2 * r2) / r2,
-    }
+    return {"second": second}
 
 
 # --------------------------------------------------------------------------
@@ -143,42 +137,19 @@ class QuadraticBoundFit:
 
     window: float
     c_hat: float
-    c_hat_operator: float
-    limit_coefficient: float
     holds: bool
-    notes: tuple = ()
-
-
-def _infimum_minus_3se(y):
-    se = float(np.std(y, ddof=1)) / math.sqrt(y.size)
-    return float(np.min(y) - 3.0 * se)
 
 
 def quadratic_bound_fit(kernel: Kernel) -> QuadraticBoundFit:
-    """Fit the quadratic smallness bound on 200 points of (0, 0.5*min(1, ell)].
-
-    ``c_hat`` comes from the normalized HS reading; the operator-norm
-    reading is fitted alongside and flagged when it degenerates (its
-    deficit 1 - op vanishes faster than t^2 near 0).
-    """
-    r2, r4 = kernel.r2_zero(), kernel.r4_zero()
+    """Fit the quadratic smallness bound of the normalized HS reading
+    sqrt(h/2) on 200 points of (0, 0.5*min(1, ell)]; raises
+    NotDifferentiable unless r''''(0) exists."""
+    kernel.r2_zero(), kernel.r4_zero()
     window = 0.5 * min(1.0, kernel.length_scale)
     t = np.linspace(0.0, window, 201)[1:]
     m = a_matrix(kernel, t)
     h = m.a11**2 + 2.0 * m.a12**2 + m.a22**2
-    nhs_y = (1.0 - np.sqrt(h / 2.0)) / t**2
-    op_y = (1.0 - _op_norm_closed(m.a11, m.a12, m.a21, m.a22)) / t**2
-    c_hat = _infimum_minus_3se(nhs_y)
-    c_op = _infimum_minus_3se(op_y)
-    limit = (r4 - r2 * r2) / (-4.0 * r2)
-    notes = [
-        "bound fitted on the normalized Hilbert-Schmidt norm sqrt(h/2); "
-        f"its t->0 quadratic coefficient is {limit:.6g}",
-    ]
-    if c_op <= 0.0:
-        notes.append(
-            "operator-norm reading degenerates: 1 - op(A(t)) vanishes "
-            "faster than t^2 near 0, so no positive quadratic coefficient "
-            "exists on a window touching 0")
-    return QuadraticBoundFit(window, c_hat, c_op, limit,
-                             c_hat > 0.0, tuple(notes))
+    y = (1.0 - np.sqrt(h / 2.0)) / t**2
+    se = float(np.std(y, ddof=1)) / math.sqrt(y.size)
+    c_hat = float(np.min(y) - 3.0 * se)
+    return QuadraticBoundFit(window, c_hat, c_hat > 0.0)

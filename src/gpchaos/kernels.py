@@ -102,7 +102,6 @@ class BKernel:
     b_singularity: object
     bprime_singularity: object
     tail: tuple
-    truncation_error: float
     grid: object = None
     notes: tuple = ()
 
@@ -263,8 +262,7 @@ class SquaredExponential(Kernel):
             return _ret(-4.0 * x / ell**2 * amp * np.exp(-2.0 * x**2 / ell**2),
                         x)
 
-        return BKernel(b, b_prime, None, None,
-                       ("gauss", 2.0 / ell**2), 0.0)
+        return BKernel(b, b_prime, None, None, ("gauss", 2.0 / ell**2))
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +419,7 @@ class Matern(Kernel):
         # F' falls like |lam|^-(2 nu + 1), so its square root is integrable iff nu > 1/2
         notes = ("square-root spectral density is not absolutely integrable; "
                  "b is an L2 limit",) if nu <= 0.5 else ()
-        return BKernel(b, b_prime, b_sing, bp_sing, ("exp", gam), 0.0, notes=notes)
+        return BKernel(b, b_prime, b_sing, bp_sing, ("exp", gam), notes=notes)
 
 
 # --------------------------------------------------------------------------
@@ -816,18 +814,17 @@ def _grid_payload(spec, dx, bp_sing, notes=()):
     b' its odd part (s[k] - s[n-k]) / 2, exactly 0 at k = 0 and k = n/2.
 
     Where F'(lam_max) is positive and above 1e-16 F'(0), lam_max = pi / dx,
-    the truncation error is the cut tail's bound sqrt(F'(lam_max)) lam_max
-    near the origin, and a note after ``notes`` quotes it; else it is 0."""
+    a note after ``notes`` quotes the cut tail's bound sqrt(F'(lam_max))
+    lam_max near the origin."""
     spec = np.asarray(spec, dtype=complex)
     f, lam_g = spec.real, spec.imag
     m = f.size
     n = 2 * (m - 1)
-    notes, trunc = list(notes), 0.0
+    notes = list(notes)
     lam_max, top = math.pi / dx, max(float(f[-1]), 0.0)
     if top > 1e-16 * max(float(f[0]), 0.0):
-        trunc = math.sqrt(top) * lam_max
         notes.append(f"square-root spectral tail beyond {lam_max:.3g} "
-                     f"contributes at most ~{trunc:.2e} near the origin")
+                     f"contributes at most ~{math.sqrt(top) * lam_max:.2e} near the origin")
     if f.min() < 0.0:
         # the full spectrum holds each interior bin twice, 0 and Nyquist once
         neg = min(f[0], 0.0) + min(f[-1], 0.0) - 2.0 * np.minimum(f, 0.0).sum()
@@ -851,7 +848,7 @@ def _grid_payload(spec, dx, bp_sing, notes=()):
     if not np.isfinite(both).all():
         raise NoBRepresentation(f"sampled b is not finite on a grid of step {dx:g}")
     x = np.arange(m) * dx
-    return BKernel(None, None, None, bp_sing, ("numeric", x[-1]), trunc,
+    return BKernel(None, None, None, bp_sing, ("numeric", x[-1]),
                    grid=(x, b_vals, bp_vals, dx), notes=tuple(notes))
 
 
@@ -916,8 +913,8 @@ def reconstruct_r(kernel: Kernel, t):
         # and the second is twice its half over [0, t/2], at s = t w/2; neither
         # is more singular at 0 than b^2, the tail's integrand at t = 0
         sing = rep.b_singularity if rep.b_singularity in (None, "log") else 2.0 * rep.b_singularity
-        tail, _ = integrate(lambda s, ts: rep.b(ts[:, None] + s) * rep.b(s), t_arr, 0.0,
-                            math.inf, sing, kernel.length_scale)
+        tail, _ = integrate(lambda s, ts: rep.b(ts[:, None] + s) * rep.b(s), t_arr, math.inf,
+                            sing, kernel.length_scale)
         live, inner = t_arr > 0.0, np.zeros(t_arr.shape)
         inner[live], _ = integrate(
             lambda w, ts: ts[:, None] * rep.b(ts[:, None] * (1.0 - 0.5 * w))

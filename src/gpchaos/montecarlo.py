@@ -534,14 +534,13 @@ def _path_moments(plan, seed, n_paths, statistic, workers, values_only=False,
 
 @dataclass(frozen=True)
 class Moments:
-    """Sample moments of a per-path value over ``n_paths`` paths.
+    """Sample moments of a per-path value over a run's paths.
 
     ``std_error`` is the standard error of the mean and
     ``second_std_error`` that of the second moment; ``variance`` is the
     unbiased sample variance (0 for one path).
     """
 
-    n_paths: int
     mean: float
     second_moment: float
     variance: float
@@ -563,7 +562,7 @@ def _moments(values: np.ndarray) -> Moments:
 
     mean, variance = mean_and_variance(values)
     second, second_variance = mean_and_variance(values * values)
-    return Moments(n, mean, second, variance, math.sqrt(variance / n),
+    return Moments(mean, second, variance, math.sqrt(variance / n),
                    math.sqrt(second_variance / n))
 
 

@@ -3,7 +3,7 @@
 Every integral gpchaos takes goes through ``integrate``: the time averages
 of chaos weights, the norms of the moving-average kernel b, the b * b
 reconstruction of r, Geman's crossing integral and the iterated integral of
-(1 - c s^2)^n.  Each is nonnegative (a variance, a norm, or a covariance of
+(1 - s^2)^n.  Each is nonnegative (a variance, a norm, or a covariance of
 positive kernels), which the integrator uses as a check on its result.
 """
 
@@ -60,18 +60,17 @@ _SUBINTERVAL_LIMIT = 200
 _SLICE_ROWS = 64
 
 
-def integrate(f, keys, lo=0.0, hi=1.0, singular=None, scale=1.0):
-    """int_lo^hi f(x, k) dx for every k in ``keys``; returns the values and
+def integrate(f, keys, hi=1.0, singular=None, scale=1.0):
+    """int_0^hi f(x, k) dx for every k in ``keys``; returns the values and
     their error estimates as two arrays.
 
     ``f(x, ks)`` returns the ``(len(ks), len(x))`` integrands, so each pass
     evaluates every key on one shared set of nodes.  ``singular`` is how
-    they behave at ``lo``: None (bounded), "log", or an exponent e > -1 of
-    (x - lo)^e.  The rule runs in u on [0, 1], with s = u^power and x = lo +
-    (hi - lo) s, or x = lo + scale s / (1 - s) when ``hi`` is infinite.
-    (x - lo)^e becomes u^(power (e + 1) - 1), so e < 0 takes power
-    1 / (e + 1), which makes it constant; a logarithm takes power 3, and
-    anything else power 1.
+    they behave at 0: None (bounded), "log", or an exponent e > -1 of x^e.
+    The rule runs in u on [0, 1], with s = u^power and x = hi s, or x =
+    scale s / (1 - s) when ``hi`` is infinite.  x^e becomes
+    u^(power (e + 1) - 1), so e < 0 takes power 1 / (e + 1), which makes it
+    constant; a logarithm takes power 3, and anything else power 1.
 
     A subinterval is bisected while any key's error estimate misses its
     share, by length in u, of max(epsabs, epsrel |value|), up to the
@@ -96,9 +95,9 @@ def integrate(f, keys, lo=0.0, hi=1.0, singular=None, scale=1.0):
             u = (left[:, None] + width[:, None] * nodes).ravel()
             s, jacobian = u**power, power * u ** (power - 1.0)
             if math.isinf(hi):
-                x, jacobian = lo + scale * s / (1.0 - s), jacobian * scale / (1.0 - s) ** 2
+                x, jacobian = scale * s / (1.0 - s), jacobian * scale / (1.0 - s) ** 2
             else:
-                x, jacobian = lo + (hi - lo) * s, jacobian * (hi - lo)
+                x, jacobian = hi * s, jacobian * hi
             g = (f(x, ks) * jacobian).reshape(ks.size, left.size, nodes.size)
             high, low = np.moveaxis(width[:, None] * (g @ weights), -1, 0)
             error = np.abs(high - low)

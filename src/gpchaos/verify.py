@@ -27,7 +27,7 @@ from .chaos import (
     regularization_exponent,
 )
 from .conditions import condition_report
-from .errors import DomainError, GpchaosError, whole
+from .errors import DomainError, GpchaosError, NonFiniteResult, whole
 from .kernels import fd_derivatives_at_zero, r_derivatives_at_zero, reconstruct_r
 
 __all__ = [
@@ -65,7 +65,7 @@ def closed_form():
     in [50, 400]."""
     worst = max(
         abs(iter_integral_closed_form(n) - value)
-        for n, value in iter_integral_series(1.0, 1.0, range(31))
+        for n, value in iter_integral_series(range(31))
     )
     anchor0 = abs(iter_integral_closed_form(0) - 0.5)
     anchor1 = abs(iter_integral_closed_form(1) - 5.0 / 12.0)
@@ -128,6 +128,14 @@ def hs_bound(kernel):
     }
 
 
+def _z(estimate, target, std_error):
+    """The z-score of ``estimate`` against ``target``; NonFiniteResult when
+    the sample has no spread, so the check skips."""
+    if std_error == 0.0:
+        raise NonFiniteResult("Monte Carlo standard error is 0: every path gave the same value")
+    return (estimate - target) / std_error
+
+
 def _judge_chaos(kernel, functionals, outs):
     """Integrated chaos norm of each Hermite functional within ``Z_GATE``
     standard errors of its Monte Carlo second moment in ``outs``."""
@@ -137,7 +145,7 @@ def _judge_chaos(kernel, functionals, outs):
         target = integrated_chaos_norms(functional, kernel, n_max=functional.degree)[
             functional.degree
         ]
-        z = (out.second_moment - target) / out.second_std_error
+        z = _z(out.second_moment, target, out.second_std_error)
         detail[functional.spec_string()] = {"target": target, "z": z}
         ok = ok and abs(z) <= Z_GATE
     return ok, detail
@@ -146,7 +154,7 @@ def _judge_chaos(kernel, functionals, outs):
 def _judge_crossings(kernel, stats):
     """Mean zero crossings on [0, 1] of ``stats`` at the Rice value."""
     rice = mc.rice_crossing_mean(kernel, 0.0)
-    z = (stats.mean - rice) / stats.std_error
+    z = _z(stats.mean, rice, stats.std_error)
     return abs(z) <= Z_GATE, {"mean": stats.mean, "rice": rice, "z": z}
 
 
@@ -164,7 +172,7 @@ def mean_square_derivative(kernel, paths, grid, seed, plan=None):
     leading = kernel.r4_zero() / 4.0 * 0.01**2  # NotDifferentiable without r(0)
     rel = abs(analytic / leading - 1.0)
     h, residual = mc.ms_derivative_check(kernel, 0.05, paths, grid, seed, plan=_built(plan))
-    z = (residual.mean - mc.ms_derivative_residual(kernel, h)) / residual.std_error
+    z = _z(residual.mean, mc.ms_derivative_residual(kernel, h), residual.std_error)
     return rel <= LEADING_ORDER_TOL and abs(z) <= Z_GATE, {
         "leading_order_rel_error": rel,
         "mc_z": z,
@@ -192,12 +200,12 @@ def regularization_slope(kernel):
     }
 
 
-def determinism_replay(kernel, grid, seed, plan=None):
+def determinism_replay(kernel, grid, seed, plan):
     """Crossing statistics on ``grid`` points are identical at one and two
-    workers (on ``plan``).  The paths fill one sampler chunk and one pair of
+    workers on ``plan``.  The paths fill one sampler chunk and one pair of
     a second, so the two-worker run hands a chunk to each of its threads; a
     second chunk would only add time and memory."""
-    plan = mc.build_embedding_plan(kernel, grid) if plan is None else _built(plan)
+    plan = _built(plan)
     paths = 2 * mc._pair_chunk(plan) + 1
     one, two = (
         mc.crossing_statistics(kernel, 0.0, paths, grid, seed, workers=workers, plan=plan)

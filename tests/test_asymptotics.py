@@ -1,11 +1,8 @@
 """Tests for the iterated-integral decay layer.
 
 Anchors are hand-checkable: the n=0 integral is a triangle area, n=1 has an
-elementary antiderivative, and the hypergeometric closed form at c = c' = 1
-is pinned by the Gauss summation theorem.  The substitution identity is
-verified both as a full rescaling (prefactor 1/c — the n=0 triangle areas
-already force this factor) and as the literal partial substitution
-c^{-1/2} int_0^{c'} int_0^{t sqrt(c)} (1-u^2)^n du dt.
+elementary antiderivative, and the hypergeometric closed form is pinned by
+the Gauss summation theorem.
 """
 
 import math
@@ -13,7 +10,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 from gpchaos.asymptotics import (
     fit_decay_exponent,
@@ -29,55 +25,24 @@ from gpchaos.specfun import hyp2f1_terminating
 
 class TestQuadrature:
     def test_triangle_areas(self):
-        assert_allclose(iter_integral_quadrature(1.0, 1.0, 0), 0.5,
-                        rtol=1e-12)
-        assert_allclose(iter_integral_quadrature(4.0, 0.4, 0), 0.08,
-                        rtol=1e-12)
+        assert_allclose(iter_integral_quadrature(0), 0.5, rtol=1e-12)
 
     def test_elementary_antiderivative(self):
         # int_0^1 (1-s)(1-s^2) ds = 1 - 1/2 - 1/3 + 1/4 = 5/12
-        assert_allclose(iter_integral_quadrature(1.0, 1.0, 1), 5.0 / 12.0,
-                        rtol=1e-12)
+        assert_allclose(iter_integral_quadrature(1), 5.0 / 12.0, rtol=1e-12)
 
     def test_strictly_decreasing_in_n(self):
-        vals = [iter_integral_quadrature(1.0, 0.9, n) for n in range(25)]
+        vals = [iter_integral_quadrature(n) for n in range(25)]
         assert np.all(np.diff(vals) < 0.0)
-        vals4 = [iter_integral_quadrature(4.0, 0.3, n) for n in range(25)]
-        assert np.all(np.diff(vals4) < 0.0)
-
-    @pytest.mark.parametrize("c,cp", [(1.0, 1.0), (4.0, 0.4), (0.25, 1.9)])
-    def test_full_rescaling_identity(self, c, cp):
-        # u = s sqrt(c), v = t sqrt(c) rescales both axes: prefactor 1/c
-        for n in range(21):
-            lhs = iter_integral_quadrature(c, cp, n)
-            rhs = iter_integral_quadrature(1.0, cp * math.sqrt(c), n) / c
-            assert_allclose(lhs, rhs, atol=1e-10)
-
-    @pytest.mark.parametrize("c,cp", [(4.0, 0.4), (0.25, 1.9)])
-    def test_partial_substitution_step(self, c, cp):
-        # substituting only the inner variable leaves c^{-1/2} outside
-        for n in (0, 1, 5):
-            def inner(t):
-                return quad(lambda u: (1.0 - u * u) ** n,
-                            0.0, t * math.sqrt(c))[0]
-            rhs = c**-0.5 * quad(inner, 0.0, cp, limit=100)[0]
-            assert_allclose(iter_integral_quadrature(c, cp, n), rhs,
-                            atol=1e-10)
 
     def test_domain_boundary(self):
-        # c' may sit exactly at c^{-1/2} (the closed form's case) ...
-        assert iter_integral_quadrature(4.0, 0.5, 3) > 0.0
-        # ... but not beyond, where the integrand leaves [0, 1]
+        # the integrand touches 0 only at the endpoint s = 1
+        assert iter_integral_quadrature(3) > 0.0
+        for n in (-1, 1.5):
+            with pytest.raises(DomainError):
+                iter_integral_quadrature(n)
         with pytest.raises(DomainError):
-            iter_integral_quadrature(4.0, 0.51, 3)
-        with pytest.raises(DomainError):
-            iter_integral_quadrature(1.0, 1.2, 0)
-        with pytest.raises(DomainError):
-            iter_integral_quadrature(-1.0, 0.5, 0)
-        with pytest.raises(DomainError):
-            iter_integral_quadrature(1.0, 0.0, 0)
-        with pytest.raises(DomainError):
-            iter_integral_quadrature(1.0, 0.5, -1)
+            iter_integral_series([0, 1, -1])
 
 
 class TestClosedForm:
@@ -89,7 +54,7 @@ class TestClosedForm:
     def test_matches_quadrature(self):
         for n in range(31):
             assert_allclose(iter_integral_closed_form(n),
-                            iter_integral_quadrature(1.0, 1.0, n),
+                            iter_integral_quadrature(n),
                             atol=1e-10)
 
     def test_rejects_negative_n(self):
@@ -128,7 +93,7 @@ class TestDecayFit:
 
     def test_iterated_integral_rate(self):
         ns = sorted(set(np.geomspace(50, 400, 25).astype(int)))
-        fit = fit_decay_exponent(iter_integral_series(1.0, 1.0, ns))
+        fit = fit_decay_exponent(iter_integral_series(ns))
         assert abs(fit.fitted_slope + 0.5) < 0.05
 
     def test_degenerate_inputs(self):

@@ -394,6 +394,17 @@ class TestSimulateCommand:
         assert [m["functional"] for m in moments] == ["H:0", "H:1"]
         assert math.isclose(moments[0]["second_moment"], 1.0, rel_tol=1e-12)
         assert moments[0]["std_error"] < 1e-12
+        assert report["config"]["level"] is None
+
+    def test_level_is_for_crossing_runs_only(self, capsys):
+        # a functional run reads no level, so it takes none; a crossing run
+        # records the level it counted at, 0 when none is given
+        argv = ("simulate", "--kernel", "sqexp", "--paths", "20", "--grid", "64")
+        code, out, err = run_cli(capsys, *argv, "--functional", "H:1", "--level", "0.5")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--level" in err
+        assert run_json(capsys, *argv)["config"]["level"] == 0.0
+        assert run_json(capsys, *argv, "--level", "0.5")["config"]["level"] == 0.5
 
     def test_report_matches_library_call(self, capsys):
         report = run_json(
@@ -683,6 +694,23 @@ class TestVerifyAll:
     def test_bad_kernel_exits_usage(self, capsys):
         assert run_cli(capsys, "verify-all", "--kernel", "bogus")[0] == 2
 
+    def test_a_sample_with_no_spread_skips_its_check(self, capsys):
+        # both paths cross zero equally often: the crossing mean has standard
+        # error 0, so no z-score exists and level-crossings skips
+        report = run_json(capsys, "verify-all", "--paths", "2", "--grid", "8", "--seed", "1")
+        check = next(c for c in report["checks"] if c["name"] == "level-crossings")
+        assert check == {"name": "level-crossings", "status": "skip", "detail": {
+            "reason": "Monte Carlo standard error is 0: every path gave the same value"}}
+
+    def test_kernel_without_second_derivative_skips_the_derivative_checks(self, capsys):
+        # gammaexp:gamma=1.5 has a |t|^1.5 term at 0, so no r''(0): the
+        # checks that read r'' skip with that reason
+        report = run_json(capsys, "verify-all", "--kernel", "gammaexp:gamma=1.5",
+                          "--paths", "20", "--grid", "64")
+        reasons = {c["name"]: c["detail"].get("reason") for c in report["checks"]}
+        for name in ("hs-quadratic-bound", "derivative-finite-difference"):
+            assert reasons[name] == "gammaexp:ell=1,gamma=1.5: r''(0) does not exist"
+
     def test_plan_block_is_the_simulate_diagnostics(self, capsys):
         argv = ("--kernel", "matern52", "--paths", "20", "--grid", "64")
         report = run_json(capsys, "verify-all", *argv)
@@ -772,8 +800,8 @@ class TestVerifyAll:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", counting_pool)
         kernel = parse_kernel(spec)
-        passed, detail = verify.determinism_replay(kernel, 512, 3)
         plan = mc.build_embedding_plan(kernel, 512)
+        passed, detail = verify.determinism_replay(kernel, 512, 3, plan)
         assert passed
         assert detail["paths"] == 2 * mc._pair_chunk(plan) + 1
         assert pools == [2]
@@ -815,7 +843,8 @@ def _standalone_checks(kernel, paths, grid, seed):
         lambda: verify._judge_crossings(
             kernel, mc.crossing_statistics(kernel, 0.0, paths, grid, seed)),
         lambda: verify.mean_square_derivative(kernel, min(paths, 6000), grid, seed),
-        lambda: verify.determinism_replay(kernel, grid, seed),
+        lambda: verify.determinism_replay(kernel, grid, seed,
+                                          mc.build_embedding_plan(kernel, grid)),
     ))]
 
 

@@ -6,7 +6,9 @@ independent oracle; the
 tensor-power weight by explicitly materialized Kronecker products for
 n <= 8 and by an exact rational sum for n <= 60.  The
 expansion of the squared HS sum at 0 is checked against the closed
-coefficient (r''''(0) - r''(0)^2)/r''(0), which the stencil doubles.
+coefficient (r''''(0) - r''(0)^2)/r''(0), which the stencil doubles, and the
+fitted bound against the t->0 coefficient (r''''(0) - r''(0)^2)/(4|r''(0)|),
+both from the kernel's analytic derivatives at 0.
 """
 
 import math
@@ -24,7 +26,7 @@ from gpchaos.covstruct import (
     tensor_power_quadratic_form,
 )
 from gpchaos.errors import DomainError, NotDifferentiable
-from gpchaos.kernels import parse_kernel
+from gpchaos.kernels import parse_kernel, r_derivatives_at_zero
 
 A2_KERNELS = ["sqexp:ell=1", "matern52", "matern:nu=2.5", "rq:alpha=2",
               "wendland:k=4", "periodic:T=2,ell=0.8"]
@@ -148,7 +150,6 @@ class TestExpansionDerivatives:
     def test_sqexp_values(self):
         d = hs_expansion_derivatives(parse_kernel("sqexp:ell=1"))
         assert_allclose(d["second"], -8.0, rtol=1e-6)
-        assert_allclose(d["printed_second"], -4.0, rtol=1e-12)
 
     def test_matern52_negative_second(self):
         d = hs_expansion_derivatives(parse_kernel("matern52"))
@@ -157,8 +158,10 @@ class TestExpansionDerivatives:
 
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_stencil_doubles_printed_coefficient(self, spec):
-        d = hs_expansion_derivatives(parse_kernel(spec))
-        assert_allclose(d["second"], 2.0 * d["printed_second"], rtol=1e-4)
+        k = parse_kernel(spec)
+        d = r_derivatives_at_zero(k)
+        assert_allclose(hs_expansion_derivatives(k)["second"], 2.0 * d.discriminant / d.r2,
+                        rtol=1e-4)
 
     def test_requires_fourth_derivative(self):
         with pytest.raises(NotDifferentiable):
@@ -259,38 +262,45 @@ class TestTensorPower:
 class TestQuadraticBound:
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_positive_coefficient_on_window(self, spec):
-        fit = quadratic_bound_fit(parse_kernel(spec))
+        k = parse_kernel(spec)
+        fit = quadratic_bound_fit(k)
         assert fit.holds and fit.c_hat > 0.0
         # the fitted constant sits below the t->0 coefficient
-        assert fit.c_hat < fit.limit_coefficient
+        d = r_derivatives_at_zero(k)
+        assert fit.c_hat < d.discriminant / (-4.0 * d.r2)
         # and the bound itself holds on a dense sample of the window
-        k = parse_kernel(spec)
         t = np.linspace(0.0, fit.window, 97)[1:]
         nhs = np.linalg.norm(np.stack([_as_array(a_matrix(k, ti)) for ti in t]),
                              axis=(1, 2)) / math.sqrt(2.0)
         assert np.all(nhs <= 1.0 - fit.c_hat * t**2 + 1e-12)
 
     def test_sqexp_limit_coefficient(self):
+        # (r4 - r2^2) / (4 |r2|) = (12 - 4) / 8 = 1 at t -> 0
         fit = quadratic_bound_fit(parse_kernel("sqexp:ell=1"))
-        assert_allclose(fit.limit_coefficient, 1.0, rtol=1e-12)
-        assert fit.c_hat > 0.5
+        assert 0.5 < fit.c_hat < 1.0
 
     def test_matern52_limit_coefficient(self):
+        # (r4 - r2^2) / (4 |r2|) = (25 - 25/9) / (20/3) = 10/3 at t -> 0
         fit = quadratic_bound_fit(parse_kernel("matern52"))
-        assert_allclose(fit.limit_coefficient, 10.0 / 3.0, rtol=1e-12)
+        assert 0.0 < fit.c_hat < 10.0 / 3.0
 
     @pytest.mark.parametrize("spec", A2_KERNELS)
     def test_operator_reading_degenerates(self, spec):
-        fit = quadratic_bound_fit(parse_kernel(spec))
-        assert fit.c_hat_operator <= 0.0
-        assert any("degenerates" in n for n in fit.notes)
+        # 1 - op(A(t)) vanishes faster than t^2 near 0: on the fit's window,
+        # the infimum of (1 - op) / t^2 less three standard errors (the
+        # fit's rule) is not positive
+        k = parse_kernel(spec)
+        t = np.linspace(0.0, quadratic_bound_fit(k).window, 201)[1:]
+        m = a_matrix(k, t)
+        y = (1.0 - _op_norm_closed(m.a11, m.a12, m.a21, m.a22)) / t**2
+        assert y.min() - 3.0 * y.std(ddof=1) / math.sqrt(y.size) <= 0.0
 
     def test_rotation_family_has_no_bound(self):
         # A(t) for the pure cosine kernel is a rotation: both norms are
         # constant and no positive quadratic coefficient exists
         fit = quadratic_bound_fit(parse_kernel("cosine"))
         assert not fit.holds
-        assert_allclose(fit.limit_coefficient, 0.0, atol=1e-12)
+        assert_allclose(fit.c_hat, 0.0, atol=1e-12)
 
     def test_requires_nondegeneracy_data(self):
         with pytest.raises(NotDifferentiable):

@@ -794,7 +794,6 @@ class TestCrossingStatistics:
         assert stats.second_moment >= stats.mean**2
         assert stats.variance >= 0.0
         assert_allclose(stats.std_error, math.sqrt(stats.variance / 500), rtol=1e-12)
-        assert stats.n_paths == 500
 
     def test_worker_count_is_invisible(self):
         plan = mc.build_embedding_plan(SQEXP, 256)
@@ -904,7 +903,6 @@ class TestIntegratedFunctionals:
         assert len(outs) == 2
         for out in outs:
             assert isinstance(out, mc.Moments)
-            assert out.n_paths == 100
             assert_allclose(out.std_error, math.sqrt(out.variance / 100), rtol=1e-12)
             assert out.second_moment >= out.mean**2
         assert outs[0].mean > 0.0  # |X| averages to a positive number
@@ -914,7 +912,7 @@ class TestIntegratedFunctionals:
         got = mc._moments(values)
         # the squares 1, 4, 16, 25 have mean 11.5 and sample variance 123
         assert got == mc.Moments(
-            n_paths=4, mean=3.0, second_moment=11.5, variance=10.0 / 3.0,
+            mean=3.0, second_moment=11.5, variance=10.0 / 3.0,
             std_error=math.sqrt(10.0 / 12.0), second_std_error=math.sqrt(123.0 / 4.0),
         )
         one = mc._moments(np.array([2.5]))
@@ -952,7 +950,6 @@ class TestMSDerivativeResidual:
     def test_mc_check_snaps_h_to_the_grid(self):
         h, chk = mc.ms_derivative_check(SQEXP, 0.03, n_paths=50, grid_points=512, seed=62)
         assert_allclose(h, 15.0 / 511.0, rtol=1e-15)
-        assert chk.n_paths == 50
         # the residuals are taken at the snapped lag of 15 grid steps
         direct = [((p.x[15] - p.x[0]) / h - p.xdot[0]) ** 2
                   for p in mc.sample_paths(SQEXP, 512, 50, seed=62)]

@@ -29,11 +29,11 @@ class TestEndpointSingularities:
     def test_power_on_the_half_line(self):
         # int_0^inf x^(-1/2) e^(-x) dx = Gamma(1/2)
         (value,), _ = integrate(lambda x, ks: (x ** -0.5 * np.exp(-x))[None], [0],
-                                0.0, math.inf, -0.5)
+                                math.inf, -0.5)
         assert_allclose(value, math.sqrt(math.pi), rtol=1e-11)
 
     def test_bounded_is_the_default(self):
-        (value,), _ = integrate(lambda x, ks: np.cos(x)[None], [0], 0.0, 2.0)
+        (value,), _ = integrate(lambda x, ks: np.cos(x)[None], [0], 2.0)
         assert_allclose(value, math.sin(2.0), rtol=1e-13)
 
 
